@@ -46,6 +46,18 @@ def _parse_values(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _glue_values(argv: list[str]) -> list[str]:
+    """Turn `--values -10..10` into `--values=-10..10`: argparse takes an
+    argument starting with a dash for an option, not for the flag's value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--values" and re.match(r"-\d", arg):
+            out[-1] = f"--values={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _setup(args):
     with open(args.file, encoding="utf-8") as handle:
         system = parse(handle.read())
@@ -210,7 +222,7 @@ def main(argv=None) -> int:
     gen.add_argument("pairs", help='instance like "1,101;10,00;011,11"')
     gen.set_defaults(fn=cmd_gen_pcp)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except (ParseError, FileNotFoundError, ValueError) as exc:

@@ -523,11 +523,6 @@ def decide_sat(phi: Term) -> bool:
     return ground_value(eliminate_exists(_var_kinds(phi), f))
 
 
-def decide_valid(phi: Term) -> bool:
-    """Validity of a constraint, free variables read universally."""
-    return not decide_sat(theory.neg(phi))
-
-
 def decide_prefixed(prefix: list[tuple[str, list[Var]]], phi: Term) -> bool:
     """Truth of (prefix)(phi); leftover free variables read universally."""
     f = formula_of(phi)

@@ -3,13 +3,14 @@
 The internal route is complete for linear integer arithmetic with booleans;
 anything nonlinear goes to the configured external SMT solver, or comes back
 Unknown when none is configured.  Every model produced on any route is
-re-checked by direct evaluation before it is accepted.
+re-checked by direct evaluation before it is accepted; the internal route
+builds a model only when a caller first reads it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import Callable
 
 from . import cooper, smtlib, theory
 from .terms import BOOL, INT, Term, Var, apply_subst, bool_val, int_val, term_key, variables
@@ -17,11 +18,31 @@ from .terms import BOOL, INT, Term, Var, apply_subst, bool_val, int_val, term_ke
 Prefix = list[tuple[str, list[Var]]]
 
 
-@dataclass
 class SolverVerdict:
-    status: str  # "valid" | "invalid" | "sat" | "unsat" | "unknown"
-    assignment: dict[Var, Term] | None = None
-    reason: str | None = None
+    """Outcome of one query.
+
+    A sat verdict's model and an invalid verdict's counter-model are either
+    given as `assignment` or built by `build_model` on the first read of
+    .assignment; the result is kept, so a memoised verdict builds at most once.
+    """
+
+    def __init__(
+        self,
+        status: str,  # "valid" | "invalid" | "sat" | "unsat" | "unknown"
+        assignment: dict[Var, Term] | None = None,
+        reason: str | None = None,
+        build_model: Callable[[], dict[Var, Term] | None] | None = None,
+    ):
+        self.status = status
+        self.reason = reason
+        self._assignment = assignment
+        self._build_model = build_model
+
+    @property
+    def assignment(self) -> dict[Var, Term] | None:
+        if self._build_model is not None:
+            self._assignment, self._build_model = self._build_model(), None
+        return self._assignment
 
     @property
     def is_valid(self) -> bool:
@@ -36,7 +57,8 @@ class SolverVerdict:
         return self.status == "unknown"
 
     def __repr__(self):
-        extra = f" {self.assignment}" if self.assignment else ""
+        # a model not yet built stays unbuilt
+        extra = f" {self._assignment}" if self._assignment else ""
         if self.reason:
             extra += f" ({self.reason})"
         return f"<{self.status}{extra}>"
@@ -47,7 +69,8 @@ _RADII = (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 512, 1
 
 def search_model(phi: Term, budget: int = 2_000_000) -> dict[Var, Term] | None:
     """Value assignment satisfying phi: extracted from the decision procedure
-    on the linear fragment, found by expanding-box search otherwise."""
+    on the linear fragment, found by expanding-box search otherwise.  None
+    when phi is unsat, or when the box search gives up."""
     vs = sorted(variables(phi), key=lambda v: v.name)
     try:
         f = cooper.formula_of(phi)
@@ -65,7 +88,14 @@ def search_model(phi: Term, budget: int = 2_000_000) -> dict[Var, Term] | None:
     return sigma
 
 
+def _sat_model(phi: Term) -> dict[Var, Term]:
+    model = search_model(phi)
+    assert model is not None, f"decision procedure claims sat: {phi}"
+    return model
+
+
 def _box_search_model(phi: Term, budget: int, radii=_RADII) -> dict[Var, Term] | None:
+    """None once `budget` candidates or the last radius are used up."""
     ivars = sorted((v for v in variables(phi) if v.sort == INT), key=lambda v: v.name)
     bvars = sorted((v for v in variables(phi) if v.sort == BOOL), key=lambda v: v.name)
     spent = 0
@@ -82,7 +112,7 @@ def _box_search_model(phi: Term, budget: int, radii=_RADII) -> dict[Var, Term] |
                     return sigma
                 spent += 1
                 if spent > budget:
-                    raise RuntimeError(f"model search budget exhausted on {phi}")
+                    return None
     return None
 
 
@@ -100,14 +130,16 @@ class ConstraintSolver:
 
     # -- internal helpers --
 
-    def _checked_model(self, phi: Term, model: dict[Var, Term] | None, origin: str) -> SolverVerdict:
-        if model is None:
-            return SolverVerdict("unknown", reason=f"{origin}: no model produced")
-        missing = variables(phi) - model.keys()
-        if missing:
-            extra = search_model(apply_subst(model, phi))
+    def _checked_model(self, phi: Term, model: dict[Var, Term], origin: str) -> SolverVerdict:
+        """sat once the model re-validates; the variables it leaves out (all
+        of them when there is no model) are filled in by model search."""
+        if variables(phi) - model.keys():
+            rest = apply_subst(model, phi)
+            extra = search_model(rest)
             if extra is None:
-                return SolverVerdict("unknown", reason=f"{origin}: partial model")
+                # the search is exact on linear constraints, bounded otherwise
+                why = "model failed re-validation" if cooper.is_linear(rest) else "model search budget exhausted"
+                return SolverVerdict("unknown", reason=f"{origin}: {why}")
             model = {**model, **extra}
         if not theory.holds(apply_subst(model, phi)):
             return SolverVerdict("unknown", reason=f"{origin}: model failed re-validation")
@@ -124,9 +156,7 @@ class ConstraintSolver:
     def _is_satisfiable(self, phi: Term) -> SolverVerdict:
         try:
             if cooper.decide_sat(phi):
-                model = search_model(phi)
-                assert model is not None, f"decision procedure claims sat: {phi}"
-                return SolverVerdict("sat", assignment=model)
+                return SolverVerdict("sat", build_model=lambda: _sat_model(phi))
             return SolverVerdict("unsat")
         except cooper.NonlinearError as exc:
             if self.smt_command is None:
@@ -144,7 +174,7 @@ class ConstraintSolver:
         if res.status == "unsat":
             return SolverVerdict("valid")
         if res.status == "sat":
-            return SolverVerdict("invalid", assignment=res.assignment)
+            return SolverVerdict("invalid", build_model=lambda: res.assignment)
         return res
 
     def is_valid_quantified(self, prefix: Prefix, phi: Term) -> SolverVerdict:
@@ -161,7 +191,7 @@ class ConstraintSolver:
         try:
             if cooper.decide_prefixed(prefix, phi):
                 return SolverVerdict("valid")
-            return SolverVerdict("invalid", assignment=self._counter_valuation(prefix, phi))
+            return SolverVerdict("invalid", build_model=lambda: self._counter_valuation(prefix, phi))
         except cooper.NonlinearError as exc:
             if self.smt_command is None:
                 return SolverVerdict("unknown", reason=str(exc))
@@ -210,7 +240,7 @@ class ConstraintSolver:
         if status == "sat":
             if prefix:
                 return SolverVerdict("sat")
-            return self._checked_model(phi, model or search_model(phi), "external solver")
+            return self._checked_model(phi, model, "external solver")
         return SolverVerdict("unknown", reason="solver answered unknown")
 
 

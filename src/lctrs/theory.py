@@ -183,11 +183,3 @@ def conjuncts(phi: Term) -> list[Term]:
     if isinstance(phi, App) and phi.sym == AND:
         return conjuncts(phi.args[0]) + conjuncts(phi.args[1])
     return [phi]
-
-
-def int_var(name: str) -> Var:
-    return Var(name, INT)
-
-
-def bool_var(name: str) -> Var:
-    return Var(name, BOOL)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -70,6 +71,17 @@ def test_ground_respects_values_flag(capsys):
     assert "(rule (g 0) (h 2))" in lines
     assert "(rule (g 1) (h 1))" in lines
     assert "(rule (g 3) (h 1))" not in lines
+
+
+@pytest.mark.parametrize(
+    "flags", [("--values", "-1..1"), ("--values=-1..1",)], ids=["separate", "joined"]
+)
+def test_values_flag_negative_range(capsys, flags):
+    code, out, _ = run_cli(capsys, "ground", str(CORPUS / "parity_split.lctrs"), *flags)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert "(rule (g -1) (h 1))" in lines
+    assert "(rule (g -2) (h 2))" not in lines
 
 
 def test_check_reports_pass(capsys):
@@ -172,11 +184,13 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
 
 def test_console_entry_point():
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lctrs", "analyze", str(CORPUS / "projection.lctrs")],
         capture_output=True,
         text=True,
         cwd=REPO,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "YES"

@@ -1,13 +1,19 @@
+import functools
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lctrs import cooper, theory
+from lctrs import cooper, logic, theory
+from lctrs.analysis import analyze
 from lctrs.logic import ConstraintSolver, search_model
+from lctrs.parser import parse
 from lctrs.terms import INT, Var, apply_subst, int_val, variables
+
+from tests.conftest import CORPUS
 
 x, y, z, n, m = (Var(s, INT) for s in "xyznm")
 
@@ -269,3 +275,131 @@ def test_formula_translation_matches_direct_evaluation(a, b, c, vx, vy, vz):
     env = {"x": vx, "y": vy, "z": vz}
     sigma = {x: int_val(vx), y: int_val(vy), z: int_val(vz)}
     assert cooper.eval_formula(cooper.formula_of(phi), env) == theory.holds(apply_subst(sigma, phi))
+
+
+# --- models on demand ----------------------------------------------------------
+
+def _counting_search_model(monkeypatch):
+    calls = []
+    real = logic.search_model
+
+    def counted(phi, *args, **kwargs):
+        calls.append(phi)
+        return real(phi, *args, **kwargs)
+
+    monkeypatch.setattr(logic, "search_model", counted)
+    return calls
+
+
+def test_model_built_once_on_first_read(monkeypatch):
+    calls = _counting_search_model(monkeypatch)
+    solver = ConstraintSolver()
+    phi = theory.conj(theory.gt(x, 2), theory.lt(y, x))
+    res = solver.is_satisfiable(phi)
+    assert res.status == "sat" and calls == []
+    first = res.assignment
+    assert first is res.assignment
+    assert solver.is_satisfiable(phi).assignment is first
+    assert len(calls) == 1
+    assert theory.holds(apply_subst(first, phi))
+
+
+def test_counter_model_shares_the_sat_model(monkeypatch):
+    calls = _counting_search_model(monkeypatch)
+    solver = ConstraintSolver()
+    phi = theory.gt(x, 0)
+    res = solver.is_valid(phi)
+    assert res.status == "invalid" and calls == []
+    assert res.assignment is solver.is_satisfiable(theory.neg(phi)).assignment
+    assert len(calls) == 1
+
+
+def test_quantified_counter_model_built_on_read(monkeypatch):
+    calls = []
+    real = ConstraintSolver._counter_valuation
+
+    def counted(self, prefix, phi):
+        calls.append(phi)
+        return real(self, prefix, phi)
+
+    monkeypatch.setattr(ConstraintSolver, "_counter_valuation", counted)
+    phi = theory.imp(theory.gt(x, 0), theory.gt(theory.mul(2, x), 2))
+    res = ConstraintSolver().is_valid_quantified([("forall", [x])], phi)
+    assert res.status == "invalid" and calls == []
+    assert res.assignment is res.assignment
+    assert len(calls) == 1
+    assert not theory.holds(apply_subst(res.assignment, phi))
+
+
+def _corpus_system(name):
+    return parse((CORPUS / name).read_text())
+
+
+@pytest.mark.parametrize("name", ["calc_chain.lctrs", "guarded_swap.lctrs"])
+def test_analysis_builds_no_model(monkeypatch, name):
+    want = analyze(_corpus_system(name), ConstraintSolver())
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("model built on the analysis path")
+
+    monkeypatch.setattr(logic, "search_model", refuse)
+    got = analyze(_corpus_system(name), ConstraintSolver())
+    assert (got.result, got.criterion, got.reasons) == (want.result, want.criterion, want.reasons)
+
+
+class _RecordingSolver(ConstraintSolver):
+    """Keeps the formula of every query next to its verdict.  An unknown
+    verdict that is_valid passes on keeps its is_satisfiable record."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = {}
+
+    def is_satisfiable(self, phi):
+        res = super().is_satisfiable(phi)
+        self.asked[id(res)] = (res, phi)
+        return res
+
+    def is_valid(self, phi):
+        res = super().is_valid(phi)
+        self.asked.setdefault(id(res), (res, phi))
+        return res
+
+
+@pytest.mark.parametrize("name", ["calc_chain.lctrs", "guarded_swap.lctrs"])
+def test_memoised_models_check_out(name):
+    """The analyzer's own sat/invalid answers, cross-checked by their models
+    (the corpus asks no quantified queries)."""
+    solver = _RecordingSolver()
+    analyze(_corpus_system(name), solver)
+    assert {id(res) for res in solver._memo.values()} == solver.asked.keys()
+    statuses = set()
+    for res, phi in solver.asked.values():
+        statuses.add(res.status)
+        if res.status == "sat":
+            assert theory.holds(apply_subst(res.assignment, phi)), phi
+        elif res.status == "invalid":
+            assert not theory.holds(apply_subst(res.assignment, phi)), phi
+    assert {"sat", "invalid"} <= statuses
+
+
+def test_box_search_budget_gives_none():
+    phi = theory.eq(theory.mul(x, y), 1000003)
+    assert search_model(phi, budget=50) is None
+
+
+@pytest.mark.parametrize(
+    "phi, reason",
+    [
+        (theory.eq(theory.mul(x, y), 1000003), "model search budget exhausted"),
+        (theory.conj(theory.gt(x, 0), theory.lt(x, 0)), "model failed re-validation"),
+    ],
+    ids=["nonlinear", "linear-unsat"],
+)
+def test_external_sat_without_model(monkeypatch, tmp_path, phi, reason):
+    bare = tmp_path / "bare_sat.py"
+    bare.write_text("import sys; sys.stdin.read(); print('sat')\n")
+    monkeypatch.setattr(logic, "search_model", functools.partial(logic.search_model, budget=50))
+    res = ConstraintSolver(smt_command=f"{sys.executable} {bare}").smt_backend(phi)
+    assert res.status == "unknown"
+    assert reason in res.reason

@@ -11,7 +11,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lctrs.analysis import AnalysisConfig, analyze, ccps, cpcps
+from lctrs.analysis import AnalysisConfig, analyze, cpcps
+from lctrs.cli import _glue_values, _parse_values
 from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse
 from lctrs.rewriting import RewriteConfig
@@ -19,28 +20,38 @@ from lctrs.rewriting import RewriteConfig
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
-def main() -> int:
+def parse_args(argv: list[str]) -> tuple[int, int, int]:
+    """(depth, lo, hi) from the command line; a bad --values range exits 2."""
     ap = argparse.ArgumentParser()
     ap.add_argument("--depth", type=int, default=4)
     ap.add_argument("--values", default="-4..4")
-    args = ap.parse_args()
-    lo, hi = (int(p) for p in args.values.split(".."))
+    args = ap.parse_args(_glue_values(argv))
+    try:
+        lo, hi = _parse_values(args.values)
+    except ValueError as exc:
+        ap.error(str(exc))
+    return args.depth, lo, hi
+
+
+def main(argv: list[str] | None = None) -> int:
+    depth, lo, hi = parse_args(sys.argv[1:] if argv is None else argv)
 
     rows = []
     for path in sorted(CORPUS.glob("*.lctrs")):
         system = parse(path.read_text())
         solver = ConstraintSolver()
-        config = AnalysisConfig(depth=args.depth, rewrite=RewriteConfig(lo=lo, hi=hi))
+        config = AnalysisConfig(depth=depth, rewrite=RewriteConfig(lo=lo, hi=hi))
         t0 = time.time()
         verdict = analyze(system, solver, config)
         elapsed = time.time() - t0
+        parallel = verdict.cpcps if verdict.cpcps is not None else cpcps(system, solver)
         rows.append(
             (
                 path.stem,
                 verdict.result,
                 verdict.criterion or "-",
-                len(ccps(system, solver)),
-                len(cpcps(system, solver)),
+                verdict.ccp_count,
+                len(parallel),
                 f"{elapsed:.2f}s",
             )
         )

@@ -2,7 +2,8 @@
 
 Critical pairs are generated from variable-disjoint copies of the combined
 rule set (rules plus calculation rules); pairs of calculation rules are
-skipped since their self-overlays pin both results to the same value.  For
+skipped since their self-overlays pin both results to the same value.  The
+same enumerator overlaps the rules of a ground fragment.  For
 closedness searches the two sides are packed into a binary pair constructor
 so the >=1 / >=2 position filters are ordinary subterm filters.
 """
@@ -26,6 +27,7 @@ from .terms import (
     App,
     EPSILON,
     FunSym,
+    ParallelSetCap,
     Position,
     Sort,
     Term,
@@ -33,10 +35,12 @@ from .terms import (
     alpha_key,
     apply_subst,
     is_value,
+    parallel_subsets,
     positions,
     replace_at,
     sort_of,
     subterm_at,
+    unify,
     variables,
 )
 
@@ -96,138 +100,91 @@ class CPCPRecord:
         return f"{self.left!r} ~ {self.right!r} [{self.constraint!r}] P={self.pset}"
 
 
-_disjoint_copies = rename_apart
+def _single_overlaps(rules):
+    """(outer copy, [inner copy], (position,)) for every inner rule whose
+    root symbol occurs at a function position of the outer left-hand side,
+    inner-major like the product of the rules; the inner copy keeps its
+    variable names."""
+    outers_of: dict[FunSym, list[tuple[ConstrainedRule, list[Position]]]] = {}
+    for r in rules:
+        sites: dict[FunSym, list[Position]] = {}
+        for p in sorted(positions(r.lhs, "function")):
+            sites.setdefault(subterm_at(r.lhs, p).sym, []).append(p)
+        for sym, ps in sites.items():
+            outers_of.setdefault(sym, []).append((r, ps))
+    for inner in rules:
+        for outer, ps in outers_of.get(inner.lhs.sym, ()):
+            if inner.calc and outer.calc:
+                continue  # value-pinned self-overlays, trivial by construction
+            rho1, rho2 = rename_apart([inner, outer])
+            for p in ps:
+                yield rho2, [rho1], (p,)
 
 
-def _lvar_condition(sigma, lvars) -> bool:
-    return all(
-        is_value(sigma.get(x, x)) or isinstance(sigma.get(x, x), Var) for x in lvars
-    )
+def _parallel_overlaps(rules):
+    """(outer copy, inner copies, positions) for every set of parallel
+    function positions of an outer left-hand side and every choice of inner
+    rules rooted there; the outer copy keeps its variable names."""
+    by_root: dict[FunSym, list[ConstrainedRule]] = {}
+    for r in rules:
+        by_root.setdefault(r.lhs.sym, []).append(r)
+    for outer in rules:
+        for pset in parallel_subsets(sorted(positions(outer.lhs, "function")))[1:]:
+            candidates = [by_root.get(subterm_at(outer.lhs, p).sym, []) for p in pset]
+            for inner_choice in itertools.product(*candidates):
+                if outer.calc and all(r.calc for r in inner_choice):
+                    continue
+                rho, *inners = rename_apart([outer, *inner_choice])
+                yield rho, inners, tuple(pset)
+
+
+def _critical_pairs(rules, sat, parallel: bool = False) -> list:
+    """Critical pairs (parallel ones when asked) of the rules, deduplicated
+    up to variable renaming, the first record of each key kept.
+
+    sat answers "sat", "unsat" or "unknown" for the instantiated guards;
+    unsat overlaps are dropped.  Single pairs carry the constraint
+    (inner & outer guards) & EC, parallel ones outer guard & EC & inner
+    guards."""
+    seen: dict[str, CCPRecord | CPCPRecord] = {}
+    for rho, inners, pset in (_parallel_overlaps if parallel else _single_overlaps)(rules):
+        sigma = unify([(inner.lhs, subterm_at(rho.lhs, p)) for inner, p in zip(inners, pset)])
+        if sigma is None:
+            continue
+        lvars = rho.lvar().union(*(r.lvar() for r in inners))
+        if not all(is_value(sigma.get(x, x)) or isinstance(sigma.get(x, x), Var) for x in lvars):
+            continue  # a logical variable bound to a proper term
+        if pset == (EPSILON,) and is_variant(inners[0], rho):
+            if variables(rho.rhs) <= variables(rho.lhs):
+                continue
+        copies = [rho, *inners] if parallel else [*inners, rho]
+        guards = [apply_subst(sigma, r.guard) for r in copies]
+        status = sat(theory.conj(*guards))
+        if status == "unsat":
+            continue
+        ec = apply_subst(sigma, theory.conj(*(r.ec() for r in copies)))
+        peak = apply_subst(sigma, rho.lhs)
+        left = replace_at(peak, {p: apply_subst(sigma, inner.rhs) for inner, p in zip(inners, pset)})
+        right = apply_subst(sigma, rho.rhs)
+        if parallel:
+            phi = theory.conj(guards[0], ec, *guards[1:])
+            rec = CPCPRecord(left, right, phi, pset, peak, rho, status == "unknown")
+        else:
+            phi = theory.conj(theory.conj(*guards), ec)
+            rec = CCPRecord(left, right, phi, pset[0], peak, inners[0], rho, status == "unknown")
+        seen.setdefault(rec.key(), rec)
+    return sorted(seen.values(), key=lambda r: r.key())
 
 
 def ccps(lctrs: Lctrs, solver: ConstraintSolver) -> list[CCPRecord]:
     """All constrained critical pairs, both orientations, deduplicated only
     up to variable renaming."""
-    from .terms import unify
-
-    rc = lctrs.rc_rules
-    seen: dict[str, CCPRecord] = {}
-    for r1, r2 in itertools.product(rc, repeat=2):
-        if r1.calc and r2.calc:
-            continue  # value-pinned self-overlays, trivial by construction
-        rho1, rho2 = _disjoint_copies([r1, r2])
-        for p in sorted(positions(rho2.lhs, "function")):
-            sigma = unify([(rho1.lhs, subterm_at(rho2.lhs, p))])
-            if sigma is None:
-                continue
-            if not _lvar_condition(sigma, rho1.lvar() | rho2.lvar()):
-                continue
-            if p == EPSILON and is_variant(rho1, rho2):
-                if variables(rho1.rhs) <= variables(rho1.lhs):
-                    continue
-            guards = theory.conj(
-                apply_subst(sigma, rho1.guard), apply_subst(sigma, rho2.guard)
-            )
-            sat = solver.is_satisfiable(guards)
-            if sat.status == "unsat":
-                continue
-            ec = theory.conj(rho1.ec(), rho2.ec())
-            phi = theory.conj(guards, apply_subst(sigma, ec))
-            peak = apply_subst(sigma, rho2.lhs)
-            rec = CCPRecord(
-                left=replace_at(peak, {p: apply_subst(sigma, rho1.rhs)}),
-                right=apply_subst(sigma, rho2.rhs),
-                constraint=phi,
-                position=p,
-                peak_source=peak,
-                inner_rule=rho1,
-                outer_rule=rho2,
-                sat_unknown=sat.is_unknown,
-            )
-            seen.setdefault(rec.key(), rec)
-    return sorted(seen.values(), key=lambda r: r.key())
-
-
-def _antichains(ps: list[Position]) -> list[tuple[Position, ...]]:
-    out: list[tuple[Position, ...]] = [()]
-    for p in ps:
-        out.extend(
-            chain + (p,)
-            for chain in out
-            if all(_par(p, q) for q in chain)
-        )
-    return [c for c in out if c]
-
-
-def _par(p: Position, q: Position) -> bool:
-    k = min(len(p), len(q))
-    return p[:k] != q[:k]
+    return _critical_pairs(lctrs.rc_rules, lambda phi: solver.is_satisfiable(phi).status)
 
 
 def cpcps(lctrs: Lctrs, solver: ConstraintSolver) -> list[CPCPRecord]:
     """All constrained parallel critical pairs."""
-    from .terms import unify
-
-    rc = lctrs.rc_rules
-    seen: dict[str, CPCPRecord] = {}
-    for outer in rc:
-        outer_c = _disjoint_copies([outer])[0]
-        pos_f = sorted(positions(outer_c.lhs, "function"))
-        for pset in _antichains(pos_f):
-            roots = [subterm_at(outer_c.lhs, p) for p in pset]
-            candidates = [
-                [r for r in rc if isinstance(sub, App) and r.lhs.sym == sub.sym]
-                for sub in roots
-            ]
-            if any(not c for c in candidates):
-                continue
-            for inner_choice in itertools.product(*candidates):
-                if outer.calc and all(r.calc for r in inner_choice):
-                    continue
-                copies = _disjoint_copies([outer] + list(inner_choice))
-                rho, inners = copies[0], copies[1:]
-                eqs = [
-                    (inner.lhs, subterm_at(rho.lhs, p))
-                    for inner, p in zip(inners, pset)
-                ]
-                sigma = unify(eqs)
-                if sigma is None:
-                    continue
-                lvars = set(rho.lvar()).union(*(r.lvar() for r in inners))
-                if not _lvar_condition(sigma, lvars):
-                    continue
-                if pset == (EPSILON,) and is_variant(inners[0], rho):
-                    if variables(rho.rhs) <= variables(rho.lhs):
-                        continue
-                guards = theory.conj(
-                    apply_subst(sigma, rho.guard),
-                    *(apply_subst(sigma, r.guard) for r in inners),
-                )
-                sat = solver.is_satisfiable(guards)
-                if sat.status == "unsat":
-                    continue
-                ec = theory.conj(rho.ec(), *(r.ec() for r in inners))
-                phi = theory.conj(
-                    apply_subst(sigma, rho.guard),
-                    apply_subst(sigma, ec),
-                    *(apply_subst(sigma, r.guard) for r in inners),
-                )
-                peak = apply_subst(sigma, rho.lhs)
-                repl = {
-                    p: apply_subst(sigma, inner.rhs)
-                    for inner, p in zip(inners, pset)
-                }
-                rec = CPCPRecord(
-                    left=replace_at(peak, repl),
-                    right=apply_subst(sigma, rho.rhs),
-                    constraint=phi,
-                    pset=pset,
-                    peak_source=peak,
-                    outer_rule=rho,
-                    sat_unknown=sat.is_unknown,
-                )
-                seen.setdefault(rec.key(), rec)
-    return sorted(seen.values(), key=lambda r: r.key())
+    return _critical_pairs(lctrs.rc_rules, lambda phi: solver.is_satisfiable(phi).status, parallel=True)
 
 
 # --- triviality ---------------------------------------------------------------
@@ -274,6 +231,10 @@ class Closing:
     status: str  # "closed" | "not_closed" | "unknown"
     sequence: list[ConstrainedTerm] = field(default_factory=list)
     qset: tuple[Position, ...] | None = None
+    reason: str = ""  # why the search gave up, when it did
+
+    def summary(self) -> str:
+        return f"{self.status} ({self.reason})" if self.reason else self.status
 
 
 def _tail_search(
@@ -308,6 +269,21 @@ def _tail_search(
     return Closing("unknown" if unknown else "not_closed")
 
 
+def _closed_when_trivial(start, mid, solver, qset=None, allowed=None):
+    """Tail acceptance: a trivial node closes the pair with the sequence
+    start, mid, tail; given allowed, only if TVar(node, qset) lies in it."""
+
+    def accept(node, trail):
+        t = is_trivial(node, solver)
+        if t != "yes":
+            return t
+        if allowed is not None and not tvar(node.term, node.constraint, qset) <= allowed:
+            return None  # closed but the variable condition fails
+        return Closing("closed", [start, mid] + trail[1:], qset=qset)
+
+    return accept
+
+
 def dev_closed_check(
     ccp: CCPRecord,
     lctrs: Lctrs,
@@ -329,14 +305,27 @@ def dev_closed_check(
             unknown = True
         if not ccp.overlay:
             continue
+        got = _tail_search(mid, (2,), lctrs, solver, config, depth, _closed_when_trivial(start, mid, solver))
+        if got.status == "closed":
+            return got
+        if got.status == "unknown":
+            unknown = True
+    return Closing("unknown" if unknown else "not_closed")
 
-        def accept(node, trail):
-            t = is_trivial(node, solver)
-            if t == "yes":
-                return Closing("closed", [start, mid] + trail[1:])
-            return t
 
-        got = _tail_search(mid, (2,), lctrs, solver, config, depth, accept)
+def _parallel_then_tail(
+    start: ConstrainedTerm, below: int, lctrs, solver, config, depth, accept_for
+) -> Closing:
+    """One parallel step below side `below` of the pair, then a rewrite tail
+    below the other side, accepted by accept_for(mid, qset).  A parallel step
+    with more redex subsets than the configured cap gives unknown."""
+    try:
+        mids = parallel_tilde(start, lctrs, solver, config, below=(below,))
+    except ParallelSetCap as exc:
+        return Closing("unknown", reason=str(exc))
+    unknown = False
+    for mid, qset in mids:
+        got = _tail_search(mid, (3 - below,), lctrs, solver, config, depth, accept_for(mid, qset))
         if got.status == "closed":
             return got
         if got.status == "unknown":
@@ -353,21 +342,8 @@ def parallel_closed_1(
 ) -> Closing:
     """One parallel step below position 1, then a rewrite tail below 2."""
     start = ccp.pair()
-    unknown = False
-    for mid, _pset in parallel_tilde(start, lctrs, solver, config, below=(1,)):
-
-        def accept(node, trail):
-            t = is_trivial(node, solver)
-            if t == "yes":
-                return Closing("closed", [start, mid] + trail[1:])
-            return t
-
-        got = _tail_search(mid, (2,), lctrs, solver, config, depth, accept)
-        if got.status == "closed":
-            return got
-        if got.status == "unknown":
-            unknown = True
-    return Closing("unknown" if unknown else "not_closed")
+    accept_for = lambda mid, _qset: _closed_when_trivial(start, mid, solver)  # noqa: E731
+    return _parallel_then_tail(start, 1, lctrs, solver, config, depth, accept_for)
 
 
 def parallel_closed_2(
@@ -382,23 +358,8 @@ def parallel_closed_2(
     inclusion TVar(final right side, Q) within TVar(peak source, P)."""
     start = cpcp.pair()
     allowed = tvar(cpcp.peak_source, cpcp.constraint, cpcp.pset)
-    unknown = False
-    for mid, qset in parallel_tilde(start, lctrs, solver, config, below=(2,)):
-
-        def accept(node, trail):
-            t = is_trivial(node, solver)
-            if t == "yes":
-                if tvar(node.term, node.constraint, qset) <= allowed:
-                    return Closing("closed", [start, mid] + trail[1:], qset=qset)
-                return None  # closed but the variable condition fails
-            return t
-
-        got = _tail_search(mid, (1,), lctrs, solver, config, depth, accept)
-        if got.status == "closed":
-            return got
-        if got.status == "unknown":
-            unknown = True
-    return Closing("unknown" if unknown else "not_closed")
+    accept_for = lambda mid, qset: _closed_when_trivial(start, mid, solver, qset, allowed)  # noqa: E731
+    return _parallel_then_tail(start, 2, lctrs, solver, config, depth, accept_for)
 
 
 # --- system-level criteria ------------------------------------------------------
@@ -449,8 +410,22 @@ class Verdict:
     criterion: str | None = None
     reasons: dict[str, str] = field(default_factory=dict)
     witness: tuple[Term, Term] | None = None
-    ccp_count: int = 0
-    cpcp_count: int = 0
+    ccps: list[CCPRecord] = field(default_factory=list)
+    cpcps: list[CPCPRecord] | None = None  # None when the parallel criterion did not run
+
+    @property
+    def ccp_count(self) -> int:
+        return len(self.ccps)
+
+    @property
+    def cpcp_count(self) -> int:
+        return len(self.cpcps or ())
+
+
+def _first_failures(checks, count: int = 3) -> list[str]:
+    """Reasons of the first `count` closing checks that did not close; the
+    checks after them are not run, since a verdict reports no more."""
+    return list(itertools.islice((reason for got, reason in checks if got.status != "closed"), count))
 
 
 def analyze(lctrs: Lctrs, solver: ConstraintSolver, config: AnalysisConfig | None = None) -> Verdict:
@@ -466,38 +441,37 @@ def analyze(lctrs: Lctrs, solver: ConstraintSolver, config: AnalysisConfig | Non
     if ll and "wo" in config.criteria:
         nontrivial = [c for c in pairs if is_trivial(c.pair(), solver) != "yes"]
         if not nontrivial:
-            return Verdict("YES", "weak-orthogonality", ccp_count=len(pairs))
+            return Verdict("YES", "weak-orthogonality", ccps=pairs)
         reasons["weak-orthogonality"] = f"{len(nontrivial)} nontrivial critical pair(s)"
 
     if ll and "adc" in config.criteria:
-        failed = []
-        for ccp in pairs:
-            got = dev_closed_check(ccp, lctrs, solver, config.rewrite, config.depth)
-            if got.status != "closed":
-                failed.append((ccp, got.status))
-        if not failed:
-            return Verdict("YES", "almost-development-closed", ccp_count=len(pairs))
-        reasons["almost-development-closed"] = "; ".join(
-            f"{c.left!r} ~ {c.right!r}: {s}" for c, s in failed[:3]
-        )
 
-    ppairs = []
+        def development_checks():
+            for ccp in pairs:
+                got = dev_closed_check(ccp, lctrs, solver, config.rewrite, config.depth)
+                yield got, f"{ccp.left!r} ~ {ccp.right!r}: {got.status}"
+
+        failed = _first_failures(development_checks())
+        if not failed:
+            return Verdict("YES", "almost-development-closed", ccps=pairs)
+        reasons["almost-development-closed"] = "; ".join(failed)
+
+    ppairs = None
     if ll and "pc" in config.criteria:
         ppairs = cpcps(lctrs, solver)
-        failed = []
-        for ccp in pairs:
-            got = parallel_closed_1(ccp, lctrs, solver, config.rewrite, config.depth)
-            if got.status != "closed":
-                failed.append((f"{ccp.left!r} ~ {ccp.right!r}", f"not 1-parallel closed: {got.status}"))
-        for cpcp in ppairs:
-            got = parallel_closed_2(cpcp, lctrs, solver, config.rewrite, config.depth)
-            if got.status != "closed":
-                failed.append((f"{cpcp.left!r} ~ {cpcp.right!r} P={cpcp.pset}", f"not 2-parallel closed: {got.status}"))
+
+        def parallel_checks():
+            for ccp in pairs:
+                got = parallel_closed_1(ccp, lctrs, solver, config.rewrite, config.depth)
+                yield got, f"{ccp.left!r} ~ {ccp.right!r}: not 1-parallel closed: {got.summary()}"
+            for cpcp in ppairs:
+                got = parallel_closed_2(cpcp, lctrs, solver, config.rewrite, config.depth)
+                yield got, f"{cpcp.left!r} ~ {cpcp.right!r} P={cpcp.pset}: not 2-parallel closed: {got.summary()}"
+
+        failed = _first_failures(parallel_checks())
         if not failed:
-            return Verdict(
-                "YES", "parallel-closed", ccp_count=len(pairs), cpcp_count=len(ppairs)
-            )
-        reasons["parallel-closed"] = "; ".join(f"{w}: {s}" for w, s in failed[:3])
+            return Verdict("YES", "parallel-closed", ccps=pairs, cpcps=ppairs)
+        reasons["parallel-closed"] = "; ".join(failed)
 
     from .grounding import find_nonjoinable_peak, ground_fragment
 
@@ -509,6 +483,7 @@ def analyze(lctrs: Lctrs, solver: ConstraintSolver, config: AnalysisConfig | Non
             "ground-peak-with-distinct-normal-forms",
             reasons=reasons,
             witness=witness,
-            ccp_count=len(pairs),
+            ccps=pairs,
+            cpcps=ppairs,
         )
-    return Verdict("MAYBE", reasons=reasons, ccp_count=len(pairs), cpcp_count=len(ppairs))
+    return Verdict("MAYBE", reasons=reasons, ccps=pairs, cpcps=ppairs)

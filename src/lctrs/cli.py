@@ -91,7 +91,7 @@ def _cpcp_json(rec) -> dict:
     }
 
 
-def _verdict_json(v: Verdict, system, solver, config) -> dict:
+def _verdict_json(v: Verdict, system, solver) -> dict:
     criteria = []
     if v.criterion and v.result == "YES":
         criteria.append({"name": v.criterion, "result": "pass", "detail": ""})
@@ -103,8 +103,8 @@ def _verdict_json(v: Verdict, system, solver, config) -> dict:
     return {
         "verdict": v.result,
         "criteria": criteria,
-        "ccps": [_ccp_json(r) for r in ccps(system, solver)],
-        "cpcps": [_cpcp_json(r) for r in cpcps(system, solver)],
+        "ccps": [_ccp_json(r) for r in v.ccps],
+        "cpcps": [_cpcp_json(r) for r in (cpcps(system, solver) if v.cpcps is None else v.cpcps)],
         "witnesses": witnesses,
     }
 
@@ -113,7 +113,7 @@ def cmd_analyze(args) -> int:
     system, solver, config = _setup(args)
     verdict = analyze(system, solver, config)
     if args.json:
-        print(json.dumps(_verdict_json(verdict, system, solver, config), indent=2))
+        print(json.dumps(_verdict_json(verdict, system, solver), indent=2))
         return 0
     print(verdict.result)
     if verdict.criterion:

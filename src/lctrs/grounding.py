@@ -3,8 +3,10 @@
 Every guarded rule is instantiated with all guard-satisfying value
 assignments drawn from a finite domain, and every theory symbol occurring in
 the rules' term sides contributes its calculation instances over that domain.
-On the resulting plain rewrite system we compute ordinary (parallel) critical
-pairs, joinability, closedness, and the correspondence reports that tie the
+The result is a rule set without logical variables, run by the plain
+rewrite engine and overlapped by the critical-pair enumerator of the
+constrained analysis.  On it we compute ordinary (parallel) critical pairs,
+joinability, closedness, and the correspondence reports that tie the
 fragment back to the constrained analysis.
 """
 
@@ -15,92 +17,44 @@ import random
 from dataclasses import dataclass, field
 
 from . import theory
+from .analysis import CCPRecord, CPCPRecord, _critical_pairs, ccps, cpcps, tvar
 from .logic import ConstraintSolver
-from .rewriting import RewriteConfig, domain_terms, plain_successors
-from .rules import Lctrs
+from .rewriting import (
+    RewriteConfig,
+    cstep,
+    domain_terms,
+    plain_multi_successors,
+    plain_parallel_successors,
+    plain_successors,
+)
+from .rules import ConstrainedRule, Lctrs
 from .terms import (
     App,
-    EPSILON,
     FunSym,
-    Position,
     Sort,
     Subst,
     Term,
     Var,
-    alpha_key,
     apply_subst,
     is_value,
     match,
-    positions,
-    rename_away,
-    replace_at,
-    subterm_at,
     term_key,
-    unify,
     variables,
 )
-
-
-@dataclass(frozen=True)
-class TrsRule:
-    lhs: Term
-    rhs: Term
-
-    def key(self) -> str:
-        return alpha_key([self.lhs, self.rhs])
-
-    def variables(self) -> set[Var]:
-        return variables(self.lhs) | variables(self.rhs)
-
-    def rename(self, ren: Subst) -> "TrsRule":
-        return TrsRule(apply_subst(ren, self.lhs), apply_subst(ren, self.rhs))
-
-    def __repr__(self):
-        return f"{self.lhs!r} -> {self.rhs!r}"
-
-
-def trs_variants(r1: TrsRule, r2: TrsRule) -> bool:
-    def embeds(a: TrsRule, b: TrsRule) -> bool:
-        ren: dict[Var, Var] = {}
-
-        def go(s: Term, t: Term) -> bool:
-            if isinstance(s, Var):
-                if not isinstance(t, Var) or s.sort != t.sort:
-                    return False
-                if s in ren:
-                    return ren[s] == t
-                ren[s] = t
-                return True
-            return isinstance(t, App) and s.sym == t.sym and all(
-                go(sa, ta) for sa, ta in zip(s.args, t.args)
-            )
-
-        return go(a.lhs, b.lhs) and go(a.rhs, b.rhs)
-
-    return embeds(r1, r2) and embeds(r2, r1)
 
 
 @dataclass
 class GroundFragment:
     origin: Lctrs
     config: RewriteConfig
-    rules: tuple[TrsRule, ...]
+    rules: tuple[ConstrainedRule, ...]  # true guards, no logical variables
 
 
-def _term_side_theory_syms(lctrs: Lctrs) -> list[FunSym]:
-    syms: dict[str, FunSym] = {}
-
-    def scan(t: Term):
-        if isinstance(t, App):
-            if t.sym.kind == "theory":
-                syms.setdefault(term_key(App(t.sym, ())) + str(t.sym.arg_sorts), t.sym)
-            for a in t.args:
-                scan(a)
-
-    for rule in lctrs.rules:
-        scan(rule.lhs)
-        scan(rule.rhs)
-    return list(syms.values())
+def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
+    """Symbols of the given kind in the rules' term sides, in order of first
+    occurrence."""
+    subterms = (s for rule in lctrs.rules for side in (rule.lhs, rule.rhs) for s in _subapps(side))
+    return list(dict.fromkeys(s.sym for s in subterms if s.sym.kind == kind))
 
 
 def constraint_assignments(phi: Term, domain, limit: int | None = None):
@@ -119,7 +73,7 @@ def constraint_assignments(phi: Term, domain, limit: int | None = None):
 def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> GroundFragment:
     """Instantiate every rule over the finite domain; deterministic order."""
     domain = domain_terms(lctrs, config)
-    out: dict[str, TrsRule] = {}
+    out: dict[str, ConstrainedRule] = {}
     for rule in lctrs.rules:
         lvars = sorted(rule.lvar(), key=lambda v: v.name)
         for combo in itertools.product(*(domain[v.sort] for v in lvars)):
@@ -127,79 +81,25 @@ def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> Gr
             guard = apply_subst(tau, rule.guard)
             if variables(guard) or not theory.holds(guard):
                 continue
-            inst = TrsRule(apply_subst(tau, rule.lhs), apply_subst(tau, rule.rhs))
+            inst = ConstrainedRule(apply_subst(tau, rule.lhs), apply_subst(tau, rule.rhs))
             out.setdefault(inst.key(), inst)
-    for sym in _term_side_theory_syms(lctrs):
+    for sym in _side_syms(lctrs, "theory"):
         for combo in itertools.product(*(domain[s] for s in sym.arg_sorts)):
             lhs = App(sym, combo)
-            inst = TrsRule(lhs, theory.interpret_term(lhs))
+            inst = ConstrainedRule(lhs, theory.interpret_term(lhs), calc=True)
             out.setdefault(inst.key(), inst)
-    rules = tuple(sorted(out.values(), key=lambda r: r.key()))
+    rules = tuple(rule for _, rule in sorted(out.items()))
     return GroundFragment(lctrs, config, rules)
 
 
-# --- fragment rewriting -------------------------------------------------------
-
-def frag_redexes(t: Term, fragment: GroundFragment) -> list[tuple[Position, TrsRule, Subst]]:
-    tvars = variables(t)
-    renamed = [r.rename(rename_away(r.variables(), tvars)) for r in fragment.rules]
-    out = []
-    for p in sorted(positions(t, "function")):
-        sub = subterm_at(t, p)
-        for rule in renamed:
-            sigma = match(rule.lhs, sub)
-            if sigma is not None:
-                out.append((p, rule, sigma))
-    return out
-
+# --- fragment rewriting: the plain engine over the fragment's rules -----------
 
 def frag_successors(t: Term, fragment: GroundFragment) -> set[Term]:
-    return {
-        replace_at(t, {p: apply_subst(sigma, rule.rhs)})
-        for p, rule, sigma in frag_redexes(t, fragment)
-    }
+    return {r for r, _ in plain_successors(t, fragment.origin, fragment.config, fragment.rules)}
 
 
-def frag_parallel(t: Term, fragment: GroundFragment, cap: int = 4096) -> list[tuple[Term, tuple[Position, ...]]]:
-    from .rewriting import _parallel_subsets
-
-    redexes = frag_redexes(t, fragment)
-    out = []
-    for subset in _parallel_subsets(redexes, cap):
-        repl = {p: apply_subst(sigma, rule.rhs) for p, rule, sigma in subset}
-        out.append((replace_at(t, repl), tuple(sorted(repl))))
-    return out
-
-
-def frag_multi(t: Term, fragment: GroundFragment, depth: int = 3) -> set[Term]:
-    memo: dict[tuple[str, int], set[Term]] = {}
-    tvars = variables(t)
-
-    def go(s: Term, budget: int) -> set[Term]:
-        key = (term_key(s), budget)
-        if key in memo:
-            return memo[key]
-        memo[key] = {s}
-        out: set[Term] = set()
-        if isinstance(s, Var):
-            out.add(s)
-        else:
-            for combo in itertools.product(*(go(a, budget) for a in s.args)):
-                out.add(App(s.sym, combo))
-            if budget > 0:
-                for rule in fragment.rules:
-                    rule = rule.rename(rename_away(rule.variables(), tvars))
-                    sigma = match(rule.lhs, s)
-                    if sigma is None:
-                        continue
-                    rvars = sorted(variables(rule.rhs), key=lambda v: v.name)
-                    opts = [go(sigma[x], budget - 1) if x in sigma else {x} for x in rvars]
-                    for picks in itertools.product(*opts):
-                        out.add(apply_subst(dict(zip(rvars, picks)), rule.rhs))
-        memo[key] = out
-        return out
-
-    return go(t, depth)
+def frag_multi(t: Term, fragment: GroundFragment) -> set[Term]:
+    return plain_multi_successors(t, fragment.origin, fragment.config, fragment.rules)
 
 
 def reachable(t: Term, fragment: GroundFragment, depth: int) -> tuple[set[Term], bool]:
@@ -238,95 +138,18 @@ def joinable(fragment: GroundFragment, s: Term, t: Term, depth: int = 8):
 
 # --- plain critical pairs -------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlainCP:
-    left: Term
-    right: Term
-    position: Position
-    peak_source: Term
-    pset: tuple[Position, ...] = ()
-
-    @property
-    def overlay(self) -> bool:
-        return self.position == EPSILON
-
-    def key(self) -> str:
-        return alpha_key([self.left, self.right]) + f" P={self.pset}"
-
-    def __repr__(self):
-        return f"{self.left!r} ~ {self.right!r}"
+def _always_sat(guards: Term) -> str:
+    return "sat"  # fragment guards are all true
 
 
-def _disjoint_trs(rules: list[TrsRule]) -> list[TrsRule]:
-    out, taken = [], set()
-    for rule in rules:
-        renamed = rule.rename(rename_away(rule.variables(), taken))
-        out.append(renamed)
-        taken |= renamed.variables()
-    return out
+def trs_cps(fragment: GroundFragment) -> list[CCPRecord]:
+    """Critical pairs of the fragment, with true constraints."""
+    return _critical_pairs(fragment.rules, _always_sat)
 
 
-def trs_cps(fragment: GroundFragment) -> list[PlainCP]:
-    seen: dict[str, PlainCP] = {}
-    by_root: dict[str, list[TrsRule]] = {}
-    for r in fragment.rules:
-        by_root.setdefault(r.lhs.sym.name, []).append(r)
-    for r2 in fragment.rules:
-        for p in sorted(positions(r2.lhs, "function")):
-            sub0 = subterm_at(r2.lhs, p)
-            for r1 in by_root.get(sub0.sym.name, ()):
-                rho1, rho2 = _disjoint_trs([r1, r2])
-                sigma = unify([(rho1.lhs, subterm_at(rho2.lhs, p))])
-                if sigma is None:
-                    continue
-                if p == EPSILON and trs_variants(rho1, rho2):
-                    continue
-                peak = apply_subst(sigma, rho2.lhs)
-                cp = PlainCP(
-                    left=replace_at(peak, {p: apply_subst(sigma, rho1.rhs)}),
-                    right=apply_subst(sigma, rho2.rhs),
-                    position=p,
-                    peak_source=peak,
-                )
-                seen.setdefault(cp.key(), cp)
-    return sorted(seen.values(), key=lambda c: c.key())
-
-
-def trs_pcps(fragment: GroundFragment) -> list[PlainCP]:
-    from .analysis import _antichains
-
-    seen: dict[str, PlainCP] = {}
-    by_root: dict[str, list[TrsRule]] = {}
-    for r in fragment.rules:
-        by_root.setdefault(r.lhs.sym.name, []).append(r)
-    for outer in fragment.rules:
-        pos_f = sorted(positions(outer.lhs, "function"))
-        for pset in _antichains(pos_f):
-            roots = [subterm_at(outer.lhs, p) for p in pset]
-            candidates = [by_root.get(sub.sym.name, []) for sub in roots]
-            if any(not c for c in candidates):
-                continue
-            for inner_choice in itertools.product(*candidates):
-                copies = _disjoint_trs([outer] + list(inner_choice))
-                rho, inners = copies[0], copies[1:]
-                sigma = unify(
-                    [(inner.lhs, subterm_at(rho.lhs, p)) for inner, p in zip(inners, pset)]
-                )
-                if sigma is None:
-                    continue
-                if pset == (EPSILON,) and trs_variants(inners[0], rho):
-                    continue
-                peak = apply_subst(sigma, rho.lhs)
-                repl = {p: apply_subst(sigma, inner.rhs) for inner, p in zip(inners, pset)}
-                cp = PlainCP(
-                    left=replace_at(peak, repl),
-                    right=apply_subst(sigma, rho.rhs),
-                    position=pset[0] if len(pset) == 1 else pset[0],
-                    peak_source=peak,
-                    pset=pset,
-                )
-                seen.setdefault(cp.key(), cp)
-    return sorted(seen.values(), key=lambda c: c.key())
+def trs_pcps(fragment: GroundFragment) -> list[CPCPRecord]:
+    """Parallel critical pairs of the fragment, with true constraints."""
+    return _critical_pairs(fragment.rules, _always_sat, parallel=True)
 
 
 def find_nonjoinable_peak(fragment: GroundFragment, depth: int = 8):
@@ -354,24 +177,16 @@ class Report:
         return f"<{state}: {self.checked} checks{lines}>"
 
 
-def _instance_matches(ccp_pair, frag_pair, constraint, domain) -> bool:
-    """Is the fragment pair an instance of the constrained pair, under a
-    matcher that respects the constraint?"""
-    sl, sr = ccp_pair
-    fl, fr = frag_pair
-    gamma = match_pair(sl, sr, fl, fr)
+def _instance_matches(source, pair, domain) -> bool:
+    """Is the fragment pair an instance of the constrained source pair, under
+    a matcher that respects the source's constraint?"""
+    gamma = match_pair(source.left, source.right, pair.left, pair.right)
     if gamma is None:
         return False
-    if any(not is_value(gamma[x]) for x in variables(constraint) & set(gamma)):
+    if any(not is_value(gamma[x]) for x in variables(source.constraint) & set(gamma)):
         return False
     # extend over constraint variables not bound by the match
-    need = apply_subst(gamma, constraint)
-    missing = sorted(variables(need), key=lambda v: v.name)
-    for combo in itertools.product(*(domain[v.sort] for v in missing)):
-        ground = apply_subst(dict(zip(missing, combo)), need)
-        if theory.holds(ground):
-            return True
-    return False
+    return bool(constraint_assignments(apply_subst(gamma, source.constraint), domain, limit=1))
 
 
 def match_pair(pl: Term, pr: Term, sl: Term, sr: Term) -> Subst | None:
@@ -402,30 +217,19 @@ def check_cp_correspondence(
     """Two directions: every fragment (parallel) critical pair instantiates a
     constrained one, and every sampled instance of a constrained critical
     pair is trivial or matches a fragment critical pair."""
-    from .analysis import ccps, cpcps
-
     report = Report()
     fragment = ground_fragment(lctrs, config)
     domain = domain_terms(lctrs, config)
     constrained = ccps(lctrs, solver)
-    parallel_constrained = cpcps(lctrs, solver)
-
     frag_cps = trs_cps(fragment)
-    for cp in frag_cps:
-        report.checked += 1
-        if not any(
-            _instance_matches((c.left, c.right), (cp.left, cp.right), c.constraint, domain)
-            for c in constrained
-        ):
-            report.violations.append(f"fragment pair has no constrained source: {cp!r}")
-
-    for pcp in trs_pcps(fragment):
-        report.checked += 1
-        if not any(
-            _instance_matches((c.left, c.right), (pcp.left, pcp.right), c.constraint, domain)
-            for c in parallel_constrained
-        ):
-            report.violations.append(f"fragment parallel pair has no constrained source: {pcp!r}")
+    for kind, pairs, sources in (
+        ("pair", frag_cps, constrained),
+        ("parallel pair", trs_pcps(fragment), cpcps(lctrs, solver)),
+    ):
+        for cp in pairs:
+            report.checked += 1
+            if not any(_instance_matches(c, cp, domain) for c in sources):
+                report.violations.append(f"fragment {kind} has no constrained source: {cp.left!r} ~ {cp.right!r}")
 
     rng = random.Random(seed)
     for c in constrained:
@@ -452,16 +256,8 @@ def _sample_terms(lctrs: Lctrs, config: RewriteConfig, count: int, seed: int) ->
     """Random terms over the rules' symbols, domain values and variables."""
     rng = random.Random(seed)
     domain = domain_terms(lctrs, config)
-    term_syms = sorted(
-        {r.lhs.sym for r in lctrs.rules} | {
-            t.sym
-            for r in lctrs.rules
-            for t in _subapps(r.lhs) + _subapps(r.rhs)
-            if t.sym.kind == "term"
-        },
-        key=lambda f: f.name,
-    )
-    theory_syms = _term_side_theory_syms(lctrs)
+    term_syms = sorted(_side_syms(lctrs, "term"), key=lambda f: f.name)
+    theory_syms = _side_syms(lctrs, "theory")
     by_sort: dict[Sort, list] = {}
     for f in term_syms + theory_syms:
         by_sort.setdefault(f.result_sort, []).append(f)
@@ -523,9 +319,6 @@ def check_instance_soundness(
     """Constrained steps from the critical pairs replay on ground instances:
     for every step out of a pair and every sampled model of its constraint,
     the instantiated step is an ordinary rewrite step at the same position."""
-    from .analysis import ccps
-    from .rewriting import cstep
-
     report = Report()
     domain = domain_terms(lctrs, config)
     for ccp in ccps(lctrs, solver):
@@ -545,43 +338,32 @@ def check_instance_soundness(
     return report
 
 
-def trs_closedness_check(
-    fragment: GroundFragment, depth: int = 6, multi_depth: int = 3
-) -> dict:
-    """Development/parallel closedness measured directly on the fragment."""
+def trs_closedness_check(fragment: GroundFragment, depth: int = 6) -> dict:
+    """Development/parallel closedness measured directly on the fragment,
+    multi-steps nested and parallel steps capped as its RewriteConfig says."""
     cps = trs_cps(fragment)
     pcps = trs_pcps(fragment)
+
+    def parallel(t: Term):
+        return plain_parallel_successors(t, fragment.origin, fragment.config, fragment.rules)
+
     dev_all = adc_all = par1 = True
     for cp in cps:
-        multi = frag_multi(cp.left, fragment, multi_depth)
+        multi = frag_multi(cp.left, fragment)
         closed_dev = cp.right in multi
         dev_all = dev_all and closed_dev
-        if not closed_dev:
-            if cp.overlay:
-                reach_t, _ = reachable(cp.right, fragment, depth)
-                adc_all = adc_all and bool(multi & reach_t)
-            else:
-                adc_all = False
         reach_t, _ = reachable(cp.right, fragment, depth)
-        par = {r for r, _ in frag_parallel(cp.left, fragment)}
+        if not closed_dev:
+            adc_all = adc_all and cp.overlay and bool(multi & reach_t)
+        par = {r for r, _ in parallel(cp.left)}
         par1 = par1 and bool(par & reach_t)
     par2 = True
     for pcp in pcps:
         reach_s, _ = reachable(pcp.left, fragment, depth)
-        ok = False
-        for v, qset in frag_parallel(pcp.right, fragment):
-            if v not in reach_s:
-                continue
-            used = set().union(*(variables(subterm_at(v, q)) for q in qset)) if qset else set()
-            allowed = (
-                set().union(*(variables(subterm_at(pcp.peak_source, p)) for p in pcp.pset))
-                if pcp.pset
-                else set()
-            )
-            if used <= allowed:
-                ok = True
-                break
-        par2 = par2 and ok
+        allowed = tvar(pcp.peak_source, pcp.constraint, pcp.pset)
+        par2 = par2 and any(
+            v in reach_s and tvar(v, pcp.constraint, qset) <= allowed for v, qset in parallel(pcp.right)
+        )
     return {
         "development_closed": dev_all,
         "almost_development_closed": adc_all,

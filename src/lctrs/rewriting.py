@@ -1,9 +1,12 @@
 """Rewrite relations on terms and constrained terms.
 
-Plain steps instantiate logical variables by values (enumerated over a finite
-domain, except calculation results which are computed exactly).  Steps on
-constrained terms keep the constraint fixed; the tilde variants compose with
-the equivalence moves produced by equiv_extensions, which only ever extend a
+One engine serves every relation: a redex oracle finds the root redexes of a
+subterm, and single, parallel and multi-steps are built on top of it.  The
+plain oracle instantiates logical variables by values (enumerated over a
+finite domain, except calculation results which are computed exactly); over
+the rules of a ground fragment it reduces to matching.  The constrained
+oracle keeps the constraint fixed; the tilde variants compose with the
+equivalence moves produced by equiv_extensions, which only ever extend a
 constraint by a definition z = f(u1..un) of a theory subterm.  Parallel and
 multi-step relations follow their inductive definitions, recording redex
 position sets; multi-step nesting is depth-bounded.
@@ -11,8 +14,10 @@ position sets; multi-step nesting is depth-bounded.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from . import theory
 from .logic import ConstraintSolver
@@ -33,6 +38,7 @@ from .terms import (
     int_val,
     is_value,
     match,
+    parallel_subsets,
     positions,
     rename_away,
     replace_at,
@@ -60,8 +66,7 @@ class StepRecord:
     position: Position
     rule: ConstrainedRule
     bindings: tuple[tuple[Var, Term], ...]
-    flavor: str  # "plain" | "constrained" | "parallel" | "multi"
-    pset: tuple[Position, ...] = ()
+    flavor: str  # "plain" | "constrained"
 
     @property
     def sigma(self) -> Subst:
@@ -89,8 +94,89 @@ def _freeze(sigma: Subst) -> tuple[tuple[Var, Term], ...]:
     return tuple(sorted(sigma.items(), key=lambda kv: kv[0].name))
 
 
-def _renamed(rule: ConstrainedRule, away: set[Var]) -> ConstrainedRule:
-    return rule.rename(rename_away(rule.variables(), away))
+# --- the engine: redex oracles and the layers above them ---------------------
+
+RedexOracle = Callable[[Term], list[tuple[ConstrainedRule, Subst]]]
+Redex = tuple[Position, ConstrainedRule, Subst]
+
+
+def _oracle(rules, avoid: set[Var], admissible, instances) -> RedexOracle:
+    """Root redexes by matching the rules, renamed away from avoid: every
+    logical variable the match binds must be admissible, and
+    instances(rule, sigma0, unbound) lists the full substitutions that
+    complete a match, given its unbound logical variables in name order."""
+    renamed = [r.rename(rename_away(r.variables(), avoid)) for r in rules]
+
+    def redexes_at(sub: Term) -> list[tuple[ConstrainedRule, Subst]]:
+        out = []
+        for rule in renamed:
+            sigma0 = match(rule.lhs, sub)
+            if sigma0 is None:
+                continue
+            lvars = rule.lvar()
+            if not all(admissible(sigma0[x]) for x in lvars if x in sigma0):
+                continue
+            unbound = sorted((x for x in lvars if x not in sigma0), key=lambda v: v.name)
+            out.extend((rule, sigma) for sigma in instances(rule, sigma0, unbound))
+        return out
+
+    return redexes_at
+
+
+def redexes(t: Term, redexes_at: RedexOracle, below: Position = EPSILON) -> list[Redex]:
+    """Every (position, rule, substitution) the oracle finds at a function
+    position of t under `below`, in position order."""
+    return [
+        (p, rule, sigma)
+        for p in sorted(positions(t, "function"))
+        if p[: len(below)] == below
+        for rule, sigma in redexes_at(subterm_at(t, p))
+    ]
+
+
+def single_steps(t: Term, found: list[Redex], flavor: str = "plain") -> list[tuple[Term, StepRecord]]:
+    """Contract each redex on its own."""
+    return [
+        (replace_at(t, {p: apply_subst(sigma, rule.rhs)}), StepRecord(p, rule, _freeze(sigma), flavor))
+        for p, rule, sigma in found
+    ]
+
+
+def parallel_steps(t: Term, found: list[Redex], cap: int) -> list[tuple[Term, tuple[Position, ...]]]:
+    """Contract every subset of redexes at parallel positions at once; the
+    result carries its exact redex position set."""
+    out = []
+    for subset in parallel_subsets(found, lambda red: red[0], cap):
+        repl = {p: apply_subst(sigma, rule.rhs) for p, rule, sigma in subset}
+        out.append((replace_at(t, repl), tuple(sorted(repl))))
+    return out
+
+
+def multi_steps(t: Term, redexes_at: RedexOracle, depth: int) -> set[Term]:
+    """Multi-step results: nested redex contraction up to depth levels."""
+    memo: dict[tuple[str, int], set[Term]] = {}
+
+    def go(s: Term, budget: int) -> set[Term]:
+        key = (term_key(s), budget)
+        if key in memo:
+            return memo[key]
+        memo[key] = {s}  # cycle guard; overwritten below
+        out: set[Term] = set()
+        if isinstance(s, Var):
+            out.add(s)
+        else:
+            for combo in itertools.product(*(go(a, budget) for a in s.args)):
+                out.add(App(s.sym, combo))
+            if budget > 0:
+                for rule, sigma in redexes_at(s):
+                    rvars = sorted(variables(rule.rhs), key=lambda v: v.name)
+                    opts = [go(sigma[x], budget - 1) if x in sigma else {x} for x in rvars]
+                    for picks in itertools.product(*opts):
+                        out.add(apply_subst(dict(zip(rvars, picks)), rule.rhs))
+        memo[key] = out
+        return out
+
+    return go(t, depth)
 
 
 # --- plain rewriting --------------------------------------------------------
@@ -144,119 +230,52 @@ def _guard_solutions(guard: Term, unbound: list[Var], domain, config: RewriteCon
     return out
 
 
-def _plain_redexes_at(sub: Term, avoid: set[Var], lctrs: Lctrs, config: RewriteConfig, renamed=None, domain=None):
-    domain = domain if domain is not None else domain_terms(lctrs, config)
-    out = []
-    for rule in renamed if renamed is not None else (_renamed(r, avoid) for r in lctrs.rc_rules):
-        sigma0 = match(rule.lhs, sub)
-        if sigma0 is None:
-            continue
-        lvars = rule.lvar()
-        if any(not is_value(sigma0[x]) for x in lvars if x in sigma0):
-            continue
-        unbound = sorted((x for x in lvars if x not in sigma0), key=lambda v: v.name)
-        if rule.calc:
+def plain_oracle(t: Term, lctrs: Lctrs, config: RewriteConfig, rules=None) -> RedexOracle:
+    """Root redexes of plain rewriting with `rules` (by default the rules and
+    calculation rules of lctrs), renamed away from the variables of t.
+
+    Logical variables left unbound by the match take guard-satisfying domain
+    values, except calculation results, which are computed exactly.  Rules
+    without logical variables, such as those of a ground fragment, reduce to
+    matching."""
+    domain = functools.cache(lambda: domain_terms(lctrs, config))  # unused by fragment rules
+
+    def instances(rule: ConstrainedRule, sigma0: Subst, unbound: list[Var]) -> list[Subst]:
+        if rule.calc and unbound:
             # output value computed exactly, never enumerated
             if any(not is_value(sigma0[x]) for x in variables(rule.lhs)):
-                continue
+                return []
             (y,) = unbound
-            val = theory.interpret_term(apply_subst(sigma0, rule.lhs))
-            out.append((rule, {**sigma0, y: val}))
-            continue
+            return [{**sigma0, y: theory.interpret_term(apply_subst(sigma0, rule.lhs))}]
         if len(unbound) > config.max_unbound:
-            continue
+            return []
         guard0 = apply_subst(sigma0, rule.guard)
         if not unbound:
-            if not variables(guard0) and theory.holds(guard0):
-                out.append((rule, dict(sigma0)))
-            continue
-        for extra in _guard_solutions(guard0, unbound, domain, config, lctrs):
-            out.append((rule, {**sigma0, **extra}))
-    return out
+            return [dict(sigma0)] if not variables(guard0) and theory.holds(guard0) else []
+        return [{**sigma0, **extra} for extra in _guard_solutions(guard0, unbound, domain(), config, lctrs)]
+
+    return _oracle(lctrs.rc_rules if rules is None else rules, variables(t), is_value, instances)
 
 
-def plain_redexes(s: Term, lctrs: Lctrs, config: RewriteConfig) -> list[tuple[Position, ConstrainedRule, Subst]]:
-    """All (position, rule, full substitution) with the substitution
-    respecting the rule and extra values drawn from the finite domain."""
-    svars = variables(s)
-    renamed = [_renamed(r, svars) for r in lctrs.rc_rules]
-    domain = domain_terms(lctrs, config)
-    out = []
-    for p in sorted(positions(s, "function")):
-        for rule, sigma in _plain_redexes_at(subterm_at(s, p), svars, lctrs, config, renamed, domain):
-            out.append((p, rule, sigma))
-    return out
-
-
-def plain_successors(s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> list[tuple[Term, StepRecord]]:
-    out = []
-    for p, rule, sigma in plain_redexes(s, lctrs, config):
-        result = replace_at(s, {p: apply_subst(sigma, rule.rhs)})
-        out.append((result, StepRecord(p, rule, _freeze(sigma), "plain")))
-    return out
+def plain_successors(
+    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig(), rules=None
+) -> list[tuple[Term, StepRecord]]:
+    """Single plain steps, each with its position, rule and full substitution."""
+    return single_steps(s, redexes(s, plain_oracle(s, lctrs, config, rules)))
 
 
 def plain_parallel_successors(
-    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()
+    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig(), rules=None
 ) -> list[tuple[Term, tuple[Position, ...]]]:
     """All parallel-step results with their exact redex position sets."""
-    redexes = plain_redexes(s, lctrs, config)
-    out = []
-    for subset in _parallel_subsets(redexes, config.max_parallel_sets):
-        repl = {p: apply_subst(sigma, rule.rhs) for p, rule, sigma in subset}
-        out.append((replace_at(s, repl), tuple(sorted(repl))))
-    return out
-
-
-def _parallel_subsets(redexes, cap):
-    """Subsets of redexes with pairwise parallel, distinct positions."""
-    subsets = [[]]
-    for red in redexes:
-        extended = []
-        for chosen in subsets:
-            if all(_parallel(red[0], c[0]) for c in chosen):
-                extended.append(chosen + [red])
-        subsets.extend(extended)
-        if len(subsets) > cap:
-            raise RuntimeError("parallel subset explosion")
-    return subsets
-
-
-def _parallel(p: Position, q: Position) -> bool:
-    k = min(len(p), len(q))
-    return p[:k] != q[:k]
+    return parallel_steps(s, redexes(s, plain_oracle(s, lctrs, config, rules)), config.max_parallel_sets)
 
 
 def plain_multi_successors(
-    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig(), depth: int | None = None
+    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig(), rules=None
 ) -> set[Term]:
-    """Multi-step results: nested redex contraction up to the nesting bound."""
-    if depth is None:
-        depth = config.multi_nesting
-    memo: dict[tuple[str, int], set[Term]] = {}
-
-    def go(t: Term, budget: int) -> set[Term]:
-        key = (term_key(t), budget)
-        if key in memo:
-            return memo[key]
-        memo[key] = {t}  # cycle guard; overwritten below
-        out: set[Term] = set()
-        if isinstance(t, Var):
-            out.add(t)
-        else:
-            for combo in itertools.product(*(go(a, budget) for a in t.args)):
-                out.add(App(t.sym, combo))
-            if budget > 0:
-                for rule, sigma in _plain_redexes_at(t, variables(t), lctrs, config):
-                    rvars = sorted(variables(rule.rhs), key=lambda v: v.name)
-                    opts = [go(sigma[x], budget - 1) if x in sigma else {x} for x in rvars]
-                    for picks in itertools.product(*opts):
-                        tau = dict(zip(rvars, picks))
-                        out.add(apply_subst(tau, rule.rhs))
-        memo[key] = out
-        return out
-
-    return go(s, depth)
+    """Multi-step results up to the configured nesting bound."""
+    return multi_steps(s, plain_oracle(s, lctrs, config, rules), config.multi_nesting)
 
 
 # --- rewriting on constrained terms ----------------------------------------
@@ -285,40 +304,27 @@ def _candidate_values(
     return out
 
 
-def _constrained_redexes_at(
-    sub: Term,
-    phi: Term,
-    avoid: set[Var],
-    lctrs: Lctrs,
-    solver: ConstraintSolver,
-    config: RewriteConfig,
-    renamed=None,
-) -> list[tuple[ConstrainedRule, Subst]]:
-    """Root redexes of the constrained-step relation on sub under phi."""
+def constrained_oracle(
+    ct: ConstrainedTerm, lctrs: Lctrs, solver: ConstraintSolver, config: RewriteConfig
+) -> RedexOracle:
+    """Root redexes of the constrained-step relation under ct's constraint,
+    with the rules renamed away from ct's variables: sigma maps logical
+    variables into values or constraint variables, and constraint =>
+    guard*sigma is valid.  Unknown solver verdicts suppress the candidate."""
+    phi = ct.constraint
     phi_vars = variables(phi)
-    out = []
-    for rule in renamed if renamed is not None else (_renamed(r, avoid) for r in lctrs.rc_rules):
-        sigma0 = match(rule.lhs, sub)
-        if sigma0 is None:
-            continue
-        lvars = rule.lvar()
-        ok = all(
-            is_value(sigma0[x]) or (isinstance(sigma0[x], Var) and sigma0[x] in phi_vars)
-            for x in lvars
-            if x in sigma0
-        )
-        if not ok:
-            continue
-        unbound = sorted((x for x in lvars if x not in sigma0), key=lambda v: v.name)
+
+    def admissible(value: Term) -> bool:
+        return is_value(value) or (isinstance(value, Var) and value in phi_vars)
+
+    def instances(rule: ConstrainedRule, sigma0: Subst, unbound: list[Var]) -> list[Subst]:
         if len(unbound) > config.max_unbound:
-            continue
+            return []
         options = [_candidate_values(x, rule, sigma0, phi, lctrs, config) for x in unbound]
-        for choice in itertools.product(*options):
-            sigma = {**sigma0, **dict(zip(unbound, choice))}
-            need = theory.imp(phi, apply_subst(sigma, rule.guard))
-            if solver.is_valid(need).is_valid:
-                out.append((rule, sigma))
-    return out
+        sigmas = ({**sigma0, **dict(zip(unbound, choice))} for choice in itertools.product(*options))
+        return [sigma for sigma in sigmas if solver.is_valid(theory.imp(phi, apply_subst(sigma, rule.guard))).is_valid]
+
+    return _oracle(lctrs.rc_rules, variables(ct.term) | phi_vars, admissible, instances)
 
 
 def constrained_redexes(
@@ -327,26 +333,12 @@ def constrained_redexes(
     solver: ConstraintSolver,
     config: RewriteConfig = RewriteConfig(),
     below: Position = EPSILON,
-) -> list[tuple[Position, ConstrainedRule, Subst]]:
-    """Redexes of the constrained-step relation at positions under `below`.
-
-    Conditions: sigma maps logical variables into values or constraint
-    variables, the constraint is satisfiable, and constraint => guard*sigma
-    is valid.  Unknown solver verdicts suppress the candidate.
-    """
-    phi = ct.constraint
-    if not solver.is_satisfiable(phi).is_sat:
+) -> list[Redex]:
+    """Redexes of the constrained-step relation at positions under `below`;
+    none when the constraint is not satisfiable."""
+    if not solver.is_satisfiable(ct.constraint).is_sat:
         return []
-    avoid = variables(ct.term) | variables(phi)
-    renamed = [_renamed(r, avoid) for r in lctrs.rc_rules]
-    out = []
-    for p in sorted(positions(ct.term, "function")):
-        if p[: len(below)] != below:
-            continue
-        sub = subterm_at(ct.term, p)
-        for rule, sigma in _constrained_redexes_at(sub, phi, avoid, lctrs, solver, config, renamed):
-            out.append((p, rule, sigma))
-    return out
+    return redexes(ct.term, constrained_oracle(ct, lctrs, solver, config), below)
 
 
 def cstep(
@@ -357,13 +349,8 @@ def cstep(
     below: Position = EPSILON,
 ) -> list[tuple[ConstrainedTerm, StepRecord]]:
     """One constrained step; the constraint is never modified."""
-    out = []
-    for p, rule, sigma in constrained_redexes(ct, lctrs, solver, config, below):
-        result = replace_at(ct.term, {p: apply_subst(sigma, rule.rhs)})
-        out.append(
-            (ConstrainedTerm(result, ct.constraint), StepRecord(p, rule, _freeze(sigma), "constrained"))
-        )
-    return out
+    found = constrained_redexes(ct, lctrs, solver, config, below)
+    return [(ConstrainedTerm(r, ct.constraint), rec) for r, rec in single_steps(ct.term, found, "constrained")]
 
 
 def equiv_extensions(ct: ConstrainedTerm) -> list[ConstrainedTerm]:
@@ -392,6 +379,20 @@ def equiv_extensions(ct: ConstrainedTerm) -> list[ConstrainedTerm]:
     return out
 
 
+def _modulo_equivalence(ct: ConstrainedTerm, successors, key) -> list:
+    """Successors of every equivalent reformulation of ct, keeping the first
+    result of each key."""
+    out = []
+    seen = set()
+    for e in equiv_extensions(ct):
+        for item in successors(e):
+            k = key(item)
+            if k not in seen:
+                seen.add(k)
+                out.append(item)
+    return out
+
+
 def cstep_tilde(
     ct: ConstrainedTerm,
     lctrs: Lctrs,
@@ -400,14 +401,7 @@ def cstep_tilde(
     below: Position = EPSILON,
 ) -> list[tuple[ConstrainedTerm, StepRecord]]:
     """Constrained step modulo equivalence: extension moves, then a step."""
-    out = []
-    seen: set[str] = set()
-    for e in equiv_extensions(ct):
-        for res, rec in cstep(e, lctrs, solver, config, below):
-            if res.key() not in seen:
-                seen.add(res.key())
-                out.append((res, rec))
-    return out
+    return _modulo_equivalence(ct, lambda e: cstep(e, lctrs, solver, config, below), lambda item: item[0].key())
 
 
 def parallel_successors(
@@ -418,12 +412,9 @@ def parallel_successors(
     below: Position = EPSILON,
 ) -> list[tuple[ConstrainedTerm, tuple[Position, ...]]]:
     """Constrained parallel steps with exact redex position sets."""
-    redexes = constrained_redexes(ct, lctrs, solver, config, below)
-    out = []
-    for subset in _parallel_subsets(redexes, config.max_parallel_sets):
-        repl = {p: apply_subst(sigma, rule.rhs) for p, rule, sigma in subset}
-        out.append((ConstrainedTerm(replace_at(ct.term, repl), ct.constraint), tuple(sorted(repl))))
-    return out
+    found = constrained_redexes(ct, lctrs, solver, config, below)
+    steps = parallel_steps(ct.term, found, config.max_parallel_sets)
+    return [(ConstrainedTerm(r, ct.constraint), pset) for r, pset in steps]
 
 
 def parallel_tilde(
@@ -433,15 +424,9 @@ def parallel_tilde(
     config: RewriteConfig = RewriteConfig(),
     below: Position = EPSILON,
 ) -> list[tuple[ConstrainedTerm, tuple[Position, ...]]]:
-    out = []
-    seen: set[tuple[str, tuple[Position, ...]]] = set()
-    for e in equiv_extensions(ct):
-        for res, pset in parallel_successors(e, lctrs, solver, config, below):
-            k = (res.key(), pset)
-            if k not in seen:
-                seen.add(k)
-                out.append((res, pset))
-    return out
+    return _modulo_equivalence(
+        ct, lambda e: parallel_successors(e, lctrs, solver, config, below), lambda item: (item[0].key(), item[1])
+    )
 
 
 def multi_successors(
@@ -450,40 +435,13 @@ def multi_successors(
     solver: ConstraintSolver,
     config: RewriteConfig = RewriteConfig(),
     below: Position = EPSILON,
-    depth: int | None = None,
 ) -> list[ConstrainedTerm]:
     """Constrained multi-step results (constraint unchanged)."""
-    if depth is None:
-        depth = config.multi_nesting
     phi = ct.constraint
     if not solver.is_satisfiable(phi).is_sat:
         return []
-    memo: dict[tuple[str, int], set[Term]] = {}
-
-    def go(t: Term, budget: int) -> set[Term]:
-        key = (term_key(t), budget)
-        if key in memo:
-            return memo[key]
-        memo[key] = {t}
-        out: set[Term] = set()
-        if isinstance(t, Var):
-            out.add(t)
-        else:
-            for combo in itertools.product(*(go(a, budget) for a in t.args)):
-                out.add(App(t.sym, combo))
-            if budget > 0:
-                avoid = variables(t) | variables(phi)
-                for rule, sigma in _constrained_redexes_at(t, phi, avoid, lctrs, solver, config):
-                    rvars = sorted(variables(rule.rhs), key=lambda v: v.name)
-                    opts = [go(sigma[x], budget - 1) if x in sigma else {x} for x in rvars]
-                    for picks in itertools.product(*opts):
-                        tau = dict(zip(rvars, picks))
-                        out.add(apply_subst(tau, rule.rhs))
-        memo[key] = out
-        return out
-
-    scope = subterm_at(ct.term, below)
-    results = go(scope, depth)
+    oracle = constrained_oracle(ct, lctrs, solver, config)
+    results = multi_steps(subterm_at(ct.term, below), oracle, config.multi_nesting)
     return [ConstrainedTerm(replace_at(ct.term, {below: r}), phi) for r in sorted(results, key=term_key)]
 
 
@@ -493,16 +451,8 @@ def multi_tilde(
     solver: ConstraintSolver,
     config: RewriteConfig = RewriteConfig(),
     below: Position = EPSILON,
-    depth: int | None = None,
 ) -> list[ConstrainedTerm]:
-    out = []
-    seen: set[str] = set()
-    for e in equiv_extensions(ct):
-        for res in multi_successors(e, lctrs, solver, config, below, depth):
-            if res.key() not in seen:
-                seen.add(res.key())
-                out.append(res)
-    return out
+    return _modulo_equivalence(ct, lambda e: multi_successors(e, lctrs, solver, config, below), ConstrainedTerm.key)
 
 
 # --- equivalence of constrained terms ---------------------------------------

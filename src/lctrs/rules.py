@@ -23,8 +23,10 @@ from .terms import (
     Subst,
     Term,
     Var,
+    alpha_key,
     apply_subst,
     is_value,
+    rename_away,
     sort_of,
     variables,
 )
@@ -54,25 +56,38 @@ class ConstrainedRule:
             if x.sort not in (INT, BOOL):
                 raise RuleError(f"extra variable {x.name} has non-theory sort {x.sort}")
 
-    def variables(self) -> set[Var]:
-        return variables(self.lhs) | variables(self.rhs) | variables(self.guard)
+    @cached_property
+    def _side_vars(self) -> tuple[frozenset[Var], frozenset[Var], frozenset[Var]]:
+        """Variables of lhs, rhs and guard, walked once per rule."""
+        return frozenset(variables(self.lhs)), frozenset(variables(self.rhs)), frozenset(variables(self.guard))
 
-    def lvar(self) -> set[Var]:
-        return variables(self.guard) | (variables(self.rhs) - variables(self.lhs))
+    def variables(self) -> frozenset[Var]:
+        lhs, rhs, guard = self._side_vars
+        return lhs | rhs | guard
 
-    def evar(self) -> set[Var]:
-        return variables(self.rhs) - (variables(self.lhs) | variables(self.guard))
+    def lvar(self) -> frozenset[Var]:
+        lhs, rhs, guard = self._side_vars
+        return guard | (rhs - lhs)
+
+    def evar(self) -> frozenset[Var]:
+        lhs, rhs, guard = self._side_vars
+        return rhs - (lhs | guard)
 
     def ec(self) -> Term:
         return theory.conj(*(theory.eq(x, x) for x in sorted(self.evar(), key=lambda v: v.name)))
 
     def rename(self, ren: Subst) -> "ConstrainedRule":
+        if not ren:
+            return self
         return ConstrainedRule(
             apply_subst(ren, self.lhs),
             apply_subst(ren, self.rhs),
             apply_subst(ren, self.guard),
             self.calc,
         )
+
+    def key(self) -> str:
+        return alpha_key([self.lhs, self.rhs, self.guard])
 
     def __repr__(self):
         guard = "" if self.guard == theory.bool_val(True) else f" [{self.guard!r}]"
@@ -82,8 +97,6 @@ class ConstrainedRule:
 def rename_apart(rules: list[ConstrainedRule]) -> list[ConstrainedRule]:
     """Pairwise variable-disjoint copies; the first keeps its names, later
     copies get primed where they collide."""
-    from .terms import rename_away
-
     out: list[ConstrainedRule] = []
     taken: set[Var] = set()
     for rule in rules:

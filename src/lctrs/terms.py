@@ -161,15 +161,33 @@ def subterm_at(t: Term, p: Position) -> Term:
     return t
 
 
+def parallel(p: Position, q: Position) -> bool:
+    """Neither position is a prefix of the other?"""
+    k = min(len(p), len(q))
+    return p[:k] != q[:k]
+
+
 def parallel_positions(ps: Iterable[Position]) -> bool:
     """Pairwise prefix-incomparable?"""
     ps = list(ps)
-    for i, p in enumerate(ps):
-        for q in ps[i + 1 :]:
-            k = min(len(p), len(q))
-            if p[:k] == q[:k]:
-                return False
-    return True
+    return all(parallel(p, q) for i, p in enumerate(ps) for q in ps[i + 1 :])
+
+
+class ParallelSetCap(Exception):
+    """More parallel subsets than the configured cap allows."""
+
+
+def parallel_subsets(items: Iterable, position=lambda p: p, cap: int | None = None) -> list[list]:
+    """Subsets of items at pairwise parallel, distinct positions, the empty
+    one first, each item extending the subsets found before it; more than
+    cap subsets raises ParallelSetCap."""
+    subsets: list[list] = [[]]
+    for item in items:
+        p = position(item)
+        subsets += [chosen + [item] for chosen in subsets if all(parallel(p, position(c)) for c in chosen)]
+        if cap is not None and len(subsets) > cap:
+            raise ParallelSetCap(f"parallel subset cap {cap} exceeded")
+    return subsets
 
 
 def replace_at(t: Term, assignments: Mapping[Position, Term]) -> Term:

@@ -25,7 +25,6 @@ from lctrs.analysis import (
     tvar,
 )
 from lctrs.grounding import (
-    TrsRule,
     check_cp_correspondence,
     check_step_equivalence,
     ground_fragment,
@@ -36,6 +35,7 @@ from lctrs.grounding import (
 from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse, term_to_sexp
 from lctrs.pcp import PCPInstance, check_candidate, decode, encode_string
+from lctrs.rules import ConstrainedRule
 from lctrs.rewriting import (
     ConstrainedTerm,
     RewriteConfig,
@@ -76,7 +76,7 @@ def test_criterion_1_value_choice_overlay(solver):
     )
     for lo, hi in ((-4, 4), (0, 0), (-2, 7)):
         frag = ground_fragment(system, RewriteConfig(lo=lo, hi=hi))
-        ok = ok and [r for r in frag.rules] == [TrsRule(system.rules[0].lhs, int_val(0))]
+        ok = ok and [r for r in frag.rules] == [ConstrainedRule(system.rules[0].lhs, int_val(0))]
         ok = ok and trs_cps(frag) == []
     verdict = analyze(system, solver)
     ok = ok and verdict.result == "YES" and verdict.criterion == "weak-orthogonality"

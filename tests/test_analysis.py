@@ -16,6 +16,7 @@ from lctrs.analysis import (
     parallel_closed_2,
     tvar,
 )
+from lctrs.parser import parse
 from lctrs.rewriting import ConstrainedTerm, plain_successors
 from lctrs.rules import ConstrainedRule, Lctrs, Signature
 from lctrs.terms import App, INT, Var, alpha_key, apply_subst, int_val, variables
@@ -311,3 +312,46 @@ def test_ccp_instances_realize_peaks(swap, solver):
             succs = {(r, rec.position) for r, rec in plain_successors(src, swap)}
             assert (left, ccp.position) in succs
             assert (right, ()) in succs
+
+
+CAPPED = """
+(theory Ints)
+(sort U)
+(fun a () U)
+(fun b () U)
+(fun c () U)
+(fun f (U) U)
+(fun g (U U U U) U)
+(fun h (U) U)
+(fun k (U) U)
+(rule (f (h x)) c)
+(rule (h x) (g a a a a))
+(rule a b)
+(rule (k a) (g a a a a))
+"""
+
+
+def test_parallel_subset_cap_gives_unknown(solver):
+    # g(a,a,a,a) has 16 parallel redex subsets, more than a cap of 8 allows
+    system = parse(CAPPED)
+    config = RewriteConfig(max_parallel_sets=8)
+    first = [parallel_closed_1(c, system, solver, config) for c in ccps(system, solver)]
+    second = [parallel_closed_2(c, system, solver, config) for c in cpcps(system, solver)]
+    for closings in (first, second):
+        capped = [c for c in closings if c.reason]
+        assert capped and all(c.status == "unknown" for c in capped)
+        assert capped[0].reason == "parallel subset cap 8 exceeded"
+    verdict = analyze(system, solver, AnalysisConfig(criteria=("pc",), rewrite=config))
+    assert "unknown (parallel subset cap 8 exceeded)" in verdict.reasons["parallel-closed"]
+    uncapped = analyze(system, solver, AnalysisConfig(criteria=("pc",)))
+    assert "cap" not in uncapped.reasons["parallel-closed"]
+
+
+def test_verdict_carries_the_pairs_it_computed(calc_chain, parity, solver):
+    yes = analyze(calc_chain, solver)
+    assert yes.criterion == "parallel-closed"
+    assert yes.ccps == ccps(calc_chain, solver) and yes.ccp_count == len(yes.ccps)
+    assert yes.cpcps == cpcps(calc_chain, solver) and yes.cpcp_count == len(yes.cpcps)
+    wo_only = analyze(parity, solver, AnalysisConfig(criteria=("wo",)))
+    assert wo_only.ccps == ccps(parity, solver)
+    assert wo_only.cpcps is None and wo_only.cpcp_count == 0

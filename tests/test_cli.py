@@ -194,3 +194,23 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "YES"
+
+
+def _run_corpus_module():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("run_corpus", REPO / "scripts" / "run_corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_corpus_values_forms(capsys):
+    run_corpus = _run_corpus_module()
+    assert run_corpus.parse_args(["--values", "-2..2"]) == (4, -2, 2)
+    assert run_corpus.parse_args(["--values=-2..2", "--depth", "3"]) == (3, -2, 2)
+    for bad in ("3..1", "1-2"):
+        with pytest.raises(SystemExit) as exc:
+            run_corpus.parse_args(["--values", bad])
+        assert exc.value.code == 2
+    assert "--values" in capsys.readouterr().err

@@ -2,7 +2,6 @@ import pytest
 
 from lctrs import theory
 from lctrs.grounding import (
-    TrsRule,
     check_cp_correspondence,
     check_step_equivalence,
     find_nonjoinable_peak,
@@ -15,6 +14,7 @@ from lctrs.grounding import (
     trs_pcps,
 )
 from lctrs.rewriting import RewriteConfig
+from lctrs.rules import ConstrainedRule
 from lctrs.terms import App, INT, Var, alpha_key, int_val, variables
 
 x = Var("x", INT)
@@ -31,7 +31,7 @@ def rule_keys(fragment):
 def test_single_value_fragment_is_one_rule(single_value):
     frag = ground_fragment(single_value)
     assert len(frag.rules) == 1
-    assert frag.rules[0] == TrsRule(app(single_value, "a"), int_val(0))
+    assert frag.rules[0] == ConstrainedRule(app(single_value, "a"), int_val(0))
     assert trs_cps(frag) == []
 
 
@@ -40,7 +40,7 @@ def test_parity_fragment_rules(parity):
     keys = rule_keys(frag)
 
     def k(lhs, rhs):
-        return TrsRule(lhs, rhs).key()
+        return ConstrainedRule(lhs, rhs).key()
 
     assert k(app(parity, "f", x), app(parity, "g", x)) in keys
     assert k(app(parity, "f", int_val(1)), app(parity, "h", int_val(1))) in keys
@@ -109,7 +109,7 @@ def test_calc_instances_follow_rule_symbols(calc_chain):
     assert plus_instances, "addition occurs in the rules, instances required"
     mul_instances = [r for r in frag.rules if isinstance(r.lhs, App) and r.lhs.sym == theory.MUL]
     assert not mul_instances, "multiplication never occurs in term sides"
-    one_one = TrsRule(theory.add(1, 1), int_val(2))
+    one_one = ConstrainedRule(theory.add(1, 1), int_val(2), calc=True)
     assert one_one.key() in rule_keys(frag)
 
 

@@ -18,6 +18,8 @@ from .logic import ConstraintSolver
 from .rewriting import (
     ConstrainedTerm,
     RewriteConfig,
+    _align,
+    breadth_first,
     cstep_tilde,
     multi_tilde,
     parallel_tilde,
@@ -191,14 +193,8 @@ def cpcps(lctrs: Lctrs, solver: ConstraintSolver) -> list[CPCPRecord]:
 
 def is_trivial(pair: ConstrainedTerm, solver: ConstraintSolver) -> str:
     """Yes / no / unknown: do both components coincide under every model?"""
-    term = pair.term
-    assert term.sym.name == "<pair>", "triviality is asked of encoded pairs"
-    return trivial_equation(term.args[0], term.args[1], pair.constraint, solver)
-
-
-def trivial_equation(s: Term, t: Term, phi: Term, solver: ConstraintSolver) -> str:
-    from .rewriting import _align
-
+    assert pair.term.sym.name == "<pair>", "triviality is asked of encoded pairs"
+    (s, t), phi = pair.term.args, pair.constraint
     log = variables(phi)
     eqs = _align(s, log, t, log)
     if eqs is None:
@@ -237,51 +233,43 @@ class Closing:
         return f"{self.status} ({self.reason})" if self.reason else self.status
 
 
-def _tail_search(
+def _closing(
     start: ConstrainedTerm,
-    below: Position,
+    first,
+    side: int,
     lctrs: Lctrs,
     solver: ConstraintSolver,
     config: RewriteConfig,
     depth: int,
-    accept,
+    allowed: set[Var] | None = None,
 ) -> Closing:
-    """Breadth-first over constrained steps below a position, testing accept
-    (which returns a Closing or None) on every node including the start."""
+    """The shape every closing criterion shares: one step of the relation
+    `first` (giving (mid, qset) pairs) below side `side` of the pair, then a
+    breadth-first tail of up to depth constrained steps below the other
+    side, accepting the first trivial node; given allowed, only one whose
+    TVar below qset lies in it.  A parallel first step with more redex
+    subsets than the configured cap gives unknown."""
+    try:
+        mids = first(start, lctrs, solver, config, below=(side,))
+    except ParallelSetCap as exc:
+        return Closing("unknown", reason=str(exc))
+
+    def tail_steps(node):
+        return [res for res, _rec in cstep_tilde(node, lctrs, solver, config, below=(3 - side,))]
+
     unknown = False
-    frontier = [(start, [start])]
-    seen = {start.key()}
-    for _ in range(depth + 1):
-        nxt = []
-        for node, trail in frontier:
-            got = accept(node, trail)
-            if isinstance(got, Closing):
-                return got
-            if got == "unknown":
-                unknown = True
-            for res, _rec in cstep_tilde(node, lctrs, solver, config, below=below):
-                if res.key() not in seen:
-                    seen.add(res.key())
-                    nxt.append((res, trail + [res]))
-        frontier = nxt
-        if not frontier:
-            break
+    for mid, qset in mids:
+        for node, path in breadth_first(mid, tail_steps, depth, ConstrainedTerm.key):
+            trivial = is_trivial(node, solver)
+            unknown = unknown or trivial == "unknown"
+            if trivial == "yes" and (allowed is None or tvar(node.term, node.constraint, qset) <= allowed):
+                return Closing("closed", path if mid.key() == start.key() else [start, *path], qset=qset)
     return Closing("unknown" if unknown else "not_closed")
 
 
-def _closed_when_trivial(start, mid, solver, qset=None, allowed=None):
-    """Tail acceptance: a trivial node closes the pair with the sequence
-    start, mid, tail; given allowed, only if TVar(node, qset) lies in it."""
-
-    def accept(node, trail):
-        t = is_trivial(node, solver)
-        if t != "yes":
-            return t
-        if allowed is not None and not tvar(node.term, node.constraint, qset) <= allowed:
-            return None  # closed but the variable condition fails
-        return Closing("closed", [start, mid] + trail[1:], qset=qset)
-
-    return accept
+def _multi_steps(ct, lctrs, solver, config, below):
+    """multi_tilde as (result, qset) pairs; a multi-step records no positions."""
+    return [(mid, None) for mid in multi_tilde(ct, lctrs, solver, config, below=below)]
 
 
 def dev_closed_check(
@@ -294,43 +282,7 @@ def dev_closed_check(
     """(Almost) development closedness of one constrained critical pair:
     one multi-step below position 1, then (for overlays only) a rewrite tail
     below position 2, ending in a trivial pair."""
-    start = ccp.pair()
-    unknown = False
-    for mid in multi_tilde(start, lctrs, solver, config, below=(1,)):
-        verdict = is_trivial(mid, solver)
-        if verdict == "yes":
-            seq = [start, mid] if mid.key() != start.key() else [start]
-            return Closing("closed", seq)
-        if verdict == "unknown":
-            unknown = True
-        if not ccp.overlay:
-            continue
-        got = _tail_search(mid, (2,), lctrs, solver, config, depth, _closed_when_trivial(start, mid, solver))
-        if got.status == "closed":
-            return got
-        if got.status == "unknown":
-            unknown = True
-    return Closing("unknown" if unknown else "not_closed")
-
-
-def _parallel_then_tail(
-    start: ConstrainedTerm, below: int, lctrs, solver, config, depth, accept_for
-) -> Closing:
-    """One parallel step below side `below` of the pair, then a rewrite tail
-    below the other side, accepted by accept_for(mid, qset).  A parallel step
-    with more redex subsets than the configured cap gives unknown."""
-    try:
-        mids = parallel_tilde(start, lctrs, solver, config, below=(below,))
-    except ParallelSetCap as exc:
-        return Closing("unknown", reason=str(exc))
-    unknown = False
-    for mid, qset in mids:
-        got = _tail_search(mid, (3 - below,), lctrs, solver, config, depth, accept_for(mid, qset))
-        if got.status == "closed":
-            return got
-        if got.status == "unknown":
-            unknown = True
-    return Closing("unknown" if unknown else "not_closed")
+    return _closing(ccp.pair(), _multi_steps, 1, lctrs, solver, config, depth if ccp.overlay else 0)
 
 
 def parallel_closed_1(
@@ -341,9 +293,7 @@ def parallel_closed_1(
     depth: int = 4,
 ) -> Closing:
     """One parallel step below position 1, then a rewrite tail below 2."""
-    start = ccp.pair()
-    accept_for = lambda mid, _qset: _closed_when_trivial(start, mid, solver)  # noqa: E731
-    return _parallel_then_tail(start, 1, lctrs, solver, config, depth, accept_for)
+    return _closing(ccp.pair(), parallel_tilde, 1, lctrs, solver, config, depth)
 
 
 def parallel_closed_2(
@@ -356,10 +306,8 @@ def parallel_closed_2(
     """Parallel step below position 2 with recorded positions Q, then a
     rewrite tail below 1, ending trivial, with the variable-tracking
     inclusion TVar(final right side, Q) within TVar(peak source, P)."""
-    start = cpcp.pair()
     allowed = tvar(cpcp.peak_source, cpcp.constraint, cpcp.pset)
-    accept_for = lambda mid, qset: _closed_when_trivial(start, mid, solver, qset, allowed)  # noqa: E731
-    return _parallel_then_tail(start, 2, lctrs, solver, config, depth, accept_for)
+    return _closing(cpcp.pair(), parallel_tilde, 2, lctrs, solver, config, depth, allowed)
 
 
 # --- system-level criteria ------------------------------------------------------

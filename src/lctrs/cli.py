@@ -21,9 +21,10 @@ from .grounding import (
     ground_fragment,
 )
 from .logic import ConstraintSolver
-from .parser import ParseError, parse, print_system, term_to_sexp
+from .parser import ParseError, parse, print_system
 from .pcp import PCPInstance, build_rp
 from .rewriting import RewriteConfig
+from .terms import term_key
 
 
 def _add_common(sub):
@@ -73,9 +74,9 @@ def _setup(args):
 
 def _ccp_json(rec) -> dict:
     return {
-        "left": term_to_sexp(rec.left),
-        "right": term_to_sexp(rec.right),
-        "constraint": term_to_sexp(rec.constraint),
+        "left": term_key(rec.left),
+        "right": term_key(rec.right),
+        "constraint": term_key(rec.constraint),
         "overlay": rec.overlay,
         "position": list(rec.position),
     }
@@ -83,11 +84,11 @@ def _ccp_json(rec) -> dict:
 
 def _cpcp_json(rec) -> dict:
     return {
-        "left": term_to_sexp(rec.left),
-        "right": term_to_sexp(rec.right),
-        "constraint": term_to_sexp(rec.constraint),
+        "left": term_key(rec.left),
+        "right": term_key(rec.right),
+        "constraint": term_key(rec.constraint),
         "positions": [list(p) for p in rec.pset],
-        "peak": term_to_sexp(rec.peak_source),
+        "peak": term_key(rec.peak_source),
     }
 
 
@@ -99,7 +100,7 @@ def _verdict_json(v: Verdict, system, solver) -> dict:
         criteria.append({"name": name, "result": "fail", "detail": detail})
     witnesses = []
     if v.witness is not None:
-        witnesses.append({"left": term_to_sexp(v.witness[0]), "right": term_to_sexp(v.witness[1])})
+        witnesses.append({"left": term_key(v.witness[0]), "right": term_key(v.witness[1])})
     return {
         "verdict": v.result,
         "criteria": criteria,
@@ -122,7 +123,7 @@ def cmd_analyze(args) -> int:
         print(f"{name}: {detail}")
     if verdict.witness is not None:
         print(
-            f"witness: {term_to_sexp(verdict.witness[0])} and {term_to_sexp(verdict.witness[1])}"
+            f"witness: {term_key(verdict.witness[0])} and {term_key(verdict.witness[1])}"
             " reach distinct normal forms"
         )
     return 0
@@ -135,7 +136,7 @@ def cmd_ccp(args) -> int:
         print(json.dumps([_ccp_json(r) for r in records], indent=2))
         return 0
     for rec in records:
-        print(f"{term_to_sexp(rec.left)} ~ {term_to_sexp(rec.right)} [{term_to_sexp(rec.constraint)}]")
+        print(f"{term_key(rec.left)} ~ {term_key(rec.right)} [{term_key(rec.constraint)}]")
     return 0
 
 
@@ -148,8 +149,8 @@ def cmd_cpcp(args) -> int:
     for rec in records:
         ps = ",".join("e" if not p else ".".join(map(str, p)) for p in rec.pset)
         print(
-            f"{term_to_sexp(rec.left)} ~ {term_to_sexp(rec.right)}"
-            f" [{term_to_sexp(rec.constraint)}] P={{{ps}}}"
+            f"{term_key(rec.left)} ~ {term_key(rec.right)}"
+            f" [{term_key(rec.constraint)}] P={{{ps}}}"
         )
     return 0
 
@@ -160,13 +161,13 @@ def cmd_ground(args) -> int:
     if args.json:
         print(
             json.dumps(
-                [{"lhs": term_to_sexp(r.lhs), "rhs": term_to_sexp(r.rhs)} for r in fragment.rules],
+                [{"lhs": term_key(r.lhs), "rhs": term_key(r.rhs)} for r in fragment.rules],
                 indent=2,
             )
         )
         return 0
     for rule in fragment.rules:
-        print(f"(rule {term_to_sexp(rule.lhs)} {term_to_sexp(rule.rhs)})")
+        print(f"(rule {term_key(rule.lhs)} {term_key(rule.rhs)})")
     return 0
 
 

@@ -21,6 +21,7 @@ from .analysis import CCPRecord, CPCPRecord, _critical_pairs, ccps, cpcps, tvar
 from .logic import ConstraintSolver
 from .rewriting import (
     RewriteConfig,
+    breadth_first,
     cstep,
     domain_terms,
     plain_multi_successors,
@@ -103,22 +104,17 @@ def frag_multi(t: Term, fragment: GroundFragment) -> set[Term]:
 
 
 def reachable(t: Term, fragment: GroundFragment, depth: int) -> tuple[set[Term], bool]:
-    """Reachable set within depth steps; the flag reports closure under ->."""
-    seen = {t}
-    frontier = {t}
-    for _ in range(depth):
-        nxt = set()
-        for s in frontier:
-            nxt |= frag_successors(s, fragment) - seen
-        if not nxt:
-            return seen, True
-        seen |= nxt
-        frontier = nxt
-    # closed only if one more sweep adds nothing
-    for s in frontier:
-        if frag_successors(s, fragment) - seen:
-            return seen, False
-    return seen, True
+    """Reachable set within depth steps; the flag reports closure under ->:
+    no term depth steps away has a successor outside the set."""
+
+    def successors(u: Term) -> list[Term]:
+        # a list, not frag_successors' set: the search dedups, and a term's
+        # hash is not cached, so every extra set costs a walk of each term
+        return [r for r, _ in plain_successors(u, fragment.origin, fragment.config, fragment.rules)]
+
+    found = list(breadth_first(t, successors, depth, lambda u: u))
+    seen = {s for s, _path in found}
+    return seen, all(u in seen for s, path in found if len(path) > depth for u in successors(s))
 
 
 def joinable(fragment: GroundFragment, s: Term, t: Term, depth: int = 8):

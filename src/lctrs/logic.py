@@ -234,14 +234,14 @@ class ConstraintSolver:
             return SolverVerdict("unknown", reason=diag)
         bound = {v for _, vs in (prefix or []) for v in vs}
         wanted = {v.name: v for v in variables(phi) - bound}
-        status, model = smtlib.parse_result(output, wanted)
+        status, model, why = smtlib.parse_result(output, wanted)
         if status == "unsat":
             return SolverVerdict("unsat")
         if status == "sat":
             if prefix:
                 return SolverVerdict("sat")
             return self._checked_model(phi, model, "external solver")
-        return SolverVerdict("unknown", reason="solver answered unknown")
+        return SolverVerdict("unknown", reason=why or "solver answered unknown")
 
 
 def _negate_prefix(prefix: Prefix) -> Prefix:

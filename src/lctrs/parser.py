@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import theory
 from .rules import ConstrainedRule, Lctrs, RuleError, Signature
-from .terms import App, BOOL, FunSym, INT, Sort, Term, Var, bool_val, int_val, is_value, value_of
+from .terms import App, BOOL, FunSym, INT, Sort, Term, Var, bool_val, int_val, term_key
 
 
 class ParseError(Exception):
@@ -305,19 +305,6 @@ def _parse_rule(sig: Signature, lhs_node: Node, rhs_node: Node, guard_node: Node
 
 # --- printing ------------------------------------------------------------------
 
-def term_to_sexp(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if is_value(t):
-        v = value_of(t)
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        return str(v)
-    if not t.args:
-        return t.sym.name
-    return f"({t.sym.name} {' '.join(term_to_sexp(a) for a in t.args)})"
-
-
 def print_system(lctrs: Lctrs) -> str:
     lines = ["(theory Ints)"]
     for name in sorted(lctrs.signature.sorts):
@@ -328,9 +315,9 @@ def print_system(lctrs: Lctrs) -> str:
         args = " ".join(s.name for s in sym.arg_sorts)
         lines.append(f"(fun {name} ({args}) {sym.result_sort.name})")
     for rule in lctrs.rules:
-        lhs, rhs = term_to_sexp(rule.lhs), term_to_sexp(rule.rhs)
+        lhs, rhs = term_key(rule.lhs), term_key(rule.rhs)
         if rule.guard == theory.bool_val(True):
             lines.append(f"(rule {lhs} {rhs})")
         else:
-            lines.append(f"(rule {lhs} {rhs} :guard {term_to_sexp(rule.guard)})")
+            lines.append(f"(rule {lhs} {rhs} :guard {term_key(rule.guard)})")
     return "\n".join(lines) + "\n"

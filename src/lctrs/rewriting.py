@@ -82,7 +82,7 @@ class RewriteConfig:
     max_parallel_sets: int = 4096
 
     def int_domain(self, lctrs: Lctrs) -> tuple[int, ...]:
-        return tuple(sorted(set(range(self.lo, self.hi + 1)) | lctrs.literals()))
+        return tuple(sorted(set(range(self.lo, self.hi + 1)) | lctrs.literals))
 
 
 def domain_terms(lctrs: Lctrs, config: RewriteConfig) -> dict[Sort, tuple[Term, ...]]:
@@ -179,6 +179,27 @@ def multi_steps(t: Term, redexes_at: RedexOracle, depth: int) -> set[Term]:
     return go(t, depth)
 
 
+def breadth_first(start, successors, depth: int, key):
+    """Yield (node, path from start) for every node within depth steps of
+    start, level by level, each key once.  Only nodes above the depth bound
+    are expanded, each after the caller has seen it, so a caller that stops
+    early pays for nothing beyond."""
+    seen = {key(start)}
+    frontier = [(start, [start])]
+    for level in range(depth + 1):
+        nxt = []
+        for node, path in frontier:
+            yield node, path
+            if level == depth:
+                continue
+            for succ in successors(node):
+                k = key(succ)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append((succ, path + [succ]))
+        frontier = nxt
+
+
 # --- plain rewriting --------------------------------------------------------
 
 def _guard_solutions(guard: Term, unbound: list[Var], domain, config: RewriteConfig, lctrs: Lctrs):
@@ -197,7 +218,7 @@ def _guard_solutions(guard: Term, unbound: list[Var], domain, config: RewriteCon
         for x in unbound:
             if x.sort == INT:
                 window = theory.conj(theory.le(config.lo, x), theory.le(x, config.hi))
-                extras = [theory.eq(x, n) for n in lctrs.literals() if not config.lo <= n <= config.hi]
+                extras = [theory.eq(x, n) for n in lctrs.literals if not config.lo <= n <= config.hi]
                 bounds.append(theory.disj(window, *extras))
         phi = theory.conj(guard, *bounds)
         try:

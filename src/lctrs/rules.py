@@ -187,8 +187,9 @@ class Lctrs:
     def rc_rules(self) -> tuple[ConstrainedRule, ...]:
         return self.rules + calc_rules(self.signature)
 
-    def literals(self) -> set[int]:
-        """Integer values appearing anywhere in the rules."""
+    @cached_property
+    def literals(self) -> frozenset[int]:
+        """Integer values appearing anywhere in the rules, walked once."""
         out: set[int] = set()
 
         def scan(t: Term):
@@ -202,4 +203,4 @@ class Lctrs:
             scan(rule.lhs)
             scan(rule.rhs)
             scan(rule.guard)
-        return out
+        return frozenset(out)

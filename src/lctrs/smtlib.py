@@ -112,6 +112,8 @@ def _read_sexprs(tokens: list[str]):
         if tok == "(":
             stack.append([])
         elif tok == ")":
+            if not stack:
+                raise ValueError("unmatched ')' in solver output")
             done = stack.pop()
             if stack:
                 stack[-1].append(done)
@@ -141,16 +143,21 @@ def _value_term(expr) -> Term | None:
     return None
 
 
-def parse_result(output: str, wanted: dict[str, Var]) -> tuple[str, dict[Var, Term]]:
-    """Extract the sat/unsat/unknown status and any model bindings."""
+def parse_result(output: str, wanted: dict[str, Var]) -> tuple[str, dict[Var, Term], str]:
+    """Extract the sat/unsat/unknown status, any model bindings, and the
+    reason when the output cannot be read (status unknown then)."""
     status = "unknown"
     for line in output.splitlines():
         word = line.strip()
         if word in ("sat", "unsat", "unknown"):
             status = word
             break
+    try:
+        exprs = _read_sexprs(_tokenize(output))
+    except ValueError as exc:
+        return "unknown", {}, str(exc)
     model: dict[Var, Term] = {}
-    for expr in _read_sexprs(_tokenize(output)):
+    for expr in exprs:
         stackable = [expr]
         while stackable:
             e = stackable.pop()
@@ -165,7 +172,7 @@ def parse_result(output: str, wanted: dict[str, Var]) -> tuple[str, dict[Var, Te
                 continue
             if isinstance(name, str) and name in wanted and val is not None:
                 model[wanted[name]] = val
-    return status, model
+    return status, model, ""
 
 
 def run_solver(

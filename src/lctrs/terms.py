@@ -125,6 +125,12 @@ def sort_of(t: Term) -> Sort:
     return t.sym.result_sort
 
 
+def root_sort(t: Term) -> Sort:
+    """Sort of a term read off its root, for terms already known to be
+    well-sorted; sort_of validates the whole term."""
+    return t.sort if isinstance(t, Var) else t.sym.result_sort
+
+
 def variables(t: Term) -> set[Var]:
     if isinstance(t, Var):
         return {t}
@@ -197,10 +203,10 @@ def replace_at(t: Term, assignments: Mapping[Position, Term]) -> Term:
     if not parallel_positions(assignments.keys()):
         raise TermError("replacement positions overlap")
 
-    expected = {p: sort_of(subterm_at(t, p)) for p in assignments}
     for p, s in assignments.items():
-        if sort_of(s) != expected[p]:
-            raise TermError(f"replacement at {p} has sort {sort_of(s)}, expected {expected[p]}")
+        expected = root_sort(subterm_at(t, p))
+        if root_sort(s) != expected:
+            raise TermError(f"replacement at {p} has sort {root_sort(s)}, expected {expected}")
 
     def go(s: Term, here: Position) -> Term:
         if here in assignments:
@@ -239,7 +245,7 @@ def match(pattern: Term, subject: Term) -> Subst | None:
 
     def go(p: Term, s: Term) -> bool:
         if isinstance(p, Var):
-            if p.sort != sort_of(s):
+            if p.sort != root_sort(s):
                 return False
             if p in sigma:
                 return sigma[p] == s
@@ -274,7 +280,7 @@ def unify(equations: Iterable[tuple[Term, Term]]) -> Subst | None:
     def bind(x: Var, t: Term) -> bool:
         if x == t:
             return True
-        if x.sort != sort_of(t) or occurs(x, t):
+        if x.sort != root_sort(t) or occurs(x, t):
             return False
         step = {x: t}
         nonlocal sigma, todo

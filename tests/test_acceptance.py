@@ -33,7 +33,7 @@ from lctrs.grounding import (
     trs_cps,
 )
 from lctrs.logic import ConstraintSolver
-from lctrs.parser import parse, term_to_sexp
+from lctrs.parser import parse
 from lctrs.pcp import PCPInstance, check_candidate, decode, encode_string
 from lctrs.rules import ConstrainedRule
 from lctrs.rewriting import (

@@ -4,6 +4,12 @@ The recorded files pin pair order, positions and variable names.  They were
 written by `python -m lctrs CMD corpus/NAME.lctrs --json > tests/golden/NAME.CMD.json`
 before the rewrite engine, the fragment and the critical-pair generators
 were merged; regenerate them the same way only for an intended output change.
+
+The four non-left-linear systems of the benchmark's ground workload pin the
+NO path, witness pair included, at the value half-widths the benchmark runs
+them with: `python -m lctrs analyze perfbench/inputs/ground/NAME.lctrs
+--values=-H..H --json > tests/golden/NAME.analyze.json`, recorded before the
+closing searches and the NO search were moved onto one breadth-first search.
 """
 
 import pytest
@@ -15,12 +21,16 @@ from tests.conftest import CORPUS, REPO
 GOLDEN = REPO / "tests" / "golden"
 SYSTEMS = sorted(p.stem for p in CORPUS.glob("*.lctrs"))
 COMMANDS = ("analyze", "ccp", "cpcp", "ground")
+GROUND = REPO / "perfbench" / "inputs" / "ground"
+GROUND_HALF_WIDTHS = {"diag_bool": 8, "diag_collapse": 9, "diag_guard": 9, "diag_sum": 5}
 
 
 def test_every_corpus_system_is_recorded():
     assert len(SYSTEMS) == 7
+    assert sorted(p.stem for p in GROUND.glob("*.lctrs")) == sorted(GROUND_HALF_WIDTHS)
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(
-        f"{name}.{cmd}.json" for name in SYSTEMS for cmd in COMMANDS
+        [f"{name}.{cmd}.json" for name in SYSTEMS for cmd in COMMANDS]
+        + [f"{name}.analyze.json" for name in GROUND_HALF_WIDTHS]
     )
 
 
@@ -30,3 +40,11 @@ def test_json_output_matches_golden(capsys, name, command):
     code = main([command, str(CORPUS / f"{name}.lctrs"), "--json"])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.{command}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(GROUND_HALF_WIDTHS))
+def test_ground_no_verdict_matches_golden(capsys, name):
+    half = GROUND_HALF_WIDTHS[name]
+    code = main(["analyze", str(GROUND / f"{name}.lctrs"), f"--values=-{half}..{half}", "--json"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.analyze.json").read_text()

@@ -9,6 +9,7 @@ from lctrs.grounding import (
     frag_successors,
     ground_fragment,
     joinable,
+    reachable,
     trs_closedness_check,
     trs_cps,
     trs_pcps,
@@ -92,6 +93,25 @@ def test_joinable_disjoint_normal_forms(solver):
     frag = ground_fragment(bad)
     assert joinable(frag, App(b), App(c))[0] == "disjoint_normal_forms"
     assert find_nonjoinable_peak(frag) is not None
+
+
+def test_reachable_closure_flag_at_the_bound():
+    from lctrs.parser import parse
+
+    chain = parse(
+        "(theory Ints)\n(sort U)\n(fun a () U)\n(fun b () U)\n(fun c () U)\n(fun s (U) U)\n"
+        "(rule a b)\n(rule b c)\n(rule (s a) (s (s a)))\n"
+    )
+    frag = ground_fragment(chain)
+    a, b, c = (app(chain, n) for n in "abc")
+    assert reachable(a, frag, 2) == ({a, b, c}, True)  # c is a normal form
+    assert reachable(a, frag, 1) == ({a, b}, False)  # b -> c lies past the bound
+    assert reachable(a, frag, 0) == ({a}, False)
+    sa = app(chain, "s", a)
+    reach, closed = reachable(sa, frag, 3)
+    assert len(reach) == 1 + 2 + 3 + 3 and not closed  # by level; s(a) keeps growing
+    assert joinable(frag, sa, app(chain, "s", c), 3)[0] == "joinable"
+    assert joinable(frag, app(chain, "s", sa), c, 2)[0] == "not_within_bound"
 
 
 def test_step_equivalence_examples(single_value, parity):

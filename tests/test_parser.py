@@ -1,8 +1,8 @@
 import pytest
 
 from lctrs import theory
-from lctrs.parser import ParseError, parse, print_system, term_to_sexp
-from lctrs.terms import App, INT, Var, int_val
+from lctrs.parser import ParseError, parse, print_system
+from lctrs.terms import App, INT, Var, int_val, term_key
 
 from tests.conftest import CORPUS
 
@@ -95,9 +95,9 @@ def test_corpus_roundtrip(path):
     assert print_system(again) == printed
     assert len(again.rules) == len(system.rules)
     for a, b in zip(again.rules, system.rules):
-        assert term_to_sexp(a.lhs) == term_to_sexp(b.lhs)
-        assert term_to_sexp(a.rhs) == term_to_sexp(b.rhs)
-        assert term_to_sexp(a.guard) == term_to_sexp(b.guard)
+        assert term_key(a.lhs) == term_key(b.lhs)
+        assert term_key(a.rhs) == term_key(b.rhs)
+        assert term_key(a.guard) == term_key(b.guard)
 
 
 def test_corpus_matches_programmatic_builders(single_value, swap, parity, calc_chain, var_tracking, projection):

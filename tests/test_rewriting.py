@@ -8,6 +8,7 @@ from lctrs.rules import ConstrainedRule, Lctrs, calc_rules, respects
 from lctrs.rewriting import (
     ConstrainedTerm,
     RewriteConfig,
+    breadth_first,
     cstep,
     cstep_tilde,
     domain_terms,
@@ -235,6 +236,25 @@ def test_parallel_subset_of_multi(calc_chain, solver):
     par = {r for r, _ in plain_parallel_successors(t, calc_chain)}
     multi = plain_multi_successors(t, calc_chain)
     assert par <= multi
+
+
+# --- bounded breadth-first search ------------------------------------------------
+
+def test_breadth_first_levels_paths_and_laziness():
+    expanded = []
+
+    def successors(n):
+        expanded.append(n)
+        return [n + 1, n + 2]
+
+    got = list(breadth_first(0, successors, 2, lambda n: n))
+    assert got == [(0, [0]), (1, [0, 1]), (2, [0, 2]), (3, [0, 1, 3]), (4, [0, 2, 4])]
+    assert expanded == [0, 1, 2]  # the last level is yielded, never expanded
+    expanded.clear()
+    search = breadth_first(0, successors, 2, lambda n: n)
+    assert [next(search), next(search)] == [(0, [0]), (1, [0, 1])]
+    assert expanded == [0]  # nothing past what the caller took
+    assert list(breadth_first(0, successors, 0, lambda n: n)) == [(0, [0])]
 
 
 # --- instance soundness --------------------------------------------------------

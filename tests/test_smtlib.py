@@ -37,10 +37,19 @@ def test_parse_model_define_fun():
     from lctrs.terms import BOOL
 
     b = Var("b", BOOL)
-    status, model = smtlib.parse_result(out, {"x": x, "b": b})
-    assert status == "sat"
+    status, model, why = smtlib.parse_result(out, {"x": x, "b": b})
+    assert status == "sat" and why == ""
     assert model[x] == int_val(-2)
     assert model[b] == theory.bool_val(True)
+
+
+def test_unmatched_paren_gives_unknown_with_reason():
+    status, model, why = smtlib.parse_result("sat\n(model (define-fun x () Int 3)))", {"x": x})
+    assert (status, model) == ("unknown", {})
+    assert "unmatched ')'" in why
+    stray = f"{sys.executable} -c \"print('sat'); print('(model (define-fun x () Int 3)))')\""
+    res = ConstraintSolver(smt_command=stray).smt_backend(theory.gt(x, 2))
+    assert res.status == "unknown" and "unmatched ')'" in res.reason
 
 
 def test_backend_sat_model_revalidated():

@@ -99,6 +99,14 @@ def test_replace_at_rejects_overlap():
         replace_at(t, {(1,): c, (1, 1): d})
 
 
+def test_replace_at_rejects_sort_clash():
+    t = App(test_sym, (e_str, e_str, int_val(0)))
+    with pytest.raises(TermError, match="sort"):
+        replace_at(t, {(3,): a})
+    with pytest.raises(TermError, match="sort"):
+        replace_at(App(f2, (a, b)), {(2,): Var("n", INT)})
+
+
 def test_replace_subterm_roundtrip():
     t = App(f2, (App(g1, (a,)), b))
     out = replace_at(t, {(1, 1): c, (2,): d})

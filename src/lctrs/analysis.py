@@ -64,9 +64,6 @@ class CCPRecord:
     constraint: Term
     position: Position
     peak_source: Term
-    inner_rule: ConstrainedRule
-    outer_rule: ConstrainedRule
-    sat_unknown: bool = False
 
     @property
     def overlay(self) -> bool:
@@ -89,8 +86,6 @@ class CPCPRecord:
     constraint: Term
     pset: tuple[Position, ...]
     peak_source: Term
-    outer_rule: ConstrainedRule
-    sat_unknown: bool = False
 
     def pair(self) -> ConstrainedTerm:
         return ConstrainedTerm(mk_pair(self.left, self.right), self.constraint)
@@ -161,8 +156,7 @@ def _critical_pairs(rules, sat, parallel: bool = False) -> list:
                 continue
         copies = [rho, *inners] if parallel else [*inners, rho]
         guards = [apply_subst(sigma, r.guard) for r in copies]
-        status = sat(theory.conj(*guards))
-        if status == "unsat":
+        if sat(theory.conj(*guards)) == "unsat":
             continue
         ec = apply_subst(sigma, theory.conj(*(r.ec() for r in copies)))
         peak = apply_subst(sigma, rho.lhs)
@@ -170,10 +164,10 @@ def _critical_pairs(rules, sat, parallel: bool = False) -> list:
         right = apply_subst(sigma, rho.rhs)
         if parallel:
             phi = theory.conj(guards[0], ec, *guards[1:])
-            rec = CPCPRecord(left, right, phi, pset, peak, rho, status == "unknown")
+            rec = CPCPRecord(left, right, phi, pset, peak)
         else:
             phi = theory.conj(theory.conj(*guards), ec)
-            rec = CCPRecord(left, right, phi, pset[0], peak, inners[0], rho, status == "unknown")
+            rec = CCPRecord(left, right, phi, pset[0], peak)
         seen.setdefault(rec.key(), rec)
     return sorted(seen.values(), key=lambda r: r.key())
 

@@ -21,7 +21,7 @@ import functools
 from math import gcd, lcm
 
 from . import theory
-from .terms import BOOL, INT, Term, Var, is_value, value_of
+from .terms import BOOL, INT, Term, Var, bool_val, int_val, is_value, value_of, variables
 
 Lin = tuple[tuple[str, int], ...]
 Formula = tuple
@@ -503,18 +503,18 @@ def ground_value(f: Formula) -> bool:
     raise ValueError(f"formula not ground: {f}")
 
 
-def _var_kinds(phi: Term) -> list[tuple[str, str]]:
-    from .terms import variables
-
+def _kinds(vs) -> list[tuple[str, str]]:
+    """(name, "int" | "bool") for each variable, in the given order."""
     out = []
-    for v in sorted(variables(phi), key=lambda v: v.name):
-        if v.sort == INT:
-            out.append((v.name, "int"))
-        elif v.sort == BOOL:
-            out.append((v.name, "bool"))
-        else:
+    for v in vs:
+        if v.sort not in (INT, BOOL):
             raise NonlinearError(f"variable {v} of non-theory sort in constraint")
+        out.append((v.name, "bool" if v.sort == BOOL else "int"))
     return out
+
+
+def _var_kinds(phi: Term) -> list[tuple[str, str]]:
+    return _kinds(sorted(variables(phi), key=lambda v: v.name))
 
 
 def decide_sat(phi: Term) -> bool:
@@ -529,7 +529,7 @@ def decide_prefixed(prefix: list[tuple[str, list[Var]]], phi: Term) -> bool:
     blocks = []
     bound: set[str] = set()
     for quant, vs in prefix:
-        names = [(v.name, "bool" if v.sort == BOOL else "int") for v in vs]
+        names = _kinds(vs)
         bound |= {n for n, _ in names}
         blocks.append((quant, names))
     free = [(n, k) for n, k in _var_kinds(phi) if n not in bound]
@@ -540,11 +540,7 @@ def decide_prefixed(prefix: list[tuple[str, list[Var]]], phi: Term) -> bool:
 
 def residual(prefix: list[tuple[str, list[Var]]], phi: Term) -> Formula:
     """Eliminate the prefixed blocks only, leaving free variables in place."""
-    blocks = [
-        (quant, [(v.name, "bool" if v.sort == BOOL else "int") for v in vs])
-        for quant, vs in prefix
-    ]
-    return eliminate_prefix(blocks, formula_of(phi))
+    return eliminate_prefix([(quant, _kinds(vs)) for quant, vs in prefix], formula_of(phi))
 
 
 def _single_var_witness(x: str, g: Formula) -> int | None:
@@ -578,8 +574,11 @@ def _single_var_witness(x: str, g: Formula) -> int | None:
     return None
 
 
-def find_model(f: Formula, kinds: dict[str, str]) -> dict[str, int | bool] | None:
-    """Satisfying assignment extracted by fixing one variable at a time."""
+def find_model(f: Formula, vs: list[Var]) -> dict[Var, Term] | None:
+    """Satisfying value assignment of vs, which must include every variable
+    of f, extracted by fixing one variable at a time; the variables f does
+    not mention take false and 0."""
+    kinds = dict(_kinds(vs))
     remaining = sorted(formula_vars(f))
 
     def still_sat(g: Formula, names: list[str]) -> bool:
@@ -602,7 +601,7 @@ def find_model(f: Formula, kinds: dict[str, str]) -> dict[str, int | bool] | Non
         assert val is not None, "witness window missed a satisfiable formula"
         env[name] = val
         f = subst_int(f, name, lin_const(val))
-    return env
+    return {v: bool_val(env.get(v.name, False)) if v.sort == BOOL else int_val(env.get(v.name, 0)) for v in vs}
 
 
 def eval_formula(f: Formula, env: dict[str, int | bool]) -> bool:

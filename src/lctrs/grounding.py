@@ -22,6 +22,7 @@ from .logic import ConstraintSolver
 from .rewriting import (
     RewriteConfig,
     breadth_first,
+    constraint_assignments,
     cstep,
     domain_terms,
     plain_multi_successors,
@@ -58,30 +59,12 @@ def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
     return list(dict.fromkeys(s.sym for s in subterms if s.sym.kind == kind))
 
 
-def constraint_assignments(phi: Term, domain, limit: int | None = None):
-    """Value assignments of the constraint variables satisfying it."""
-    vs = sorted(variables(phi), key=lambda v: v.name)
-    out = []
-    for combo in itertools.product(*(domain[v.sort] for v in vs)):
-        sigma = dict(zip(vs, combo))
-        if theory.holds(apply_subst(sigma, phi)):
-            out.append(sigma)
-            if limit is not None and len(out) >= limit:
-                break
-    return out
-
-
 def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> GroundFragment:
     """Instantiate every rule over the finite domain; deterministic order."""
     domain = domain_terms(lctrs, config)
     out: dict[str, ConstrainedRule] = {}
     for rule in lctrs.rules:
-        lvars = sorted(rule.lvar(), key=lambda v: v.name)
-        for combo in itertools.product(*(domain[v.sort] for v in lvars)):
-            tau = dict(zip(lvars, combo))
-            guard = apply_subst(tau, rule.guard)
-            if variables(guard) or not theory.holds(guard):
-                continue
+        for tau in constraint_assignments(rule.guard, rule.lvar(), domain):
             inst = ConstrainedRule(apply_subst(tau, rule.lhs), apply_subst(tau, rule.rhs))
             out.setdefault(inst.key(), inst)
     for sym in _side_syms(lctrs, "theory"):
@@ -182,7 +165,8 @@ def _instance_matches(source, pair, domain) -> bool:
     if any(not is_value(gamma[x]) for x in variables(source.constraint) & set(gamma)):
         return False
     # extend over constraint variables not bound by the match
-    return bool(constraint_assignments(apply_subst(gamma, source.constraint), domain, limit=1))
+    phi = apply_subst(gamma, source.constraint)
+    return bool(constraint_assignments(phi, variables(phi), domain, limit=1))
 
 
 def match_pair(pl: Term, pr: Term, sl: Term, sr: Term) -> Subst | None:
@@ -229,7 +213,7 @@ def check_cp_correspondence(
 
     rng = random.Random(seed)
     for c in constrained:
-        models = constraint_assignments(c.constraint, domain, limit=4 * samples)
+        models = constraint_assignments(c.constraint, variables(c.constraint), domain, limit=4 * samples)
         rng.shuffle(models)
         for sigma in models[:samples]:
             report.checked += 1
@@ -320,7 +304,7 @@ def check_instance_soundness(
     for ccp in ccps(lctrs, solver):
         ct = ccp.pair()
         for res, rec in cstep(ct, lctrs, solver, config):
-            for sigma in constraint_assignments(ct.constraint, domain, limit=samples):
+            for sigma in constraint_assignments(ct.constraint, variables(ct.constraint), domain, limit=samples):
                 report.checked += 1
                 before = apply_subst(sigma, ct.term)
                 after = apply_subst(sigma, res.term)

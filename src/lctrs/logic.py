@@ -76,14 +76,9 @@ def search_model(phi: Term, budget: int = 2_000_000) -> dict[Var, Term] | None:
         f = cooper.formula_of(phi)
     except cooper.NonlinearError:
         return _box_search_model(phi, budget)
-    kinds = {v.name: "bool" if v.sort == BOOL else "int" for v in vs}
-    env = cooper.find_model(f, kinds)
-    if env is None:
+    sigma = cooper.find_model(f, vs)
+    if sigma is None:
         return None
-    sigma = {
-        v: bool_val(bool(env.get(v.name, False))) if v.sort == BOOL else int_val(int(env.get(v.name, 0)))
-        for v in vs
-    }
     assert theory.holds(apply_subst(sigma, phi)), f"extracted model fails: {phi}"
     return sigma
 
@@ -213,16 +208,7 @@ class ConstraintSolver:
         if not outer:
             return None
         residual = cooper.residual(bound_after, phi)
-        kinds = {v.name: "bool" if v.sort == BOOL else "int" for v in outer}
-        env = cooper.find_model(cooper.mk_not(residual), kinds)
-        if env is None:
-            return None
-        return {
-            v: bool_val(bool(env.get(v.name, False)))
-            if v.sort == BOOL
-            else int_val(int(env.get(v.name, 0)))
-            for v in outer
-        }
+        return cooper.find_model(cooper.mk_not(residual), outer)
 
     def smt_backend(self, phi: Term, prefix: Prefix | None = None) -> SolverVerdict:
         """Serialize, spawn the external solver, parse and re-validate."""

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
-from . import theory
+from . import cooper, theory
 from .logic import ConstraintSolver
 from .rules import ConstrainedRule, Lctrs
 from .terms import (
@@ -66,7 +67,6 @@ class StepRecord:
     position: Position
     rule: ConstrainedRule
     bindings: tuple[tuple[Var, Term], ...]
-    flavor: str  # "plain" | "constrained"
 
     @property
     def sigma(self) -> Subst:
@@ -90,6 +90,21 @@ def domain_terms(lctrs: Lctrs, config: RewriteConfig) -> dict[Sort, tuple[Term, 
     return {INT: ints, BOOL: (bool_val(True), bool_val(False))}
 
 
+def constraint_assignments(phi: Term, vs, domain, limit: int | None = None) -> list[Subst]:
+    """The assignments of domain values to the variables vs, which must
+    include every variable of phi, under which phi holds: vs in name order,
+    the assignments in product order, the first `limit` of them."""
+    vs = sorted(vs, key=lambda v: v.name)
+    out = []
+    for combo in itertools.product(*(domain[v.sort] for v in vs)):
+        sigma = dict(zip(vs, combo))
+        if theory.holds(apply_subst(sigma, phi)):
+            out.append(sigma)
+            if len(out) == limit:
+                break
+    return out
+
+
 def _freeze(sigma: Subst) -> tuple[tuple[Var, Term], ...]:
     return tuple(sorted(sigma.items(), key=lambda kv: kv[0].name))
 
@@ -100,24 +115,24 @@ RedexOracle = Callable[[Term], list[tuple[ConstrainedRule, Subst]]]
 Redex = tuple[Position, ConstrainedRule, Subst]
 
 
-def _oracle(rules, avoid: set[Var], admissible, instances) -> RedexOracle:
-    """Root redexes by matching the rules, renamed away from avoid: every
-    logical variable the match binds must be admissible, and
-    instances(rule, sigma0, unbound) lists the full substitutions that
-    complete a match, given its unbound logical variables in name order."""
-    renamed = [r.rename(rename_away(r.variables(), avoid)) for r in rules]
+def _oracle(rules, admissible, instances) -> RedexOracle:
+    """Root redexes by matching the rules as they are.  Matching treats the
+    subject as rigid and the substitutions cover every rule variable, so
+    rule and subject variables never need to be apart.  Every logical
+    variable of a left-hand side must match an admissible term (match drops
+    the bindings x -> x), and instances(rule, sigma0, unbound) lists the full
+    substitutions that complete a match, given the rule's other logical
+    variables in name order."""
 
     def redexes_at(sub: Term) -> list[tuple[ConstrainedRule, Subst]]:
         out = []
-        for rule in renamed:
+        for rule in rules:
             sigma0 = match(rule.lhs, sub)
             if sigma0 is None:
                 continue
-            lvars = rule.lvar()
-            if not all(admissible(sigma0[x]) for x in lvars if x in sigma0):
-                continue
-            unbound = sorted((x for x in lvars if x not in sigma0), key=lambda v: v.name)
-            out.extend((rule, sigma) for sigma in instances(rule, sigma0, unbound))
+            matched, unbound = rule.lvar_split
+            if all(admissible(sigma0.get(x, x)) for x in matched):
+                out.extend((rule, sigma) for sigma in instances(rule, sigma0, unbound))
         return out
 
     return redexes_at
@@ -134,10 +149,10 @@ def redexes(t: Term, redexes_at: RedexOracle, below: Position = EPSILON) -> list
     ]
 
 
-def single_steps(t: Term, found: list[Redex], flavor: str = "plain") -> list[tuple[Term, StepRecord]]:
+def single_steps(t: Term, found: list[Redex]) -> list[tuple[Term, StepRecord]]:
     """Contract each redex on its own."""
     return [
-        (replace_at(t, {p: apply_subst(sigma, rule.rhs)}), StepRecord(p, rule, _freeze(sigma), flavor))
+        (replace_at(t, {p: apply_subst(sigma, rule.rhs)}), StepRecord(p, rule, _freeze(sigma)))
         for p, rule, sigma in found
     ]
 
@@ -202,101 +217,78 @@ def breadth_first(start, successors, depth: int, key):
 
 # --- plain rewriting --------------------------------------------------------
 
-def _guard_solutions(guard: Term, unbound: list[Var], domain, config: RewriteConfig, lctrs: Lctrs):
+def _guard_solutions(guard: Term, unbound, domain, config: RewriteConfig, lctrs: Lctrs) -> list[Subst]:
     """Domain assignments of the unbound variables satisfying the guard.
 
-    Enumerated by the decision procedure with blocking clauses when the
-    domain product is large, by direct products otherwise (or when the guard
-    falls outside the linear fragment)."""
-    total = 1
-    for x in unbound:
-        total *= len(domain[x.sort])
-    if total > 64:
-        from . import cooper
-
+    A domain product of more than 64 is searched by the decision procedure
+    with blocking clauses.  The product itself is enumerated when it is
+    small, when the guard falls outside the linear fragment, when the
+    blocking clauses blow up, and when the search reaches 4096 solutions."""
+    if math.prod(len(domain[x.sort]) for x in unbound) > 64:
         bounds = []
         for x in unbound:
             if x.sort == INT:
                 window = theory.conj(theory.le(config.lo, x), theory.le(x, config.hi))
                 extras = [theory.eq(x, n) for n in lctrs.literals if not config.lo <= n <= config.hi]
                 bounds.append(theory.disj(window, *extras))
-        phi = theory.conj(guard, *bounds)
         try:
-            f = cooper.formula_of(phi)
-        except cooper.NonlinearError:
-            f = None
-        if f is not None:
-            kinds = {x.name: "bool" if x.sort == BOOL else "int" for x in unbound}
+            f = cooper.formula_of(theory.conj(guard, *bounds))
             out = []
             while len(out) < 4096:
-                env = cooper.find_model(f, kinds)
-                if env is None:
+                sigma = cooper.find_model(f, unbound)
+                if sigma is None:
                     return out
-                sigma = {
-                    x: bool_val(bool(env.get(x.name, False)))
-                    if x.sort == BOOL
-                    else int_val(int(env.get(x.name, 0)))
-                    for x in unbound
-                }
                 out.append(sigma)
                 block = theory.disj(*(theory.ne(x, v) for x, v in sigma.items()))
                 f = cooper.mk_and((f, cooper.formula_of(block)))
-            return out
-    out = []
-    for choice in itertools.product(*(domain[x.sort] for x in unbound)):
-        sigma = dict(zip(unbound, choice))
-        ground = apply_subst(sigma, guard)
-        if not variables(ground) and theory.holds(ground):
-            out.append(sigma)
-    return out
+        except cooper.NonlinearError:  # BlowupError included
+            pass
+    return constraint_assignments(guard, unbound, domain)
 
 
-def plain_oracle(t: Term, lctrs: Lctrs, config: RewriteConfig, rules=None) -> RedexOracle:
+def plain_oracle(lctrs: Lctrs, config: RewriteConfig, rules=None) -> RedexOracle:
     """Root redexes of plain rewriting with `rules` (by default the rules and
-    calculation rules of lctrs), renamed away from the variables of t.
+    calculation rules of lctrs).
 
-    Logical variables left unbound by the match take guard-satisfying domain
-    values, except calculation results, which are computed exactly.  Rules
-    without logical variables, such as those of a ground fragment, reduce to
-    matching."""
+    Logical variables outside the left-hand side take guard-satisfying domain
+    values, except calculation results, which are computed exactly from the
+    matched values.  Rules without logical variables, such as those of a
+    ground fragment, reduce to matching."""
     domain = functools.cache(lambda: domain_terms(lctrs, config))  # unused by fragment rules
 
-    def instances(rule: ConstrainedRule, sigma0: Subst, unbound: list[Var]) -> list[Subst]:
+    def instances(rule: ConstrainedRule, sigma0: Subst, unbound) -> list[Subst]:
         if rule.calc and unbound:
-            # output value computed exactly, never enumerated
-            if any(not is_value(sigma0[x]) for x in variables(rule.lhs)):
-                return []
             (y,) = unbound
             return [{**sigma0, y: theory.interpret_term(apply_subst(sigma0, rule.lhs))}]
         if len(unbound) > config.max_unbound:
             return []
-        guard0 = apply_subst(sigma0, rule.guard)
-        if not unbound:
-            return [dict(sigma0)] if not variables(guard0) and theory.holds(guard0) else []
-        return [{**sigma0, **extra} for extra in _guard_solutions(guard0, unbound, domain(), config, lctrs)]
+        guard = apply_subst(sigma0, rule.guard)
+        # the empty product reads no domain
+        solutions = _guard_solutions(guard, unbound, domain() if unbound else {}, config, lctrs)
+        return [{**sigma0, **extra} for extra in solutions]
 
-    return _oracle(lctrs.rc_rules if rules is None else rules, variables(t), is_value, instances)
+    return _oracle(lctrs.rc_rules if rules is None else rules, is_value, instances)
 
 
 def plain_successors(
     s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig(), rules=None
 ) -> list[tuple[Term, StepRecord]]:
     """Single plain steps, each with its position, rule and full substitution."""
-    return single_steps(s, redexes(s, plain_oracle(s, lctrs, config, rules)))
+    return single_steps(s, redexes(s, plain_oracle(lctrs, config, rules)))
 
 
 def plain_parallel_successors(
     s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig(), rules=None
 ) -> list[tuple[Term, tuple[Position, ...]]]:
     """All parallel-step results with their exact redex position sets."""
-    return parallel_steps(s, redexes(s, plain_oracle(s, lctrs, config, rules)), config.max_parallel_sets)
+    return parallel_steps(s, redexes(s, plain_oracle(lctrs, config, rules)), config.max_parallel_sets)
 
 
 def plain_multi_successors(
     s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig(), rules=None
 ) -> set[Term]:
     """Multi-step results up to the configured nesting bound."""
-    return multi_steps(s, plain_oracle(s, lctrs, config, rules), config.multi_nesting)
+    return multi_steps(s, plain_oracle(lctrs, config, rules), config.multi_nesting)
 
 
 # --- rewriting on constrained terms ----------------------------------------
@@ -316,22 +308,16 @@ def _candidate_values(
         cands.extend((bool_val(True), bool_val(False)))
     else:
         cands.extend(int_val(n) for n in config.int_domain(lctrs))
-    seen, out = set(), []
-    for c in cands:
-        k = term_key(c)
-        if k not in seen:
-            seen.add(k)
-            out.append(c)
-    return out
+    return list(dict.fromkeys(cands))
 
 
 def constrained_oracle(
     ct: ConstrainedTerm, lctrs: Lctrs, solver: ConstraintSolver, config: RewriteConfig
 ) -> RedexOracle:
-    """Root redexes of the constrained-step relation under ct's constraint,
-    with the rules renamed away from ct's variables: sigma maps logical
-    variables into values or constraint variables, and constraint =>
-    guard*sigma is valid.  Unknown solver verdicts suppress the candidate."""
+    """Root redexes of the constrained-step relation under ct's constraint:
+    sigma maps logical variables into values or constraint variables, and
+    constraint => guard*sigma is valid.  Unknown solver verdicts suppress
+    the candidate."""
     phi = ct.constraint
     phi_vars = variables(phi)
 
@@ -345,7 +331,7 @@ def constrained_oracle(
         sigmas = ({**sigma0, **dict(zip(unbound, choice))} for choice in itertools.product(*options))
         return [sigma for sigma in sigmas if solver.is_valid(theory.imp(phi, apply_subst(sigma, rule.guard))).is_valid]
 
-    return _oracle(lctrs.rc_rules, variables(ct.term) | phi_vars, admissible, instances)
+    return _oracle(lctrs.rc_rules, admissible, instances)
 
 
 def constrained_redexes(
@@ -371,7 +357,7 @@ def cstep(
 ) -> list[tuple[ConstrainedTerm, StepRecord]]:
     """One constrained step; the constraint is never modified."""
     found = constrained_redexes(ct, lctrs, solver, config, below)
-    return [(ConstrainedTerm(r, ct.constraint), rec) for r, rec in single_steps(ct.term, found, "constrained")]
+    return [(ConstrainedTerm(r, ct.constraint), rec) for r, rec in single_steps(ct.term, found)]
 
 
 def equiv_extensions(ct: ConstrainedTerm) -> list[ConstrainedTerm]:
@@ -382,7 +368,7 @@ def equiv_extensions(ct: ConstrainedTerm) -> list[ConstrainedTerm]:
     phi_vars = variables(phi)
     taken = {v.name for v in phi_vars | variables(ct.term)}
     out = [ct]
-    seen: set[str] = set()
+    seen: set[Term] = set()
     for p in sorted(positions(ct.term, "function")):
         sub = subterm_at(ct.term, p)
         if not isinstance(sub, App) or sub.sym.kind != "theory":
@@ -391,10 +377,9 @@ def equiv_extensions(ct: ConstrainedTerm) -> list[ConstrainedTerm]:
             is_value(a) or (isinstance(a, Var) and a in phi_vars) for a in sub.args
         ):
             continue
-        k = term_key(sub)
-        if k in seen:
+        if sub in seen:
             continue
-        seen.add(k)
+        seen.add(sub)
         z = Var(fresh_name("w", taken), sub.sym.result_sort)
         out.append(ConstrainedTerm(ct.term, theory.conj(theory.eq(z, sub), phi)))
     return out

@@ -69,6 +69,13 @@ class ConstrainedRule:
         lhs, rhs, guard = self._side_vars
         return guard | (rhs - lhs)
 
+    @cached_property
+    def lvar_split(self) -> tuple[frozenset[Var], tuple[Var, ...]]:
+        """The logical variables a left-hand-side match binds, and the others
+        in name order, which an instance of the rule has to choose."""
+        lhs, rhs, guard = self._side_vars
+        return lhs & guard, tuple(sorted((guard | rhs) - lhs, key=lambda v: v.name))
+
     def evar(self) -> frozenset[Var]:
         lhs, rhs, guard = self._side_vars
         return rhs - (lhs | guard)

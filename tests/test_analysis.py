@@ -109,7 +109,7 @@ def test_trivial_value_pinned(single_value, solver):
     assert is_trivial(ccp.pair(), solver) == "yes"
     # cross-check by enumerating the domain
     domain = domain_terms(single_value, RewriteConfig())
-    for sigma in constraint_assignments(ccp.constraint, domain):
+    for sigma in constraint_assignments(ccp.constraint, variables(ccp.constraint), domain):
         assert apply_subst(sigma, ccp.left) == apply_subst(sigma, ccp.right)
 
 
@@ -305,7 +305,7 @@ def test_analyze_never_yes_and_no(parity, single_value, swap, calc_chain, solver
 def test_ccp_instances_realize_peaks(swap, solver):
     domain = domain_terms(swap, RewriteConfig())
     for ccp in ccps(swap, solver):
-        for sigma in constraint_assignments(ccp.constraint, domain, limit=5):
+        for sigma in constraint_assignments(ccp.constraint, variables(ccp.constraint), domain, limit=5):
             src = apply_subst(sigma, ccp.peak_source)
             left = apply_subst(sigma, ccp.left)
             right = apply_subst(sigma, ccp.right)

@@ -101,6 +101,17 @@ def test_check_json_schema(capsys):
         assert entry["violations"] == []
 
 
+def test_check_survives_guard_blowup(tmp_path, capsys):
+    """At the default values the model search for y <= z blows up; check
+    falls back to the domain product instead of exiting 2."""
+    path = tmp_path / "blowup.lctrs"
+    path.write_text("(fun f (Int) Int)\n(fun g (Int Int) Int)\n(rule (f x) (g y z) :guard (<= y z))\n")
+    code, out, err = run_cli(capsys, "check", str(path), "--json")
+    assert code == 0, err
+    for entry in json.loads(out).values():
+        assert entry["violations"] == []
+
+
 def test_gen_pcp_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "gen-pcp", "1,101;10,00;011,11")
     assert code == 0

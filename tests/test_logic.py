@@ -11,7 +11,7 @@ from lctrs import cooper, logic, theory
 from lctrs.analysis import analyze
 from lctrs.logic import ConstraintSolver, search_model
 from lctrs.parser import parse
-from lctrs.terms import INT, Var, apply_subst, int_val, variables
+from lctrs.terms import BOOL, INT, Var, apply_subst, bool_val, int_val, variables
 
 from tests.conftest import CORPUS
 
@@ -260,6 +260,13 @@ def _exists_x_by_window(f, env):
 def test_search_model_prefers_small():
     sigma = search_model(theory.gt(x, 5))
     assert sigma[x] == int_val(6)
+
+
+def test_find_model_gives_value_terms_and_defaults():
+    b = Var("b", BOOL)
+    f = cooper.formula_of(theory.gt(x, 5))
+    assert cooper.find_model(f, [x, y, b]) == {x: int_val(6), y: int_val(0), b: bool_val(False)}
+    assert cooper.find_model(cooper.formula_of(theory.lt(x, x)), [x]) is None
 
 
 @settings(max_examples=150)

@@ -36,7 +36,7 @@ def app(lctrs, name, *args):
 
 
 def models_of(phi, lctrs, limit=20):
-    return constraint_assignments(phi, domain_terms(lctrs, CFG), limit=limit)
+    return constraint_assignments(phi, variables(phi), domain_terms(lctrs, CFG), limit=limit)
 
 
 def test_pair_steps_below_two_replay_on_the_right(swap, solver):
@@ -94,7 +94,7 @@ def test_equiv_yes_instances_match(swap, solver):
 
     domain = domain_terms(swap, RewriteConfig(lo=-8, hi=8))
     count = 0
-    for gamma in constraint_assignments(a.constraint, domain, limit=20):
+    for gamma in constraint_assignments(a.constraint, variables(a.constraint), domain, limit=20):
         s_inst = apply_subst(gamma, a.term)
         # the matching partner instantiates the shared skeleton, the model
         # search completes the assignment of the remaining defined variables

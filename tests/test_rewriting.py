@@ -4,7 +4,7 @@ import random
 import pytest
 
 from lctrs import theory
-from lctrs.rules import ConstrainedRule, Lctrs, calc_rules, respects
+from lctrs.rules import ConstrainedRule, Lctrs, Signature, calc_rules, respects
 from lctrs.rewriting import (
     ConstrainedTerm,
     RewriteConfig,
@@ -54,8 +54,6 @@ def test_calc_rule_for_conjunction(single_value):
 
 
 def test_no_theory_symbols_no_calc_rules(single_value):
-    from lctrs.rules import Signature
-
     bare = Signature(theory_syms=())
     assert calc_rules(bare) == ()
 
@@ -102,6 +100,29 @@ def test_cstep_parity_normal_form(parity, solver):
     )
     assert cstep(ct, parity, solver) == []
     assert cstep_tilde(ct, parity, solver) == []
+
+
+def test_cstep_rule_variable_named_like_constraint_variable(solver):
+    """f(x) -> g(x) [x > 0] on f(x) [x > 5]: the rule's x is bound by the
+    match, so it is not a logical variable left to instantiate."""
+    sig = Signature()
+    f, g = sig.add_fun("f", [INT], INT), sig.add_fun("g", [INT], INT)
+    system = Lctrs(sig, (ConstrainedRule(App(f, (x,)), App(g, (x,)), theory.gt(x, 0)),))
+    phi = theory.gt(x, 5)
+    results = [res for res, _ in cstep(ConstrainedTerm(App(f, (x,)), phi), system, solver)]
+    assert results == [ConstrainedTerm(App(g, (x,)), phi)]
+
+
+def test_guard_blowup_falls_back_to_the_domain_product():
+    """f(x) -> g(y, z) [y <= z]: the blocking clauses of the model search
+    blow up, and the domain product gives every successor of f(0)."""
+    sig = Signature()
+    f, g = sig.add_fun("f", [INT], INT), sig.add_fun("g", [INT, INT], INT)
+    system = Lctrs(sig, (ConstrainedRule(App(f, (x,)), App(g, (y, z)), theory.le(y, z)),))
+    results = [r for r, _ in plain_successors(App(f, (int_val(0),)), system, CFG)]
+    wanted = {App(g, (int_val(a), int_val(b))) for a in range(-4, 5) for b in range(a, 5)}
+    assert len(results) == len(wanted) == 45
+    assert set(results) == wanted
 
 
 def test_cstep_calculation_with_defined_variable(single_value, solver):

@@ -3,9 +3,12 @@
 Critical pairs are generated from variable-disjoint copies of the combined
 rule set (rules plus calculation rules); pairs of calculation rules are
 skipped since their self-overlays pin both results to the same value.  The
-same enumerator overlaps the rules of a ground fragment.  For
-closedness searches the two sides are packed into a binary pair constructor
-so the >=1 / >=2 position filters are ordinary subterm filters.
+overlap sites come from the rule set's LhsIndex, which keeps only the inner
+rules that may unify at each function position of an outer left-hand side
+and leaves the enumeration order as it is.  The same enumerator overlaps the
+rules of a ground fragment.  For closedness searches the two sides are
+packed into a binary pair constructor so the >=1 / >=2 position filters are
+ordinary subterm filters.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .rewriting import (
     multi_tilde,
     parallel_tilde,
 )
-from .rules import ConstrainedRule, Lctrs, is_variant, rename_apart
+from .rules import Lctrs, is_variant, rename_apart
 from .terms import (
     App,
     EPSILON,
@@ -97,20 +100,20 @@ class CPCPRecord:
         return f"{self.left!r} ~ {self.right!r} [{self.constraint!r}] P={self.pset}"
 
 
-def _single_overlaps(rules):
-    """(outer copy, [inner copy], (position,)) for every inner rule whose
-    root symbol occurs at a function position of the outer left-hand side,
-    inner-major like the product of the rules; the inner copy keeps its
-    variable names."""
-    outers_of: dict[FunSym, list[tuple[ConstrainedRule, list[Position]]]] = {}
-    for r in rules:
-        sites: dict[FunSym, list[Position]] = {}
-        for p in sorted(positions(r.lhs, "function")):
-            sites.setdefault(subterm_at(r.lhs, p).sym, []).append(p)
-        for sym, ps in sites.items():
-            outers_of.setdefault(sym, []).append((r, ps))
-    for inner in rules:
-        for outer, ps in outers_of.get(inner.lhs.sym, ()):
+def _single_overlaps(rules, index):
+    """(outer copy, [inner copy], (position,)) for every inner rule that the
+    index of the rules retrieves as unifiable at a function position of the
+    outer left-hand side, inner-major like the product of the rules; the
+    inner copy keeps its variable names."""
+    sites: dict[int, dict[int, list[Position]]] = {}  # inner -> outer -> positions
+    for j, outer in enumerate(rules):
+        for p in sorted(positions(outer.lhs, "function")):
+            for i in index.unifiable(subterm_at(outer.lhs, p)):
+                sites.setdefault(i, {}).setdefault(j, []).append(p)
+    for i in sorted(sites):
+        inner = rules[i]
+        for j, ps in sites[i].items():
+            outer = rules[j]
             if inner.calc and outer.calc:
                 continue  # value-pinned self-overlays, trivial by construction
             rho1, rho2 = rename_apart([inner, outer])
@@ -118,33 +121,34 @@ def _single_overlaps(rules):
                 yield rho2, [rho1], (p,)
 
 
-def _parallel_overlaps(rules):
+def _parallel_overlaps(rules, index, cap: int):
     """(outer copy, inner copies, positions) for every set of parallel
-    function positions of an outer left-hand side and every choice of inner
-    rules rooted there; the outer copy keeps its variable names."""
-    by_root: dict[FunSym, list[ConstrainedRule]] = {}
-    for r in rules:
-        by_root.setdefault(r.lhs.sym, []).append(r)
+    function positions of an outer left-hand side, up to cap sets per rule,
+    and every choice of inner rules the index retrieves as unifiable there;
+    the outer copy keeps its variable names."""
     for outer in rules:
-        for pset in parallel_subsets(sorted(positions(outer.lhs, "function")))[1:]:
-            candidates = [by_root.get(subterm_at(outer.lhs, p).sym, []) for p in pset]
-            for inner_choice in itertools.product(*candidates):
+        ps = sorted(positions(outer.lhs, "function"))
+        hits = {p: [rules[i] for i in index.unifiable(subterm_at(outer.lhs, p))] for p in ps}
+        for pset in parallel_subsets(ps, cap=cap)[1:]:
+            for inner_choice in itertools.product(*(hits[p] for p in pset)):
                 if outer.calc and all(r.calc for r in inner_choice):
                     continue
                 rho, *inners = rename_apart([outer, *inner_choice])
                 yield rho, inners, tuple(pset)
 
 
-def _critical_pairs(rules, sat, parallel: bool = False) -> list:
-    """Critical pairs (parallel ones when asked) of the rules, deduplicated
-    up to variable renaming, the first record of each key kept.
+def _critical_pairs(rules, index, sat, parallel: bool = False, cap: int | None = None) -> list:
+    """Critical pairs (parallel ones when asked, up to cap position sets per
+    rule) of the rules and their LhsIndex, deduplicated up to variable
+    renaming, the first record of each key kept.
 
     sat answers "sat", "unsat" or "unknown" for the instantiated guards;
     unsat overlaps are dropped.  Single pairs carry the constraint
     (inner & outer guards) & EC, parallel ones outer guard & EC & inner
     guards."""
     seen: dict[str, CCPRecord | CPCPRecord] = {}
-    for rho, inners, pset in (_parallel_overlaps if parallel else _single_overlaps)(rules):
+    overlaps = _parallel_overlaps(rules, index, cap) if parallel else _single_overlaps(rules, index)
+    for rho, inners, pset in overlaps:
         sigma = unify([(inner.lhs, subterm_at(rho.lhs, p)) for inner, p in zip(inners, pset)])
         if sigma is None:
             continue
@@ -175,12 +179,14 @@ def _critical_pairs(rules, sat, parallel: bool = False) -> list:
 def ccps(lctrs: Lctrs, solver: ConstraintSolver) -> list[CCPRecord]:
     """All constrained critical pairs, both orientations, deduplicated only
     up to variable renaming."""
-    return _critical_pairs(lctrs.rc_rules, lambda phi: solver.is_satisfiable(phi).status)
+    return _critical_pairs(lctrs.rc_rules, lctrs.lhs_index, lambda phi: solver.is_satisfiable(phi).status)
 
 
-def cpcps(lctrs: Lctrs, solver: ConstraintSolver) -> list[CPCPRecord]:
-    """All constrained parallel critical pairs."""
-    return _critical_pairs(lctrs.rc_rules, lambda phi: solver.is_satisfiable(phi).status, parallel=True)
+def cpcps(lctrs: Lctrs, solver: ConstraintSolver, config: RewriteConfig = RewriteConfig()) -> list[CPCPRecord]:
+    """All constrained parallel critical pairs; a rule with more parallel
+    position sets than config.max_parallel_sets raises ParallelSetCap."""
+    sat = lambda phi: solver.is_satisfiable(phi).status  # noqa: E731
+    return _critical_pairs(lctrs.rc_rules, lctrs.lhs_index, sat, parallel=True, cap=config.max_parallel_sets)
 
 
 # --- triviality ---------------------------------------------------------------
@@ -400,7 +406,12 @@ def analyze(lctrs: Lctrs, solver: ConstraintSolver, config: AnalysisConfig | Non
 
     ppairs = None
     if ll and "pc" in config.criteria:
-        ppairs = cpcps(lctrs, solver)
+        try:
+            ppairs = cpcps(lctrs, solver, config.rewrite)
+        except ParallelSetCap as exc:
+            reasons["parallel-closed"] = f"unknown ({exc})"
+
+    if ppairs is not None:
 
         def parallel_checks():
             for ccp in pairs:

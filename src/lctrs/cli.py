@@ -3,13 +3,15 @@
 Subcommands: analyze, ccp, cpcp, ground, check, gen-pcp.  The first output
 line of analyze is YES, NO or MAYBE; --json switches every subcommand to a
 machine-readable report.  Exit status: 0 for any verdict, 1 for input
-errors, 2 for internal errors.
+errors (more parallel position sets than the cap allows included) and when
+a reader closes the output early, 2 for internal errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -24,7 +26,7 @@ from .logic import ConstraintSolver
 from .parser import ParseError, parse, print_system
 from .pcp import PCPInstance, build_rp
 from .rewriting import RewriteConfig
-from .terms import term_key
+from .terms import ParallelSetCap, term_key
 
 
 def _add_common(sub):
@@ -92,12 +94,16 @@ def _cpcp_json(rec) -> dict:
     }
 
 
-def _verdict_json(v: Verdict, system, solver) -> dict:
+def _verdict_json(v: Verdict, system, solver, config: RewriteConfig) -> dict:
     criteria = []
     if v.criterion and v.result == "YES":
         criteria.append({"name": v.criterion, "result": "pass", "detail": ""})
     for name, detail in v.reasons.items():
         criteria.append({"name": name, "result": "fail", "detail": detail})
+    try:
+        parallel = [_cpcp_json(r) for r in (cpcps(system, solver, config) if v.cpcps is None else v.cpcps)]
+    except ParallelSetCap:
+        parallel = None  # more parallel position sets than the cap allows
     witnesses = []
     if v.witness is not None:
         witnesses.append({"left": term_key(v.witness[0]), "right": term_key(v.witness[1])})
@@ -105,7 +111,7 @@ def _verdict_json(v: Verdict, system, solver) -> dict:
         "verdict": v.result,
         "criteria": criteria,
         "ccps": [_ccp_json(r) for r in v.ccps],
-        "cpcps": [_cpcp_json(r) for r in (cpcps(system, solver) if v.cpcps is None else v.cpcps)],
+        "cpcps": parallel,
         "witnesses": witnesses,
     }
 
@@ -114,7 +120,7 @@ def cmd_analyze(args) -> int:
     system, solver, config = _setup(args)
     verdict = analyze(system, solver, config)
     if args.json:
-        print(json.dumps(_verdict_json(verdict, system, solver), indent=2))
+        print(json.dumps(_verdict_json(verdict, system, solver, config.rewrite), indent=2))
         return 0
     print(verdict.result)
     if verdict.criterion:
@@ -142,7 +148,7 @@ def cmd_ccp(args) -> int:
 
 def cmd_cpcp(args) -> int:
     system, solver, config = _setup(args)
-    records = cpcps(system, solver)
+    records = cpcps(system, solver, config.rewrite)
     if args.json:
         print(json.dumps([_cpcp_json(r) for r in records], indent=2))
         return 0
@@ -225,8 +231,15 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.fn(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the flush at exit writes nowhere
+        os.close(devnull)
+        return 1
+    except (ParseError, FileNotFoundError, ValueError, ParallelSetCap) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the contract maps these to exit 2

@@ -20,19 +20,24 @@ from . import theory
 from .analysis import CCPRecord, CPCPRecord, _critical_pairs, ccps, cpcps, tvar
 from .logic import ConstraintSolver
 from .rewriting import (
+    RedexOracle,
     RewriteConfig,
     breadth_first,
     constraint_assignments,
     cstep,
     domain_terms,
-    plain_multi_successors,
-    plain_parallel_successors,
+    multi_steps,
+    parallel_steps,
+    plain_oracle,
     plain_successors,
+    redexes,
+    single_steps,
 )
 from .rules import ConstrainedRule, Lctrs
 from .terms import (
     App,
     FunSym,
+    LhsIndex,
     Sort,
     Subst,
     Term,
@@ -50,6 +55,8 @@ class GroundFragment:
     origin: Lctrs
     config: RewriteConfig
     rules: tuple[ConstrainedRule, ...]  # true guards, no logical variables
+    lhs_index: LhsIndex
+    oracle: RedexOracle  # the plain oracle over the rules: matching
 
 
 def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
@@ -73,17 +80,18 @@ def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> Gr
             inst = ConstrainedRule(lhs, theory.interpret_term(lhs), calc=True)
             out.setdefault(inst.key(), inst)
     rules = tuple(rule for _, rule in sorted(out.items()))
-    return GroundFragment(lctrs, config, rules)
+    index = LhsIndex(rule.lhs for rule in rules)
+    return GroundFragment(lctrs, config, rules, index, plain_oracle(lctrs, config, rules, index))
 
 
 # --- fragment rewriting: the plain engine over the fragment's rules -----------
 
 def frag_successors(t: Term, fragment: GroundFragment) -> set[Term]:
-    return {r for r, _ in plain_successors(t, fragment.origin, fragment.config, fragment.rules)}
+    return {r for r, _ in single_steps(t, redexes(t, fragment.oracle))}
 
 
 def frag_multi(t: Term, fragment: GroundFragment) -> set[Term]:
-    return plain_multi_successors(t, fragment.origin, fragment.config, fragment.rules)
+    return multi_steps(t, fragment.oracle, fragment.config.multi_nesting)
 
 
 def reachable(t: Term, fragment: GroundFragment, depth: int) -> tuple[set[Term], bool]:
@@ -93,7 +101,7 @@ def reachable(t: Term, fragment: GroundFragment, depth: int) -> tuple[set[Term],
     def successors(u: Term) -> list[Term]:
         # a list, not frag_successors' set: the search dedups, and a term's
         # hash is not cached, so every extra set costs a walk of each term
-        return [r for r, _ in plain_successors(u, fragment.origin, fragment.config, fragment.rules)]
+        return [r for r, _ in single_steps(u, redexes(u, fragment.oracle))]
 
     found = list(breadth_first(t, successors, depth, lambda u: u))
     seen = {s for s, _path in found}
@@ -123,12 +131,13 @@ def _always_sat(guards: Term) -> str:
 
 def trs_cps(fragment: GroundFragment) -> list[CCPRecord]:
     """Critical pairs of the fragment, with true constraints."""
-    return _critical_pairs(fragment.rules, _always_sat)
+    return _critical_pairs(fragment.rules, fragment.lhs_index, _always_sat)
 
 
 def trs_pcps(fragment: GroundFragment) -> list[CPCPRecord]:
     """Parallel critical pairs of the fragment, with true constraints."""
-    return _critical_pairs(fragment.rules, _always_sat, parallel=True)
+    cap = fragment.config.max_parallel_sets
+    return _critical_pairs(fragment.rules, fragment.lhs_index, _always_sat, parallel=True, cap=cap)
 
 
 def find_nonjoinable_peak(fragment: GroundFragment, depth: int = 8):
@@ -204,7 +213,7 @@ def check_cp_correspondence(
     frag_cps = trs_cps(fragment)
     for kind, pairs, sources in (
         ("pair", frag_cps, constrained),
-        ("parallel pair", trs_pcps(fragment), cpcps(lctrs, solver)),
+        ("parallel pair", trs_pcps(fragment), cpcps(lctrs, solver, config)),
     ):
         for cp in pairs:
             report.checked += 1
@@ -325,7 +334,7 @@ def trs_closedness_check(fragment: GroundFragment, depth: int = 6) -> dict:
     pcps = trs_pcps(fragment)
 
     def parallel(t: Term):
-        return plain_parallel_successors(t, fragment.origin, fragment.config, fragment.rules)
+        return parallel_steps(t, redexes(t, fragment.oracle), fragment.config.max_parallel_sets)
 
     dev_all = adc_all = par1 = True
     for cp in cps:

@@ -115,18 +115,19 @@ RedexOracle = Callable[[Term], list[tuple[ConstrainedRule, Subst]]]
 Redex = tuple[Position, ConstrainedRule, Subst]
 
 
-def _oracle(rules, admissible, instances) -> RedexOracle:
-    """Root redexes by matching the rules as they are.  Matching treats the
-    subject as rigid and the substitutions cover every rule variable, so
-    rule and subject variables never need to be apart.  Every logical
-    variable of a left-hand side must match an admissible term (match drops
-    the bindings x -> x), and instances(rule, sigma0, unbound) lists the full
-    substitutions that complete a match, given the rule's other logical
-    variables in name order."""
+def _oracle(rules, index, admissible, instances) -> RedexOracle:
+    """Root redexes by matching the rules as they are, those that `index`
+    (an LhsIndex of their left-hand sides) retrieves, in rule order.
+    Matching treats the subject as rigid and the substitutions cover every
+    rule variable, so rule and subject variables never need to be apart.
+    Every logical variable of a left-hand side must match an admissible term
+    (match drops the bindings x -> x), and instances(rule, sigma0, unbound)
+    lists the full substitutions that complete a match, given the rule's
+    other logical variables in name order."""
 
     def redexes_at(sub: Term) -> list[tuple[ConstrainedRule, Subst]]:
         out = []
-        for rule in rules:
+        for rule in [rules[i] for i in index.generalizations(sub)]:
             sigma0 = match(rule.lhs, sub)
             if sigma0 is None:
                 continue
@@ -246,15 +247,22 @@ def _guard_solutions(guard: Term, unbound, domain, config: RewriteConfig, lctrs:
     return constraint_assignments(guard, unbound, domain)
 
 
-def plain_oracle(lctrs: Lctrs, config: RewriteConfig, rules=None) -> RedexOracle:
-    """Root redexes of plain rewriting with `rules` (by default the rules and
-    calculation rules of lctrs).
+def plain_oracle(lctrs: Lctrs, config: RewriteConfig, rules=None, index=None) -> RedexOracle:
+    """Root redexes of plain rewriting with `rules` and their LhsIndex, by
+    default the rules and calculation rules of lctrs, whose oracle is built
+    once per config and kept on lctrs.
 
     Logical variables outside the left-hand side take guard-satisfying domain
     values, except calculation results, which are computed exactly from the
-    matched values.  Rules without logical variables, such as those of a
-    ground fragment, reduce to matching."""
+    matched values; the guard solutions are remembered per instantiated
+    guard.  Rules without logical variables, such as those of a ground
+    fragment, reduce to matching."""
+    if rules is None:
+        if config not in lctrs.plain_oracles:
+            lctrs.plain_oracles[config] = plain_oracle(lctrs, config, lctrs.rc_rules, lctrs.lhs_index)
+        return lctrs.plain_oracles[config]
     domain = functools.cache(lambda: domain_terms(lctrs, config))  # unused by fragment rules
+    solved: dict[tuple[Term, tuple[Var, ...]], list[Subst]] = {}
 
     def instances(rule: ConstrainedRule, sigma0: Subst, unbound) -> list[Subst]:
         if rule.calc and unbound:
@@ -263,32 +271,33 @@ def plain_oracle(lctrs: Lctrs, config: RewriteConfig, rules=None) -> RedexOracle
         if len(unbound) > config.max_unbound:
             return []
         guard = apply_subst(sigma0, rule.guard)
-        # the empty product reads no domain
-        solutions = _guard_solutions(guard, unbound, domain() if unbound else {}, config, lctrs)
-        return [{**sigma0, **extra} for extra in solutions]
+        if (guard, unbound) not in solved:
+            # the empty product reads no domain
+            solved[guard, unbound] = _guard_solutions(guard, unbound, domain() if unbound else {}, config, lctrs)
+        return [{**sigma0, **extra} for extra in solved[guard, unbound]]
 
-    return _oracle(lctrs.rc_rules if rules is None else rules, is_value, instances)
+    return _oracle(rules, index, is_value, instances)
 
 
 def plain_successors(
-    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig(), rules=None
+    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()
 ) -> list[tuple[Term, StepRecord]]:
     """Single plain steps, each with its position, rule and full substitution."""
-    return single_steps(s, redexes(s, plain_oracle(lctrs, config, rules)))
+    return single_steps(s, redexes(s, plain_oracle(lctrs, config)))
 
 
 def plain_parallel_successors(
-    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig(), rules=None
+    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()
 ) -> list[tuple[Term, tuple[Position, ...]]]:
     """All parallel-step results with their exact redex position sets."""
-    return parallel_steps(s, redexes(s, plain_oracle(lctrs, config, rules)), config.max_parallel_sets)
+    return parallel_steps(s, redexes(s, plain_oracle(lctrs, config)), config.max_parallel_sets)
 
 
 def plain_multi_successors(
-    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig(), rules=None
+    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()
 ) -> set[Term]:
     """Multi-step results up to the configured nesting bound."""
-    return multi_steps(s, plain_oracle(lctrs, config, rules), config.multi_nesting)
+    return multi_steps(s, plain_oracle(lctrs, config), config.multi_nesting)
 
 
 # --- rewriting on constrained terms ----------------------------------------
@@ -331,7 +340,7 @@ def constrained_oracle(
         sigmas = ({**sigma0, **dict(zip(unbound, choice))} for choice in itertools.product(*options))
         return [sigma for sigma in sigmas if solver.is_valid(theory.imp(phi, apply_subst(sigma, rule.guard))).is_valid]
 
-    return _oracle(lctrs.rc_rules, admissible, instances)
+    return _oracle(lctrs.rc_rules, lctrs.lhs_index, admissible, instances)
 
 
 def constrained_redexes(

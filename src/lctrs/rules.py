@@ -19,6 +19,7 @@ from .terms import (
     BOOL,
     FunSym,
     INT,
+    LhsIndex,
     Sort,
     Subst,
     Term,
@@ -193,6 +194,15 @@ class Lctrs:
     @cached_property
     def rc_rules(self) -> tuple[ConstrainedRule, ...]:
         return self.rules + calc_rules(self.signature)
+
+    @cached_property
+    def lhs_index(self) -> LhsIndex:
+        return LhsIndex(rule.lhs for rule in self.rc_rules)
+
+    @cached_property
+    def plain_oracles(self) -> dict:
+        """rewriting.plain_oracle's oracles over rc_rules by rewrite config."""
+        return {}
 
     @cached_property
     def literals(self) -> frozenset[int]:

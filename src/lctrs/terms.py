@@ -1,4 +1,5 @@
-"""Many-sorted first-order terms: positions, substitutions, matching, unification.
+"""Many-sorted first-order terms: positions, substitutions, matching,
+unification, and a discrimination-tree index of left-hand sides.
 
 Terms live over a split signature: ordinary term symbols, interpreted theory
 symbols, and value constants (integer literals, true, false).  Everything here
@@ -234,11 +235,6 @@ def compose(sigma: Subst, tau: Subst) -> Subst:
     return {x: s for x, s in out.items() if s != x}
 
 
-def restrict(sigma: Mapping[Var, Term], dom: Iterable[Var]) -> Subst:
-    dom = set(dom)
-    return {x: s for x, s in sigma.items() if x in dom}
-
-
 def match(pattern: Term, subject: Term) -> Subst | None:
     """Minimal sigma with apply(sigma, pattern) == subject, or None."""
     sigma: Subst = {}
@@ -350,3 +346,64 @@ def alpha_key(terms: Iterable[Term]) -> str:
         return f"({t.sym.name} {' '.join(go(a) for a in t.args)})"
 
     return " | ".join(go(t) for t in terms)
+
+
+# --- term index -----------------------------------------------------------------
+
+_ANY = (None, 0)  # the key of every variable: a wildcard without arguments
+
+
+class LhsIndex:
+    """Discrimination tree over a sequence of left-hand sides (McCune 1992;
+    Graf, Term Indexing, 1996): a trie of their preorder paths of (symbol
+    name, arity) keys, every variable the wildcard _ANY.  A retrieval gives,
+    in ascending order, a superset of the positions whose left-hand side
+    unifies with, or matches, the query.  Nothing here recurses."""
+
+    def __init__(self, lhss: Iterable[Term]):
+        self._root: dict = {}
+        for i, lhs in enumerate(lhss):
+            node, todo = self._root, [lhs]
+            while todo:
+                t = todo.pop()
+                if isinstance(t, App):
+                    todo.extend(reversed(t.args))
+                key = _ANY if isinstance(t, Var) else (t.sym.name, len(t.args))
+                node = node.setdefault(key, {} if todo else [])  # a leaf lists positions
+            node.append(i)
+
+    def unifiable(self, t: Term) -> list[int]:
+        """Left-hand sides that may unify with t; a variable of t stands for any subterm."""
+        return self._retrieve(t, unifying=True)
+
+    def generalizations(self, t: Term) -> list[int]:
+        """Left-hand sides that may match the rigid subject t; its variables meet only variables."""
+        return self._retrieve(t, unifying=False)
+
+    def _retrieve(self, t: Term, unifying: bool) -> list[int]:
+        # a state is a trie node and what is left to read: a linked list
+        # (head, rest) of query subterms in preorder and of counts of whole
+        # indexed subterms to skip; where the list ends, the node is a leaf
+        found: list[int] = []
+        states = [(self._root, (t, None))]
+        while states:
+            node, todo = states.pop()
+            if todo is None:
+                found.extend(node)
+                continue
+            q, rest = todo
+            if isinstance(q, int):
+                for key, child in node.items():
+                    left = q - 1 + key[1]
+                    states.append((child, (left, rest) if left else rest))
+            elif isinstance(q, Var) and unifying:
+                states.append((node, (1, rest)))
+            else:
+                if _ANY in node:
+                    states.append((node[_ANY], rest))
+                child = node.get((q.sym.name, len(q.args))) if isinstance(q, App) else None
+                if child is not None:
+                    for a in reversed(q.args):
+                        rest = (a, rest)
+                    states.append((child, rest))
+        return sorted(found)

@@ -19,7 +19,7 @@ from lctrs.analysis import (
 from lctrs.parser import parse
 from lctrs.rewriting import ConstrainedTerm, plain_successors
 from lctrs.rules import ConstrainedRule, Lctrs, Signature
-from lctrs.terms import App, INT, Var, alpha_key, apply_subst, int_val, variables
+from lctrs.terms import App, INT, ParallelSetCap, Var, alpha_key, apply_subst, int_val, variables
 from lctrs.grounding import constraint_assignments
 from lctrs.rewriting import domain_terms, RewriteConfig
 
@@ -345,6 +345,26 @@ def test_parallel_subset_cap_gives_unknown(solver):
     assert "unknown (parallel subset cap 8 exceeded)" in verdict.reasons["parallel-closed"]
     uncapped = analyze(system, solver, AnalysisConfig(criteria=("pc",)))
     assert "cap" not in uncapped.reasons["parallel-closed"]
+
+
+def wide_g(arity: int) -> str:
+    """g(a, ..., a) -> c and a -> b: 2^arity parallel position sets below g."""
+    return (
+        f"(sort U)\n(fun a () U)\n(fun b () U)\n(fun c () U)\n(fun g ({' '.join(['U'] * arity)}) U)\n"
+        f"(rule (g {' '.join(['a'] * arity)}) c)\n(rule a b)\n"
+    )
+
+
+def test_parallel_pairs_over_the_cap_give_maybe_and_the_no_search_runs(solver):
+    system = parse(wide_g(4))
+    config = RewriteConfig(max_parallel_sets=8)
+    with pytest.raises(ParallelSetCap, match="parallel subset cap 8 exceeded"):
+        cpcps(system, solver, config)
+    assert len(cpcps(system, solver)) == 2**4 - 1
+    verdict = analyze(system, solver, AnalysisConfig(rewrite=config))
+    assert verdict.reasons["parallel-closed"] == "unknown (parallel subset cap 8 exceeded)"
+    assert verdict.cpcps is None
+    assert verdict.result == "NO"  # c and g(b, a, a, a) reach distinct normal forms
 
 
 def test_verdict_carries_the_pairs_it_computed(calc_chain, parity, solver):

@@ -112,6 +112,34 @@ def test_check_survives_guard_blowup(tmp_path, capsys):
         assert entry["violations"] == []
 
 
+@pytest.mark.parametrize("command", ["cpcp", "check"])
+def test_parallel_subset_cap_is_exit_1(tmp_path, capsys, command):
+    from tests.test_analysis import wide_g
+
+    path = tmp_path / "wide.lctrs"
+    path.write_text(wide_g(14))
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert "parallel subset cap 4096 exceeded" in err and "internal error" not in err
+
+
+def test_closed_output_pipe_ends_quietly():
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        # about 220 kB of rules, more than the pipe holds
+        [sys.executable, "-m", "lctrs", "ground", str(CORPUS / "guarded_swap.lctrs"), "--values=-30..30"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline().startswith(b"(rule ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert err == ""
+
+
 def test_gen_pcp_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "gen-pcp", "1,101;10,00;011,11")
     assert code == 0

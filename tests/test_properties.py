@@ -26,9 +26,15 @@ from lctrs.rewriting import (
     plain_parallel_successors,
     plain_successors,
 )
-from lctrs.terms import App, INT, Var, apply_subst, int_val, match, restrict, variables
+from lctrs.terms import App, INT, Var, apply_subst, int_val, match, variables
 
 CFG = RewriteConfig()
+
+
+def restrict(sigma, dom):
+    """sigma on the variables of dom only."""
+    dom = set(dom)
+    return {x: s for x, s in sigma.items() if x in dom}
 
 
 def app(lctrs, name, *args):

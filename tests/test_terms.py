@@ -8,6 +8,7 @@ from lctrs.terms import (
     EPSILON,
     FunSym,
     INT,
+    LhsIndex,
     Sort,
     TermError,
     Var,
@@ -237,3 +238,63 @@ def test_produced_position_sets_are_parallel(t):
     leaves = {p for p in pos if not any(q != p and q[: len(p)] == p for q in pos)}
     assert parallel_positions(leaves)
     assert positions(t, "all") >= pos
+
+
+# --- the left-hand-side index ----------------------------------------------------
+
+def test_lhs_index_filters_by_symbols_and_variables():
+    lhss = [App(f2, (a, x)), App(f2, (b, y)), App(g1, (x,)), App(f2, (x, x))]
+    index = LhsIndex(lhss)
+    assert index.unifiable(App(f2, (a, c))) == [0, 3]  # the index ignores repeated variables
+    assert index.unifiable(App(f2, (z, c))) == [0, 1, 3]  # z stands for any subterm
+    assert index.generalizations(App(f2, (z, c))) == [3]  # a rigid z meets only variables
+    assert index.unifiable(z) == [0, 1, 2, 3]
+    assert index.generalizations(App(g1, (App(f2, (a, b)),))) == [2]
+    assert index.unifiable(c) == [] and LhsIndex([]).unifiable(z) == []
+
+
+def test_lhs_index_walks_deep_terms_without_recursion():
+    def tower(bottom, depth):
+        t = bottom
+        for _ in range(depth):
+            t = App(g1, (t,))
+        return t
+
+    index = LhsIndex([tower(x, 2), tower(x, 5000), App(f2, (x, y)), tower(a, 5000)])
+    assert index.unifiable(tower(b, 5000)) == [0, 1]
+    assert index.generalizations(tower(a, 5000)) == [0, 1, 3]
+    assert index.generalizations(tower(z, 6000)) == [0, 1]
+    assert index.unifiable(App(g1, (z,))) == [0, 1, 3]  # z skips the rest of each tower
+    assert index.unifiable(z) == [0, 1, 2, 3]
+
+
+@st.composite
+def index_cases(draw):
+    """Left-hand sides and a query over a random small signature."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    syms = [FunSym(f"s{i}", (U,) * n, U, "term") for i, n in enumerate(arities)] + [a.sym]
+    leaves = st.sampled_from([a, b] + VARS)
+
+    def apply(children):
+        return st.sampled_from(syms).flatmap(
+            lambda f: st.tuples(*[children] * f.arity).map(lambda args: App(f, args))
+        )
+
+    terms = st.recursive(leaves, apply, max_leaves=6)
+    lhss = draw(st.lists(apply(terms), max_size=8))
+    return lhss, draw(terms)
+
+
+@settings(max_examples=200)
+@given(index_cases())
+def test_lhs_index_retrieves_every_unifier_and_matcher_in_order(case):
+    lhss, t = case
+    index = LhsIndex(lhss)
+    unifiable, generalizations = index.unifiable(t), index.generalizations(t)
+    assert unifiable == sorted(set(unifiable)) and generalizations == sorted(set(generalizations))
+    for i, lhs in enumerate(lhss):
+        apart = apply_subst(rename_away(variables(lhs), variables(t)), lhs)
+        if unify([(apart, t)]) is not None:
+            assert i in unifiable
+        if match(lhs, t) is not None:
+            assert i in generalizations

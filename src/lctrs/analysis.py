@@ -259,11 +259,11 @@ def _closing(
 
     unknown = False
     for mid, qset in mids:
-        for node, path in breadth_first(mid, tail_steps, depth, ConstrainedTerm.key):
+        for node, path in breadth_first(mid, tail_steps, depth):
             trivial = is_trivial(node, solver)
             unknown = unknown or trivial == "unknown"
             if trivial == "yes" and (allowed is None or tvar(node.term, node.constraint, qset) <= allowed):
-                return Closing("closed", path if mid.key() == start.key() else [start, *path], qset=qset)
+                return Closing("closed", path if mid == start else [start, *path], qset=qset)
     return Closing("unknown" if unknown else "not_closed")
 
 
@@ -349,7 +349,6 @@ class AnalysisConfig:
     criteria: tuple[str, ...] = ("wo", "adc", "pc")
     depth: int = 4
     rewrite: RewriteConfig = field(default_factory=RewriteConfig)
-    no_search_depth: int = 8
 
 
 @dataclass
@@ -429,7 +428,7 @@ def analyze(lctrs: Lctrs, solver: ConstraintSolver, config: AnalysisConfig | Non
     from .grounding import find_nonjoinable_peak, ground_fragment
 
     fragment = ground_fragment(lctrs, config.rewrite)
-    witness = find_nonjoinable_peak(fragment, config.no_search_depth)
+    witness = find_nonjoinable_peak(fragment)
     if witness is not None:
         return Verdict(
             "NO",

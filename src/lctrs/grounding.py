@@ -20,6 +20,7 @@ from . import theory
 from .analysis import CCPRecord, CPCPRecord, _critical_pairs, ccps, cpcps, tvar
 from .logic import ConstraintSolver
 from .rewriting import (
+    MULTI_NESTING,
     RedexOracle,
     RewriteConfig,
     breadth_first,
@@ -57,6 +58,7 @@ class GroundFragment:
     rules: tuple[ConstrainedRule, ...]  # true guards, no logical variables
     lhs_index: LhsIndex
     oracle: RedexOracle  # the plain oracle over the rules: matching
+    successors: dict[Term, frozenset[Term]] = field(default_factory=dict, repr=False)  # see frag_successors
 
 
 def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
@@ -86,26 +88,23 @@ def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> Gr
 
 # --- fragment rewriting: the plain engine over the fragment's rules -----------
 
-def frag_successors(t: Term, fragment: GroundFragment) -> set[Term]:
-    return {r for r, _ in single_steps(t, redexes(t, fragment.oracle))}
+def frag_successors(t: Term, fragment: GroundFragment) -> frozenset[Term]:
+    """One-step successors of t, each term stepped once per fragment."""
+    if t not in fragment.successors:
+        fragment.successors[t] = frozenset(r for r, _ in single_steps(t, redexes(t, fragment.oracle)))
+    return fragment.successors[t]
 
 
 def frag_multi(t: Term, fragment: GroundFragment) -> set[Term]:
-    return multi_steps(t, fragment.oracle, fragment.config.multi_nesting)
+    return multi_steps(t, fragment.oracle, MULTI_NESTING)
 
 
 def reachable(t: Term, fragment: GroundFragment, depth: int) -> tuple[set[Term], bool]:
     """Reachable set within depth steps; the flag reports closure under ->:
     no term depth steps away has a successor outside the set."""
-
-    def successors(u: Term) -> list[Term]:
-        # a list, not frag_successors' set: the search dedups, and a term's
-        # hash is not cached, so every extra set costs a walk of each term
-        return [r for r, _ in single_steps(u, redexes(u, fragment.oracle))]
-
-    found = list(breadth_first(t, successors, depth, lambda u: u))
+    found = list(breadth_first(t, lambda u: frag_successors(u, fragment), depth))
     seen = {s for s, _path in found}
-    return seen, all(u in seen for s, path in found if len(path) > depth for u in successors(s))
+    return seen, all(frag_successors(s, fragment) <= seen for s, path in found if len(path) > depth)
 
 
 def joinable(fragment: GroundFragment, s: Term, t: Term, depth: int = 8):

@@ -13,7 +13,7 @@ import itertools
 from typing import Callable
 
 from . import cooper, smtlib, theory
-from .terms import BOOL, INT, Term, Var, apply_subst, bool_val, int_val, term_key, variables
+from .terms import BOOL, INT, Term, Var, apply_subst, bool_val, int_val, variables
 
 Prefix = list[tuple[str, list[Var]]]
 
@@ -112,7 +112,8 @@ def _box_search_model(phi: Term, budget: int, radii=_RADII) -> dict[Var, Term] |
 
 
 class ConstraintSolver:
-    """Decision procedures with per-query memoization.
+    """Decision procedures with per-query memoization, keyed by the
+    hash-consed constraint itself.
 
     smt_command, when set, is a shell command reading SMT-LIB 2 on stdin
     (e.g. "z3 -in"); it serves the nonlinear fragment and cross-checks.
@@ -143,7 +144,7 @@ class ConstraintSolver:
     # -- public API --
 
     def is_satisfiable(self, phi: Term) -> SolverVerdict:
-        key = ("sat", term_key(phi))
+        key = ("sat", phi)
         if key not in self._memo:
             self._memo[key] = self._is_satisfiable(phi)
         return self._memo[key]
@@ -159,7 +160,7 @@ class ConstraintSolver:
             return self.smt_backend(phi)
 
     def is_valid(self, phi: Term) -> SolverVerdict:
-        key = ("valid", term_key(phi))
+        key = ("valid", phi)
         if key not in self._memo:
             self._memo[key] = self._is_valid(phi)
         return self._memo[key]
@@ -173,11 +174,7 @@ class ConstraintSolver:
         return res
 
     def is_valid_quantified(self, prefix: Prefix, phi: Term) -> SolverVerdict:
-        key = (
-            "q",
-            tuple((q, tuple(v.name for v in vs)) for q, vs in prefix),
-            term_key(phi),
-        )
+        key = ("q", tuple((q, tuple(vs)) for q, vs in prefix), phi)
         if key not in self._memo:
             self._memo[key] = self._is_valid_quantified(prefix, phi)
         return self._memo[key]

@@ -55,9 +55,6 @@ class ConstrainedTerm:
     term: Term
     constraint: Term = theory.bool_val(True)
 
-    def key(self) -> str:
-        return f"{term_key(self.term)} [{term_key(self.constraint)}]"
-
     def __repr__(self):
         return f"{self.term!r} [{self.constraint!r}]"
 
@@ -73,12 +70,14 @@ class StepRecord:
         return dict(self.bindings)
 
 
+MULTI_NESTING = 3  # levels of nested rule application in a multi-step
+MAX_UNBOUND = 3  # a rule with more logical variables to choose gives no instances
+
+
 @dataclass(frozen=True)
 class RewriteConfig:
     lo: int = -4
     hi: int = 4
-    multi_nesting: int = 3
-    max_unbound: int = 3
     max_parallel_sets: int = 4096
 
     def int_domain(self, lctrs: Lctrs) -> tuple[int, ...]:
@@ -170,10 +169,10 @@ def parallel_steps(t: Term, found: list[Redex], cap: int) -> list[tuple[Term, tu
 
 def multi_steps(t: Term, redexes_at: RedexOracle, depth: int) -> set[Term]:
     """Multi-step results: nested redex contraction up to depth levels."""
-    memo: dict[tuple[str, int], set[Term]] = {}
+    memo: dict[tuple[Term, int], set[Term]] = {}
 
     def go(s: Term, budget: int) -> set[Term]:
-        key = (term_key(s), budget)
+        key = (s, budget)
         if key in memo:
             return memo[key]
         memo[key] = {s}  # cycle guard; overwritten below
@@ -195,12 +194,12 @@ def multi_steps(t: Term, redexes_at: RedexOracle, depth: int) -> set[Term]:
     return go(t, depth)
 
 
-def breadth_first(start, successors, depth: int, key):
+def breadth_first(start, successors, depth: int):
     """Yield (node, path from start) for every node within depth steps of
-    start, level by level, each key once.  Only nodes above the depth bound
+    start, level by level, each node once.  Only nodes above the depth bound
     are expanded, each after the caller has seen it, so a caller that stops
     early pays for nothing beyond."""
-    seen = {key(start)}
+    seen = {start}
     frontier = [(start, [start])]
     for level in range(depth + 1):
         nxt = []
@@ -209,9 +208,8 @@ def breadth_first(start, successors, depth: int, key):
             if level == depth:
                 continue
             for succ in successors(node):
-                k = key(succ)
-                if k not in seen:
-                    seen.add(k)
+                if succ not in seen:
+                    seen.add(succ)
                     nxt.append((succ, path + [succ]))
         frontier = nxt
 
@@ -268,7 +266,7 @@ def plain_oracle(lctrs: Lctrs, config: RewriteConfig, rules=None, index=None) ->
         if rule.calc and unbound:
             (y,) = unbound
             return [{**sigma0, y: theory.interpret_term(apply_subst(sigma0, rule.lhs))}]
-        if len(unbound) > config.max_unbound:
+        if len(unbound) > MAX_UNBOUND:
             return []
         guard = apply_subst(sigma0, rule.guard)
         if (guard, unbound) not in solved:
@@ -297,7 +295,7 @@ def plain_multi_successors(
     s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()
 ) -> set[Term]:
     """Multi-step results up to the configured nesting bound."""
-    return multi_steps(s, plain_oracle(lctrs, config), config.multi_nesting)
+    return multi_steps(s, plain_oracle(lctrs, config), MULTI_NESTING)
 
 
 # --- rewriting on constrained terms ----------------------------------------
@@ -334,7 +332,7 @@ def constrained_oracle(
         return is_value(value) or (isinstance(value, Var) and value in phi_vars)
 
     def instances(rule: ConstrainedRule, sigma0: Subst, unbound: list[Var]) -> list[Subst]:
-        if len(unbound) > config.max_unbound:
+        if len(unbound) > MAX_UNBOUND:
             return []
         options = [_candidate_values(x, rule, sigma0, phi, lctrs, config) for x in unbound]
         sigmas = ({**sigma0, **dict(zip(unbound, choice))} for choice in itertools.product(*options))
@@ -394,18 +392,14 @@ def equiv_extensions(ct: ConstrainedTerm) -> list[ConstrainedTerm]:
     return out
 
 
-def _modulo_equivalence(ct: ConstrainedTerm, successors, key) -> list:
+def _modulo_equivalence(ct: ConstrainedTerm, successors, key=lambda item: item) -> list:
     """Successors of every equivalent reformulation of ct, keeping the first
     result of each key."""
-    out = []
-    seen = set()
+    out: dict = {}
     for e in equiv_extensions(ct):
         for item in successors(e):
-            k = key(item)
-            if k not in seen:
-                seen.add(k)
-                out.append(item)
-    return out
+            out.setdefault(key(item), item)
+    return list(out.values())
 
 
 def cstep_tilde(
@@ -416,7 +410,7 @@ def cstep_tilde(
     below: Position = EPSILON,
 ) -> list[tuple[ConstrainedTerm, StepRecord]]:
     """Constrained step modulo equivalence: extension moves, then a step."""
-    return _modulo_equivalence(ct, lambda e: cstep(e, lctrs, solver, config, below), lambda item: item[0].key())
+    return _modulo_equivalence(ct, lambda e: cstep(e, lctrs, solver, config, below), lambda item: item[0])
 
 
 def parallel_successors(
@@ -439,9 +433,7 @@ def parallel_tilde(
     config: RewriteConfig = RewriteConfig(),
     below: Position = EPSILON,
 ) -> list[tuple[ConstrainedTerm, tuple[Position, ...]]]:
-    return _modulo_equivalence(
-        ct, lambda e: parallel_successors(e, lctrs, solver, config, below), lambda item: (item[0].key(), item[1])
-    )
+    return _modulo_equivalence(ct, lambda e: parallel_successors(e, lctrs, solver, config, below))
 
 
 def multi_successors(
@@ -456,7 +448,7 @@ def multi_successors(
     if not solver.is_satisfiable(phi).is_sat:
         return []
     oracle = constrained_oracle(ct, lctrs, solver, config)
-    results = multi_steps(subterm_at(ct.term, below), oracle, config.multi_nesting)
+    results = multi_steps(subterm_at(ct.term, below), oracle, MULTI_NESTING)
     return [ConstrainedTerm(replace_at(ct.term, {below: r}), phi) for r in sorted(results, key=term_key)]
 
 
@@ -467,7 +459,7 @@ def multi_tilde(
     config: RewriteConfig = RewriteConfig(),
     below: Position = EPSILON,
 ) -> list[ConstrainedTerm]:
-    return _modulo_equivalence(ct, lambda e: multi_successors(e, lctrs, solver, config, below), ConstrainedTerm.key)
+    return _modulo_equivalence(ct, lambda e: multi_successors(e, lctrs, solver, config, below))
 
 
 # --- equivalence of constrained terms ---------------------------------------

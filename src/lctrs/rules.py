@@ -115,28 +115,21 @@ def rename_apart(rules: list[ConstrainedRule]) -> list[ConstrainedRule]:
 
 
 def is_variant(r1: ConstrainedRule, r2: ConstrainedRule) -> bool:
-    """Equal up to a variable renaming (lhs, rhs and guard simultaneously)?"""
-
-    def embeds(a: ConstrainedRule, b: ConstrainedRule) -> bool:
-        ren: dict[Var, Var] = {}
-
-        def go(s: Term, t: Term) -> bool:
-            if isinstance(s, Var):
-                if not isinstance(t, Var) or s.sort != t.sort:
-                    return False
-                if s in ren:
-                    return ren[s] == t
-                ren[s] = t
-                return True
-            return (
-                isinstance(t, App)
-                and s.sym == t.sym
-                and all(go(sa, ta) for sa, ta in zip(s.args, t.args))
-            )
-
-        return go(a.lhs, b.lhs) and go(a.rhs, b.rhs) and go(a.guard, b.guard)
-
-    return embeds(r1, r2) and embeds(r2, r1)
+    """Equal up to a variable renaming (lhs, rhs and guard simultaneously)?
+    One walk with an explicit stack, building the renaming both ways."""
+    ren: dict[Var, Var] = {}
+    back: dict[Var, Var] = {}
+    todo = [(r1.lhs, r2.lhs), (r1.rhs, r2.rhs), (r1.guard, r2.guard)]
+    while todo:
+        s, t = todo.pop()
+        if isinstance(s, Var):
+            if not isinstance(t, Var) or s.sort != t.sort or ren.setdefault(s, t) != t or back.setdefault(t, s) != s:
+                return False
+        elif isinstance(t, App) and s.sym == t.sym:
+            todo.extend(zip(s.args, t.args))
+        else:
+            return False
+    return True
 
 
 def respects(sigma: Subst, rule: ConstrainedRule) -> bool:

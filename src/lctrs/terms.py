@@ -2,13 +2,15 @@
 unification, and a discrimination-tree index of left-hand sides.
 
 Terms live over a split signature: ordinary term symbols, interpreted theory
-symbols, and value constants (integer literals, true, false).  Everything here
-is an immutable value; substitutions are plain dicts from Var to Term.
+symbols, and value constants (integer literals, true, false).  Sorts, symbols
+and terms are hash-consed: equal fields give the same object, so == and hash
+are identity and terms are their own keys.  term_key renders a term for
+printing and sorting; alpha_key renders it up to variable renaming.
+Substitutions are plain dicts from Var to Term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 Position = tuple[int, ...]
@@ -19,52 +21,67 @@ class TermError(Exception):
     """Ill-formed term: arity or sort mismatch."""
 
 
-@dataclass(frozen=True)
-class Sort:
-    name: str
+_TABLE: dict[tuple, "_Interned"] = {}
+
+
+class _Interned:
+    """An immutable value, hash-consed (Filliâtre & Conchon 2006): a class
+    called with the fields of an existing object returns that object, so
+    == and hash are identity and never walk a term."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        obj = _TABLE.get(key)
+        if obj is None:
+            obj = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields, strict=True):
+                object.__setattr__(obj, name, value)
+            _TABLE[key] = obj
+        return obj
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __repr__(self):
         return self.name
+
+
+class Sort(_Interned):
+    __slots__ = ("name",)
 
 
 INT = Sort("Int")
 BOOL = Sort("Bool")
 
 
-@dataclass(frozen=True)
-class FunSym:
-    name: str
-    arg_sorts: tuple[Sort, ...]
-    result_sort: Sort
-    kind: str  # "term" | "theory" | "value"
+class FunSym(_Interned):
+    __slots__ = ("name", "arg_sorts", "result_sort", "kind")  # kind: "term" | "theory" | "value"
 
-    def __post_init__(self):
-        if self.kind not in ("term", "theory", "value"):
-            raise TermError(f"bad symbol kind {self.kind!r}")
-        if self.kind == "value" and self.arg_sorts:
-            raise TermError(f"value symbol {self.name} must be a constant")
+    def __new__(cls, name: str, arg_sorts: tuple[Sort, ...], result_sort: Sort, kind: str):
+        if kind not in ("term", "theory", "value"):
+            raise TermError(f"bad symbol kind {kind!r}")
+        if kind == "value" and arg_sorts:
+            raise TermError(f"value symbol {name} must be a constant")
+        return _Interned.__new__(cls, name, arg_sorts, result_sort, kind)
 
     @property
     def arity(self) -> int:
         return len(self.arg_sorts)
 
-    def __repr__(self):
-        return self.name
+
+class Var(_Interned):
+    __slots__ = ("name", "sort")
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    sort: Sort
+class App(_Interned):
+    __slots__ = ("sym", "args")
 
-    def __repr__(self):
-        return self.name
-
-
-@dataclass(frozen=True)
-class App:
-    sym: FunSym
-    args: tuple["Term", ...] = ()
+    def __new__(cls, sym: FunSym, args: tuple["Term", ...] = ()):
+        return _Interned.__new__(cls, sym, args)
 
     def __repr__(self):
         if not self.args:
@@ -324,7 +341,7 @@ def rename_away(vars_to_rename: Iterable[Var], avoid: Iterable[Var]) -> Subst:
 
 
 def term_key(t: Term) -> str:
-    """Canonical render for deterministic ordering and dedup keys."""
+    """Canonical render for printing and deterministic ordering."""
     if isinstance(t, Var):
         return t.name
     if not t.args:

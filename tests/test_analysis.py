@@ -375,3 +375,17 @@ def test_verdict_carries_the_pairs_it_computed(calc_chain, parity, solver):
     wo_only = analyze(parity, solver, AnalysisConfig(criteria=("wo",)))
     assert wo_only.ccps == ccps(parity, solver)
     assert wo_only.cpcps is None and wo_only.cpcp_count == 0
+
+
+def test_a_400_deep_right_side_is_weakly_orthogonal(solver):
+    sig = Signature()
+    sig.add_sort("N")
+    n = sig.sorts["N"]
+    zero, succ, a = (sig.add_fun(name, args, n) for name, args in (("z", []), ("s", [n]), ("a", [])))
+    deep = App(zero)
+    for _ in range(400):
+        deep = App(succ, (deep,))
+    system = Lctrs(sig, (ConstrainedRule(App(a), deep),))
+    verdict = analyze(system, solver)
+    assert (verdict.result, verdict.criterion) == ("YES", "weak-orthogonality")
+    assert ccps(system, solver) == [] and cpcps(system, solver) == []

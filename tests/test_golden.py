@@ -3,7 +3,8 @@
 The recorded files pin pair order, positions and variable names.  They were
 written by `python -m lctrs CMD corpus/NAME.lctrs --json > tests/golden/NAME.CMD.json`
 before the rewrite engine, the fragment and the critical-pair generators
-were merged; regenerate them the same way only for an intended output change.
+were merged (the `check` files before terms were hash-consed); regenerate them
+the same way only for an intended output change.
 
 The four non-left-linear systems of the benchmark's ground workload pin the
 NO path, witness pair included, at the value half-widths the benchmark runs
@@ -11,6 +12,10 @@ them with: `python -m lctrs analyze perfbench/inputs/ground/NAME.lctrs
 --values=-H..H --json > tests/golden/NAME.analyze.json`, recorded before the
 closing searches and the NO search were moved onto one breadth-first search.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -20,7 +25,7 @@ from tests.conftest import CORPUS, REPO
 
 GOLDEN = REPO / "tests" / "golden"
 SYSTEMS = sorted(p.stem for p in CORPUS.glob("*.lctrs"))
-COMMANDS = ("analyze", "ccp", "cpcp", "ground")
+COMMANDS = ("analyze", "ccp", "cpcp", "ground", "check")
 GROUND = REPO / "perfbench" / "inputs" / "ground"
 GROUND_HALF_WIDTHS = {"diag_bool": 8, "diag_collapse": 9, "diag_guard": 9, "diag_sum": 5}
 
@@ -48,3 +53,17 @@ def test_ground_no_verdict_matches_golden(capsys, name):
     code = main(["analyze", str(GROUND / f"{name}.lctrs"), f"--values=-{half}..{half}", "--json"])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.analyze.json").read_text()
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_output_does_not_depend_on_the_hash_seed(seed):
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lctrs", "analyze", str(CORPUS / "pcp_101.lctrs"), "--json"],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "pcp_101.analyze.json").read_text()

@@ -114,6 +114,32 @@ def test_reachable_closure_flag_at_the_bound():
     assert joinable(frag, app(chain, "s", sa), c, 2)[0] == "not_within_bound"
 
 
+def test_the_no_search_steps_each_term_once(monkeypatch):
+    from collections import Counter
+
+    from lctrs import grounding
+    from lctrs.parser import parse
+
+    # g(a, ..., a) -> c and a -> b: ten pairs, none decided within the
+    # bound, whose reachable sets share most of their terms
+    wide = parse(
+        "(sort U)\n(fun a () U)\n(fun b () U)\n(fun c () U)\n"
+        f"(fun g ({' '.join(['U'] * 10)}) U)\n(rule (g {' '.join(['a'] * 10)}) c)\n(rule a b)\n"
+    )
+    frag = ground_fragment(wide)
+    stepped = Counter()
+    single_steps = grounding.single_steps
+
+    def counted(t, found):
+        stepped[t] += 1
+        return single_steps(t, found)
+
+    monkeypatch.setattr(grounding, "single_steps", counted)
+    assert find_nonjoinable_peak(frag) is None
+    assert len(trs_cps(frag)) == 10 and len(stepped) > 1000
+    assert max(stepped.values()) == 1
+
+
 def test_step_equivalence_examples(single_value, parity):
     frag = ground_fragment(single_value)
     assert frag_successors(app(single_value, "a"), frag) == {int_val(0)}

@@ -268,14 +268,14 @@ def test_breadth_first_levels_paths_and_laziness():
         expanded.append(n)
         return [n + 1, n + 2]
 
-    got = list(breadth_first(0, successors, 2, lambda n: n))
+    got = list(breadth_first(0, successors, 2))
     assert got == [(0, [0]), (1, [0, 1]), (2, [0, 2]), (3, [0, 1, 3]), (4, [0, 2, 4])]
     assert expanded == [0, 1, 2]  # the last level is yielded, never expanded
     expanded.clear()
-    search = breadth_first(0, successors, 2, lambda n: n)
+    search = breadth_first(0, successors, 2)
     assert [next(search), next(search)] == [(0, [0]), (1, [0, 1])]
     assert expanded == [0]  # nothing past what the caller took
-    assert list(breadth_first(0, successors, 0, lambda n: n)) == [(0, [0])]
+    assert list(breadth_first(0, successors, 0)) == [(0, [0])]
 
 
 # --- instance soundness --------------------------------------------------------

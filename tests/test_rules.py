@@ -18,6 +18,9 @@ def test_variants():
         # y would be an extra variable of a non-theory sort
         ConstrainedRule(App(fU, (x,)), y)
     assert not is_variant(r1, ConstrainedRule(App(fU, (App(fU, (x,)),)), x))
+    g2 = FunSym("g", (U, U), U, "term")
+    apart, merged = ConstrainedRule(App(g2, (x, y)), x), ConstrainedRule(App(g2, (y, y)), y)
+    assert not is_variant(apart, merged) and not is_variant(merged, apart)  # the renaming must be injective
 
 
 def test_variant_requires_matching_guard():

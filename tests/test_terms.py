@@ -298,3 +298,88 @@ def test_lhs_index_retrieves_every_unifier_and_matcher_in_order(case):
             assert i in unifiable
         if match(lhs, t) is not None:
             assert i in generalizations
+
+
+# --- hash-consing ----------------------------------------------------------------
+
+def same_structure(s, t) -> bool:
+    """Structural equality read off names alone, independent of how terms are stored."""
+    if isinstance(s, Var) or isinstance(t, Var):
+        return isinstance(s, Var) and isinstance(t, Var) and (s.name, s.sort.name) == (t.name, t.sort.name)
+
+    def sym(f):
+        return f.name, f.kind, f.result_sort.name, tuple(sort.name for sort in f.arg_sorts)
+
+    return (
+        sym(s.sym) == sym(t.sym)
+        and len(s.args) == len(t.args)
+        and all(same_structure(u, v) for u, v in zip(s.args, t.args))
+    )
+
+
+SORT_NAMES = st.sampled_from(["A", "B"])
+
+
+def described_term(children):
+    """A term description: ("var", name, sort) or ("app", name, argument
+    sorts, result sort, kind, argument descriptions)."""
+    return st.lists(children, max_size=2).flatmap(
+        lambda args: st.tuples(
+            st.just("app"),
+            st.sampled_from("fg"),
+            st.tuples(*[SORT_NAMES] * len(args)),
+            SORT_NAMES,
+            st.sampled_from(["term", "theory"]),
+            st.just(tuple(args)),
+        )
+    )
+
+
+TERM_DESCRIPTIONS = st.recursive(
+    st.tuples(st.just("var"), st.sampled_from("xy"), SORT_NAMES), described_term, max_leaves=6
+)
+
+
+def build(d):
+    if d[0] == "var":
+        return Var(d[1], Sort(d[2]))
+    _, name, arg_sorts, result, kind, args = d
+    return App(FunSym(name, tuple(map(Sort, arg_sorts)), Sort(result), kind), tuple(build(u) for u in args))
+
+
+@settings(max_examples=200)
+@given(TERM_DESCRIPTIONS, TERM_DESCRIPTIONS)
+def test_terms_are_equal_exactly_when_their_structure_agrees(d1, d2):
+    s, t = build(d1), build(d2)
+    assert build(d1) is s and build(d2) is t  # equal fields give the same object
+    assert (s == t) == (s is t) == same_structure(s, t) == (d1 == d2)
+    if s == t:
+        assert hash(s) == hash(t)
+
+
+def test_variables_and_symbols_differ_by_sort():
+    assert Var("x", INT) != Var("x", BOOL)
+    assert Var("x", INT) is Var("x", INT)
+    assert theory.EQ != theory.EQB and theory.EQ.name == theory.EQB.name
+    assert theory.eq(Var("x", INT), Var("y", INT)) is theory.eq(Var("x", INT), Var("y", INT))
+    assert App(theory.EQ, (x, y)) != App(theory.EQB, (x, y))
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [(INT, "name"), (g1, "kind"), (g1, "arg_sorts"), (x, "name"), (x, "sort"), (a, "sym"), (a, "args")],
+)
+def test_setting_a_field_raises(value, field):
+    old = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, old)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is old
+
+
+def test_value_symbols_are_checked_once_made():
+    with pytest.raises(TermError, match="bad symbol kind"):
+        FunSym("f", (), U, "constant")
+    with pytest.raises(TermError, match="must be a constant"):
+        FunSym("7", (INT,), INT, "value")

@@ -17,18 +17,15 @@ import random
 from dataclasses import dataclass, field
 
 from . import theory
-from .analysis import CCPRecord, CPCPRecord, _critical_pairs, ccps, cpcps, tvar
+from .analysis import CCPRecord, CPCPRecord, _critical_pairs, ccps, cpcps
 from .logic import ConstraintSolver
 from .rewriting import (
-    MULTI_NESTING,
     RedexOracle,
     RewriteConfig,
     breadth_first,
     constraint_assignments,
     cstep,
     domain_terms,
-    multi_steps,
-    parallel_steps,
     plain_oracle,
     plain_successors,
     redexes,
@@ -58,7 +55,7 @@ class GroundFragment:
     rules: tuple[ConstrainedRule, ...]  # true guards, no logical variables
     lhs_index: LhsIndex
     oracle: RedexOracle  # the plain oracle over the rules: matching
-    successors: dict[Term, frozenset[Term]] = field(default_factory=dict, repr=False)  # see frag_successors
+    successors: dict[Term, tuple[Term, ...]] = field(default_factory=dict, repr=False)  # see frag_successors
 
 
 def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
@@ -88,15 +85,12 @@ def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> Gr
 
 # --- fragment rewriting: the plain engine over the fragment's rules -----------
 
-def frag_successors(t: Term, fragment: GroundFragment) -> frozenset[Term]:
-    """One-step successors of t, each term stepped once per fragment."""
+def frag_successors(t: Term, fragment: GroundFragment) -> tuple[Term, ...]:
+    """The distinct one-step successors of t, each term stepped once per
+    fragment."""
     if t not in fragment.successors:
-        fragment.successors[t] = frozenset(r for r, _ in single_steps(t, redexes(t, fragment.oracle)))
+        fragment.successors[t] = tuple(dict.fromkeys(r for r, _ in single_steps(t, redexes(t, fragment.oracle))))
     return fragment.successors[t]
-
-
-def frag_multi(t: Term, fragment: GroundFragment) -> set[Term]:
-    return multi_steps(t, fragment.oracle, MULTI_NESTING)
 
 
 def reachable(t: Term, fragment: GroundFragment, depth: int) -> tuple[set[Term], bool]:
@@ -104,7 +98,7 @@ def reachable(t: Term, fragment: GroundFragment, depth: int) -> tuple[set[Term],
     no term depth steps away has a successor outside the set."""
     found = list(breadth_first(t, lambda u: frag_successors(u, fragment), depth))
     seen = {s for s, _path in found}
-    return seen, all(frag_successors(s, fragment) <= seen for s, path in found if len(path) > depth)
+    return seen, all(seen.issuperset(frag_successors(s, fragment)) for s, path in found if len(path) > depth)
 
 
 def joinable(fragment: GroundFragment, s: Term, t: Term, depth: int = 8):
@@ -288,7 +282,7 @@ def check_step_equivalence(
     for t in _sample_terms(lctrs, config, samples, seed):
         report.checked += 1
         via_rules = {r for r, _ in plain_successors(t, lctrs, config)}
-        via_fragment = frag_successors(t, fragment)
+        via_fragment = set(frag_successors(t, fragment))
         if via_rules != via_fragment:
             only_r = {term_key(u) for u in via_rules - via_fragment}
             only_f = {term_key(u) for u in via_fragment - via_rules}
@@ -324,39 +318,3 @@ def check_instance_soundness(
                         f"step at {rec.position} from {ct!r} does not replay under {sigma}"
                     )
     return report
-
-
-def trs_closedness_check(fragment: GroundFragment, depth: int = 6) -> dict:
-    """Development/parallel closedness measured directly on the fragment,
-    multi-steps nested and parallel steps capped as its RewriteConfig says."""
-    cps = trs_cps(fragment)
-    pcps = trs_pcps(fragment)
-
-    def parallel(t: Term):
-        return parallel_steps(t, redexes(t, fragment.oracle), fragment.config.max_parallel_sets)
-
-    dev_all = adc_all = par1 = True
-    for cp in cps:
-        multi = frag_multi(cp.left, fragment)
-        closed_dev = cp.right in multi
-        dev_all = dev_all and closed_dev
-        reach_t, _ = reachable(cp.right, fragment, depth)
-        if not closed_dev:
-            adc_all = adc_all and cp.overlay and bool(multi & reach_t)
-        par = {r for r, _ in parallel(cp.left)}
-        par1 = par1 and bool(par & reach_t)
-    par2 = True
-    for pcp in pcps:
-        reach_s, _ = reachable(pcp.left, fragment, depth)
-        allowed = tvar(pcp.peak_source, pcp.constraint, pcp.pset)
-        par2 = par2 and any(
-            v in reach_s and tvar(v, pcp.constraint, qset) <= allowed for v, qset in parallel(pcp.right)
-        )
-    return {
-        "development_closed": dev_all,
-        "almost_development_closed": adc_all,
-        "parallel_closed_1": par1,
-        "parallel_closed_2": par2,
-        "cp_count": len(cps),
-        "pcp_count": len(pcps),
-    }

@@ -5,11 +5,13 @@ subterm, and single, parallel and multi-steps are built on top of it.  The
 plain oracle instantiates logical variables by values (enumerated over a
 finite domain, except calculation results which are computed exactly); over
 the rules of a ground fragment it reduces to matching.  The constrained
-oracle keeps the constraint fixed; the tilde variants compose with the
-equivalence moves produced by equiv_extensions, which only ever extend a
-constraint by a definition z = f(u1..un) of a theory subterm.  Parallel and
-multi-step relations follow their inductive definitions, recording redex
-position sets; multi-step nesting is depth-bounded.
+oracle keeps the constraint fixed and decides a matched guard once, by a
+validity residual over the rule's unbound logical variables that each choice
+of values evaluates; the tilde variants compose with the equivalence moves
+produced by equiv_extensions, which only ever extend a constraint by a
+definition z = f(u1..un) of a theory subterm.  Parallel and multi-step
+relations follow their inductive definitions, recording redex position sets;
+multi-step nesting is depth-bounded.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .terms import (
     sort_of,
     subterm_at,
     term_key,
+    value_of,
     variables,
 )
 
@@ -291,13 +294,6 @@ def plain_parallel_successors(
     return parallel_steps(s, redexes(s, plain_oracle(lctrs, config)), config.max_parallel_sets)
 
 
-def plain_multi_successors(
-    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()
-) -> set[Term]:
-    """Multi-step results up to the configured nesting bound."""
-    return multi_steps(s, plain_oracle(lctrs, config), MULTI_NESTING)
-
-
 # --- rewriting on constrained terms ----------------------------------------
 
 def _candidate_values(
@@ -324,19 +320,38 @@ def constrained_oracle(
     """Root redexes of the constrained-step relation under ct's constraint:
     sigma maps logical variables into values or constraint variables, and
     constraint => guard*sigma is valid.  Unknown solver verdicts suppress
-    the candidate."""
+    the candidate.
+
+    The unbound logical variables are renamed off the constraint's, and the
+    validity residual over them is computed once per matched guard; each
+    choice of values is then decided by evaluating it.  A choice with a
+    constraint variable, and every choice when the residual is off the
+    linear fragment, is one validity query."""
     phi = ct.constraint
     phi_vars = variables(phi)
 
     def admissible(value: Term) -> bool:
         return is_value(value) or (isinstance(value, Var) and value in phi_vars)
 
-    def instances(rule: ConstrainedRule, sigma0: Subst, unbound: list[Var]) -> list[Subst]:
+    def instances(rule: ConstrainedRule, sigma0: Subst, unbound: tuple[Var, ...]) -> list[Subst]:
         if len(unbound) > MAX_UNBOUND:
             return []
         options = [_candidate_values(x, rule, sigma0, phi, lctrs, config) for x in unbound]
-        sigmas = ({**sigma0, **dict(zip(unbound, choice))} for choice in itertools.product(*options))
-        return [sigma for sigma in sigmas if solver.is_valid(theory.imp(phi, apply_subst(sigma, rule.guard))).is_valid]
+        residual = None
+        if unbound:  # otherwise the one empty choice is one query
+            ren = rename_away(unbound, phi_vars)
+            free = tuple(ren.get(x, x) for x in unbound)
+            residual = solver.valid_residual(theory.imp(phi, apply_subst({**sigma0, **ren}, rule.guard)), free)
+        out = []
+        for choice in itertools.product(*options):
+            sigma = {**sigma0, **dict(zip(unbound, choice))}
+            if residual is not None and all(is_value(c) for c in choice):
+                ok = cooper.eval_formula(residual, {u.name: value_of(c) for u, c in zip(free, choice)})
+            else:
+                ok = solver.is_valid(theory.imp(phi, apply_subst(sigma, rule.guard))).is_valid
+            if ok:
+                out.append(sigma)
+        return out
 
     return _oracle(lctrs.rc_rules, lctrs.lhs_index, admissible, instances)
 

@@ -4,15 +4,65 @@ from pathlib import Path
 import pytest
 
 from lctrs import theory
+from lctrs.analysis import tvar
+from lctrs.grounding import GroundFragment, reachable, trs_cps, trs_pcps
 from lctrs.logic import ConstraintSolver
+from lctrs.rewriting import MULTI_NESTING, RewriteConfig, multi_steps, parallel_steps, plain_oracle, redexes
 from lctrs.rules import ConstrainedRule, Lctrs, Signature
-from lctrs.terms import App, INT, Sort, Var, int_val
+from lctrs.terms import App, INT, Sort, Term, Var, int_val
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
 REFSOLVER_CMD = f"{sys.executable} {REPO / 'scripts' / 'refsolver.py'}"
 
 U = Sort("U")
+
+
+# --- test-side oracles: multi-steps and closedness of plain rewriting ---------
+
+def plain_multi_successors(s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> set[Term]:
+    """Multi-step results up to the engine's nesting bound."""
+    return multi_steps(s, plain_oracle(lctrs, config), MULTI_NESTING)
+
+
+def frag_multi(t: Term, fragment: GroundFragment) -> set[Term]:
+    return multi_steps(t, fragment.oracle, MULTI_NESTING)
+
+
+def trs_closedness_check(fragment: GroundFragment, depth: int = 6) -> dict:
+    """Development/parallel closedness measured directly on the fragment,
+    multi-steps nested and parallel steps capped as its RewriteConfig says."""
+    cps = trs_cps(fragment)
+    pcps = trs_pcps(fragment)
+
+    def parallel(t: Term):
+        return parallel_steps(t, redexes(t, fragment.oracle), fragment.config.max_parallel_sets)
+
+    dev_all = adc_all = par1 = True
+    for cp in cps:
+        multi = frag_multi(cp.left, fragment)
+        closed_dev = cp.right in multi
+        dev_all = dev_all and closed_dev
+        reach_t, _ = reachable(cp.right, fragment, depth)
+        if not closed_dev:
+            adc_all = adc_all and cp.overlay and bool(multi & reach_t)
+        par = {r for r, _ in parallel(cp.left)}
+        par1 = par1 and bool(par & reach_t)
+    par2 = True
+    for pcp in pcps:
+        reach_s, _ = reachable(pcp.left, fragment, depth)
+        allowed = tvar(pcp.peak_source, pcp.constraint, pcp.pset)
+        par2 = par2 and any(
+            v in reach_s and tvar(v, pcp.constraint, qset) <= allowed for v, qset in parallel(pcp.right)
+        )
+    return {
+        "development_closed": dev_all,
+        "almost_development_closed": adc_all,
+        "parallel_closed_1": par1,
+        "parallel_closed_2": par2,
+        "cp_count": len(cps),
+        "pcp_count": len(pcps),
+    }
 
 
 @pytest.fixture(scope="session")

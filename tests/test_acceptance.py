@@ -29,7 +29,6 @@ from lctrs.grounding import (
     check_step_equivalence,
     ground_fragment,
     joinable,
-    trs_closedness_check,
     trs_cps,
 )
 from lctrs.logic import ConstraintSolver
@@ -45,7 +44,7 @@ from lctrs.rewriting import (
 )
 from lctrs.terms import App, INT, Sort, Var, apply_subst, int_val, match, unify, variables
 
-from tests.conftest import CORPUS, REFSOLVER_CMD
+from tests.conftest import CORPUS, REFSOLVER_CMD, trs_closedness_check
 
 
 def report(number: int, ok: bool, message: str):

@@ -11,6 +11,12 @@ NO path, witness pair included, at the value half-widths the benchmark runs
 them with: `python -m lctrs analyze perfbench/inputs/ground/NAME.lctrs
 --values=-H..H --json > tests/golden/NAME.analyze.json`, recorded before the
 closing searches and the NO search were moved onto one breadth-first search.
+
+Four generated PCP systems pin the path of the benchmark's pcp workload at
+its value domain: `python -m lctrs gen-pcp PAIRS > FILE`, then
+`python -m lctrs CMD FILE --values=-4..4 --json > tests/golden/gen_pcp_N.CMD.json`
+for CMD analyze and cpcp, recorded before a matched guard was decided by
+one validity residual per match.
 """
 
 import os
@@ -20,6 +26,8 @@ import sys
 import pytest
 
 from lctrs.cli import main
+from lctrs.parser import print_system
+from lctrs.pcp import PCPInstance, build_rp
 
 from tests.conftest import CORPUS, REPO
 
@@ -28,6 +36,13 @@ SYSTEMS = sorted(p.stem for p in CORPUS.glob("*.lctrs"))
 COMMANDS = ("analyze", "ccp", "cpcp", "ground", "check")
 GROUND = REPO / "perfbench" / "inputs" / "ground"
 GROUND_HALF_WIDTHS = {"diag_bool": 8, "diag_collapse": 9, "diag_guard": 9, "diag_sum": 5}
+GEN_PCP = {
+    "gen_pcp_1": "1,101;10,00;011,11",
+    "gen_pcp_2": "1,101;10,00;011,11;0,1;110,1",
+    "gen_pcp_3": "10,1;0,01",
+    "gen_pcp_4": "01,0;1,10;0,1",
+}
+GEN_PCP_COMMANDS = ("analyze", "cpcp")
 
 
 def test_every_corpus_system_is_recorded():
@@ -36,6 +51,7 @@ def test_every_corpus_system_is_recorded():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(
         [f"{name}.{cmd}.json" for name in SYSTEMS for cmd in COMMANDS]
         + [f"{name}.analyze.json" for name in GROUND_HALF_WIDTHS]
+        + [f"{name}.{cmd}.json" for name in GEN_PCP for cmd in GEN_PCP_COMMANDS]
     )
 
 
@@ -53,6 +69,16 @@ def test_ground_no_verdict_matches_golden(capsys, name):
     code = main(["analyze", str(GROUND / f"{name}.lctrs"), f"--values=-{half}..{half}", "--json"])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.analyze.json").read_text()
+
+
+@pytest.mark.parametrize("command", GEN_PCP_COMMANDS)
+@pytest.mark.parametrize("name", sorted(GEN_PCP))
+def test_generated_pcp_output_matches_golden(capsys, tmp_path, name, command):
+    source = tmp_path / f"{name}.lctrs"
+    source.write_text(print_system(build_rp(PCPInstance.parse(GEN_PCP[name]))))
+    code = main([command, str(source), "--values=-4..4", "--json"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.{command}.json").read_text()
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])

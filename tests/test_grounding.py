@@ -5,18 +5,18 @@ from lctrs.grounding import (
     check_cp_correspondence,
     check_step_equivalence,
     find_nonjoinable_peak,
-    frag_multi,
     frag_successors,
     ground_fragment,
     joinable,
     reachable,
-    trs_closedness_check,
     trs_cps,
     trs_pcps,
 )
 from lctrs.rewriting import RewriteConfig
 from lctrs.rules import ConstrainedRule
 from lctrs.terms import App, INT, Var, alpha_key, int_val, variables
+
+from tests.conftest import frag_multi, trs_closedness_check
 
 x = Var("x", INT)
 
@@ -142,10 +142,10 @@ def test_the_no_search_steps_each_term_once(monkeypatch):
 
 def test_step_equivalence_examples(single_value, parity):
     frag = ground_fragment(single_value)
-    assert frag_successors(app(single_value, "a"), frag) == {int_val(0)}
+    assert set(frag_successors(app(single_value, "a"), frag)) == {int_val(0)}
 
     frag_p = ground_fragment(parity, RewriteConfig(lo=-3, hi=3))
-    got = frag_successors(app(parity, "f", int_val(2)), frag_p)
+    got = set(frag_successors(app(parity, "f", int_val(2)), frag_p))
     assert got == {app(parity, "g", int_val(2)), app(parity, "h", int_val(2))}
 
 

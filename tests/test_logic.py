@@ -117,6 +117,18 @@ def test_invalid_with_counter_valuation(solver):
     assert not theory.holds(apply_subst(res.assignment, theory.gt(x, 0)))
 
 
+def test_valid_residual_decides_value_instances():
+    """x > 0 => y < x holds for every x exactly when y <= 0."""
+    solver = ConstraintSolver()
+    phi = theory.imp(theory.gt(x, 0), theory.lt(y, x))
+    residual = solver.valid_residual(phi, (y,))
+    for v in range(-3, 4):
+        instance = theory.imp(theory.gt(x, 0), theory.lt(int_val(v), x))
+        assert cooper.eval_formula(residual, {"y": v}) == solver.is_valid(instance).is_valid == (v <= 0)
+    assert solver.valid_residual(phi, (y,)) is residual
+    assert solver.valid_residual(theory.eq(theory.mul(y, y), x), (y,)) is None
+
+
 # --- quantified sentences ----------------------------------------------------
 
 def test_forall_exists_witness(solver):

@@ -10,7 +10,6 @@ from lctrs.grounding import (
     ground_fragment,
     joinable,
     reachable,
-    trs_closedness_check,
     trs_cps,
 )
 from lctrs.pcp import PCPInstance, build_rp
@@ -22,11 +21,12 @@ from lctrs.rewriting import (
     equiv,
     multi_tilde,
     parallel_tilde,
-    plain_multi_successors,
     plain_parallel_successors,
     plain_successors,
 )
 from lctrs.terms import App, INT, Var, apply_subst, int_val, match, variables
+
+from tests.conftest import plain_multi_successors, trs_closedness_check
 
 CFG = RewriteConfig()
 

@@ -2,13 +2,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from lctrs import theory
+from lctrs import cooper, theory
+from lctrs.logic import ConstraintSolver
 from lctrs.rules import ConstrainedRule, Lctrs, Signature, calc_rules, respects
 from lctrs.rewriting import (
     ConstrainedTerm,
     RewriteConfig,
+    _candidate_values,
     breadth_first,
+    constrained_oracle,
     cstep,
     cstep_tilde,
     domain_terms,
@@ -18,14 +23,15 @@ from lctrs.rewriting import (
     multi_tilde,
     parallel_successors,
     parallel_tilde,
-    plain_multi_successors,
     plain_parallel_successors,
     plain_successors,
 )
 from lctrs.terms import App, INT, Var, apply_subst, int_val, subterm_at, variables
 
+from tests.conftest import plain_multi_successors
+
 CFG = RewriteConfig()
-x, y, z = Var("x", INT), Var("y", INT), Var("z", INT)
+x, y, z, m, n = (Var(name, INT) for name in "xyzmn")
 
 
 def sym(lctrs, name):
@@ -123,6 +129,96 @@ def test_guard_blowup_falls_back_to_the_domain_product():
     wanted = {App(g, (int_val(a), int_val(b))) for a in range(-4, 5) for b in range(a, 5)}
     assert len(results) == len(wanted) == 45
     assert set(results) == wanted
+
+
+def _one_rule(lhs_args, rhs_args, guard):
+    """The system f(lhs_args) -> g(rhs_args) [guard] over the integers."""
+    sig = Signature()
+    f = sig.add_fun("f", [INT] * len(lhs_args), INT)
+    g = sig.add_fun("g", [INT] * len(rhs_args), INT)
+    return Lctrs(sig, (ConstrainedRule(App(f, tuple(lhs_args)), App(g, tuple(rhs_args)), guard),)), f, g
+
+
+def test_unbound_variable_named_like_a_constraint_variable(solver):
+    """f(n) -> g(m) [m + 1 = n] on f(m) [m = 3]: the rule's m is chosen, the
+    constraint's m is 3, so the only step is to g(2)."""
+    system, f, g = _one_rule([n], [m], theory.eq(theory.add(m, 1), n))
+    phi = theory.eq(m, 3)
+    results = [res for res, _ in cstep(ConstrainedTerm(App(f, (m,)), phi), system, solver)]
+    assert results == [ConstrainedTerm(App(g, (int_val(2),)), phi)]
+
+
+def test_nonlinear_guard_is_decided_per_value(solver):
+    """f(n) -> g(m) [m * m = n]: the guard is linear only once m is a value."""
+    system, f, g = _one_rule([n], [m], theory.eq(theory.mul(m, m), n))
+    ground = [res.term for res, _ in cstep(ConstrainedTerm(App(f, (int_val(4),))), system, solver)]
+    assert ground == [App(g, (int_val(-2),)), App(g, (int_val(2),))]
+    phi = theory.eq(m, 9)
+    guarded = [res.term for res, _ in cstep(ConstrainedTerm(App(f, (m,)), phi), system, solver)]
+    assert guarded == [App(g, (int_val(-3),)), App(g, (int_val(3),))]
+
+
+def test_matches_with_one_guard_share_one_residual(monkeypatch):
+    """k(f(x), f(x)) [x > 0] under f(n) -> g(m) [0 <= m < n]: both matches
+    instantiate the guard alike, so it is eliminated once."""
+    sig = Signature()
+    f, g = sig.add_fun("f", [INT], INT), sig.add_fun("g", [INT], INT)
+    k = sig.add_fun("k", [INT, INT], INT)
+    guard = theory.conj(theory.le(0, m), theory.lt(m, n))
+    system = Lctrs(sig, (ConstrainedRule(App(f, (n,)), App(g, (m,)), guard),))
+    calls = []
+    real = cooper.residual
+    monkeypatch.setattr(cooper, "residual", lambda *args: calls.append(args) or real(*args))
+    fx = App(f, (x,))
+    ct = ConstrainedTerm(App(k, (fx, fx)), theory.gt(x, 0))
+    results = [res.term for res, _ in cstep(ct, system, ConstraintSolver())]
+    g0 = App(g, (int_val(0),))
+    assert results == [App(k, (g0, fx)), App(k, (fx, g0))]
+    assert len(calls) == 1
+
+
+def _linear_atom(coeffs, vs, op, const):
+    total = int_val(0)
+    for c, v in zip(coeffs, vs):
+        if c:
+            total = theory.add(total, theory.mul(c, v))
+    return op(total, const)
+
+
+_OPS = (theory.le, theory.lt, theory.eq, theory.ne, theory.ge)
+_ATOM = st.tuples(st.lists(st.integers(-2, 2), min_size=5, max_size=5), st.sampled_from(_OPS), st.integers(-3, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.lists(st.sampled_from(["p", "u", "w"]), min_size=1, max_size=2, unique=True),
+    st.lists(_ATOM, min_size=1, max_size=2),
+    st.lists(_ATOM, min_size=1, max_size=2),
+)
+@example(  # a - p = 1 with a bound to the constraint's p = 1: the rule's p is 0
+    1, ["p", "u"], [([1, 0, 0, 0, 0], theory.eq, 1)], [([1, -1, 0, 0, 0], theory.eq, 1), ([0, 1, 1, 0, 0], theory.ge, 0)]
+)
+def test_residual_accepts_exactly_the_valid_instances(arity, unbound_names, phi_atoms, guard_atoms):
+    """f(a, b, ..) -> g(unbound) [guard] on f(p, q, ..) [phi]: the oracle's
+    instances are the candidate choices for which phi => guard*sigma is valid.
+    An unbound variable named p shares its name with a constraint variable."""
+    cvars = [Var(name, INT) for name in "pqr"[:arity]]
+    lhs_vars = [Var(name, INT) for name in "abc"[:arity]]
+    unbound = [Var(name, INT) for name in sorted(unbound_names)]
+    phi = theory.conj(*(_linear_atom(cs, cvars, op, k) for cs, op, k in phi_atoms))
+    assume(variables(phi) == set(cvars))  # the match binds a, b, .. to constraint variables
+    guard = theory.conj(*(_linear_atom(cs, lhs_vars + unbound, op, k) for cs, op, k in guard_atoms))
+    system, f, _g = _one_rule(lhs_vars, unbound, guard)
+    config = RewriteConfig(lo=-1, hi=1)
+    solver = ConstraintSolver()
+    (rule,) = system.rules
+    sigma0 = dict(zip(lhs_vars, cvars))
+    options = [_candidate_values(v, rule, sigma0, phi, system, config) for v in unbound]
+    sigmas = [{**sigma0, **dict(zip(unbound, choice))} for choice in itertools.product(*options)]
+    wanted = [sigma for sigma in sigmas if solver.is_valid(theory.imp(phi, apply_subst(sigma, guard))).is_valid]
+    found = constrained_oracle(ConstrainedTerm(App(f, tuple(cvars)), phi), system, ConstraintSolver(), config)
+    assert [sigma for _rule, sigma in found(App(f, tuple(cvars)))] == wanted
 
 
 def test_cstep_calculation_with_defined_variable(single_value, solver):

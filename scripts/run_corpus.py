@@ -21,7 +21,8 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def parse_args(argv: list[str]) -> tuple[int, int, int]:
-    """(depth, lo, hi) from the command line; a bad --values range exits 2."""
+    """(depth, lo, hi) from the command line; a bad --values range and a
+    negative --depth exit 2."""
     ap = argparse.ArgumentParser()
     ap.add_argument("--depth", type=int, default=4)
     ap.add_argument("--values", default="-4..4")
@@ -30,6 +31,8 @@ def parse_args(argv: list[str]) -> tuple[int, int, int]:
         lo, hi = _parse_values(args.values)
     except ValueError as exc:
         ap.error(str(exc))
+    if args.depth < 0:
+        ap.error("--depth must not be negative")
     return args.depth, lo, hi
 
 

@@ -65,6 +65,8 @@ def _setup(args):
     with open(args.file, encoding="utf-8") as handle:
         system = parse(handle.read())
     lo, hi = _parse_values(args.values)
+    if args.depth < 0:
+        raise ValueError("--depth must not be negative")
     criteria = tuple(c.strip() for c in args.criteria.split(",") if c.strip())
     bad = set(criteria) - {"wo", "adc", "pc"}
     if bad:

@@ -4,9 +4,9 @@ The internal route is complete for linear integer arithmetic with booleans;
 anything nonlinear goes to the configured external SMT solver, or comes back
 Unknown when none is configured.  Every model produced on any route is
 re-checked by direct evaluation before it is accepted; the internal route
-builds a model only when a caller first reads it.  A validity residual
-eliminates all but some chosen variables once, so that a caller can decide
-the validity of many value instances by evaluation.
+builds a model only when a caller first reads it.  A memoised verdict keeps
+its model, so a caller can refute many instances of one constraint by
+evaluating them under that one model before it asks for their validity.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def _box_search_model(phi: Term, budget: int, radii=_RADII) -> dict[Var, Term] |
 
 class ConstraintSolver:
     """Decision procedures with per-query memoization, keyed by the
-    hash-consed constraint itself; validity residuals are memoized apart
-    from the query verdicts.
+    hash-consed constraint itself; a verdict's model, once built, is kept
+    with it.
 
     smt_command, when set, is a shell command reading SMT-LIB 2 on stdin
     (e.g. "z3 -in"); it serves the nonlinear fragment and cross-checks.
@@ -126,7 +126,6 @@ class ConstraintSolver:
         self.smt_command = smt_command
         self.timeout_ms = timeout_ms
         self._memo: dict[tuple, SolverVerdict] = {}
-        self._residuals: dict[tuple, cooper.Formula | None] = {}
 
     # -- internal helpers --
 
@@ -176,19 +175,6 @@ class ConstraintSolver:
         if res.status == "sat":
             return SolverVerdict("invalid", build_model=lambda: res.assignment)
         return res
-
-    def valid_residual(self, phi: Term, free: tuple[Var, ...]) -> cooper.Formula | None:
-        """The condition on the variables `free` under which phi is valid: its
-        other variables eliminated universally.  None off the linear fragment
-        and when the elimination blows up; the external solver is not asked."""
-        key = (phi, free)
-        if key not in self._residuals:
-            bound = sorted(variables(phi) - set(free), key=lambda v: v.name)
-            try:
-                self._residuals[key] = cooper.residual([("forall", bound)], phi)
-            except cooper.NonlinearError:  # BlowupError included
-                self._residuals[key] = None
-        return self._residuals[key]
 
     def is_valid_quantified(self, prefix: Prefix, phi: Term) -> SolverVerdict:
         key = ("q", tuple((q, tuple(vs)) for q, vs in prefix), phi)

@@ -5,11 +5,12 @@ subterm, and single, parallel and multi-steps are built on top of it.  The
 plain oracle instantiates logical variables by values (enumerated over a
 finite domain, except calculation results which are computed exactly); over
 the rules of a ground fragment it reduces to matching.  The constrained
-oracle keeps the constraint fixed and decides a matched guard once, by a
-validity residual over the rule's unbound logical variables that each choice
-of values evaluates; the tilde variants compose with the equivalence moves
-produced by equiv_extensions, which only ever extend a constraint by a
-definition z = f(u1..un) of a theory subterm.  Parallel and multi-step
+oracle keeps the constraint fixed and decides each choice for the rule's
+logical variables by evaluating the compiled guard under one model of the
+constraint, asking for validity only what the model cannot decide; the
+tilde variants compose with the equivalence moves produced by
+equiv_extensions, which only ever extend a constraint by a definition
+z = f(u1..un) of a theory subterm.  Parallel and multi-step
 relations follow their inductive definitions, recording redex position sets;
 multi-step nesting is depth-bounded.
 """
@@ -95,13 +96,14 @@ def domain_terms(lctrs: Lctrs, config: RewriteConfig) -> dict[Sort, tuple[Term, 
 def constraint_assignments(phi: Term, vs, domain, limit: int | None = None) -> list[Subst]:
     """The assignments of domain values to the variables vs, which must
     include every variable of phi, under which phi holds: vs in name order,
-    the assignments in product order, the first `limit` of them."""
+    the assignments in product order, the first `limit` of them.  phi is
+    compiled once and evaluated on the values of each combination."""
     vs = sorted(vs, key=lambda v: v.name)
+    phi_holds = theory.evaluator(phi, vs)
     out = []
     for combo in itertools.product(*(domain[v.sort] for v in vs)):
-        sigma = dict(zip(vs, combo))
-        if theory.holds(apply_subst(sigma, phi)):
-            out.append(sigma)
+        if phi_holds(tuple(map(value_of, combo))):
+            out.append(dict(zip(vs, combo)))
             if len(out) == limit:
                 break
     return out
@@ -322,34 +324,40 @@ def constrained_oracle(
     constraint => guard*sigma is valid.  Unknown solver verdicts suppress
     the candidate.
 
-    The unbound logical variables are renamed off the constraint's, and the
-    validity residual over them is computed once per matched guard; each
-    choice of values is then decided by evaluating it.  A choice with a
-    constraint variable, and every choice when the residual is off the
-    linear fragment, is one validity query."""
+    Each choice is first decided by evaluating the compiled guard under
+    sigma and one model of a satisfiable constraint: false refutes it, true
+    with every guard variable at a value accepts it.  Only a choice that the
+    model cannot decide, and every choice under a constraint without a
+    model, is one validity query."""
     phi = ct.constraint
     phi_vars = variables(phi)
 
     def admissible(value: Term) -> bool:
         return is_value(value) or (isinstance(value, Var) and value in phi_vars)
 
+    @functools.cache
+    def sat_model() -> Subst | None:
+        """One model of phi, read once; None when phi is unsat or undecided."""
+        verdict = solver.is_satisfiable(phi)
+        return verdict.assignment if verdict.is_sat else None
+
     def instances(rule: ConstrainedRule, sigma0: Subst, unbound: tuple[Var, ...]) -> list[Subst]:
         if len(unbound) > MAX_UNBOUND:
             return []
         options = [_candidate_values(x, rule, sigma0, phi, lctrs, config) for x in unbound]
-        residual = None
-        if unbound:  # otherwise the one empty choice is one query
-            ren = rename_away(unbound, phi_vars)
-            free = tuple(ren.get(x, x) for x in unbound)
-            residual = solver.valid_residual(theory.imp(phi, apply_subst({**sigma0, **ren}, rule.guard)), free)
+        gvars, guard_holds = rule.guard_evaluator
+        model = sat_model()
         out = []
         for choice in itertools.product(*options):
             sigma = {**sigma0, **dict(zip(unbound, choice))}
-            if residual is not None and all(is_value(c) for c in choice):
-                ok = cooper.eval_formula(residual, {u.name: value_of(c) for u, c in zip(free, choice)})
-            else:
-                ok = solver.is_valid(theory.imp(phi, apply_subst(sigma, rule.guard))).is_valid
-            if ok:
+            if model is not None:
+                args = [sigma.get(x, x) for x in gvars]  # sigma first: rule variables never reach the model
+                if not guard_holds(tuple(value_of(model.get(a, a)) for a in args)):
+                    continue  # a counter-model of phi => guard*sigma
+                if all(map(is_value, args)):
+                    out.append(sigma)  # phi => true
+                    continue
+            if solver.is_valid(theory.imp(phi, apply_subst(sigma, rule.guard))).is_valid:
                 out.append(sigma)
         return out
 

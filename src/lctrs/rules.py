@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from . import theory
 from .terms import (
@@ -61,6 +62,13 @@ class ConstrainedRule:
     def _side_vars(self) -> tuple[frozenset[Var], frozenset[Var], frozenset[Var]]:
         """Variables of lhs, rhs and guard, walked once per rule."""
         return frozenset(variables(self.lhs)), frozenset(variables(self.rhs)), frozenset(variables(self.guard))
+
+    @cached_property
+    def guard_evaluator(self) -> tuple[tuple[Var, ...], Callable[[tuple], int | bool]]:
+        """The guard's variables in name order and the guard compiled as a
+        function of their values; compiled on first use."""
+        vs = tuple(sorted(self._side_vars[2], key=lambda v: v.name))
+        return vs, theory.evaluator(self.guard, vs)
 
     def variables(self) -> frozenset[Var]:
         lhs, rhs, guard = self._side_vars

@@ -97,6 +97,34 @@ def holds(phi: Term) -> bool:
     return v
 
 
+def evaluator(phi: Term, vs) -> Callable[[tuple], int | bool]:
+    """phi as a function of the values of its variables: given the Python
+    values of vs in order, it returns what interpret gives on phi with vs
+    replaced by those values.  Compiled once into closures over the
+    interpretation; an evaluation builds no term."""
+    slot = {v: i for i, v in enumerate(vs)}
+
+    def compile_(t: Term) -> Callable[[tuple], int | bool]:
+        if isinstance(t, Var):
+            if t not in slot:
+                raise TermError(f"cannot interpret non-ground term: {t}")
+            i = slot[t]
+            return lambda env: env[i]
+        if t.sym.kind == "value":
+            c = value_of(t)
+            return lambda env: c
+        if t.sym.kind != "theory":
+            raise TermError(f"cannot interpret non-theory symbol {t.sym.name}")
+        fn = _INTERP[t.sym]
+        if len(t.args) == 1:
+            (a,) = map(compile_, t.args)
+            return lambda env: fn(a(env))
+        a, b = map(compile_, t.args)
+        return lambda env: fn(a(env), b(env))
+
+    return compile_(phi)
+
+
 # Constraint builders.  Integer arguments are lifted to value constants.
 
 def _lift(t: Term | int | bool) -> Term:

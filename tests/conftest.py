@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from lctrs import theory
 from lctrs.analysis import tvar
@@ -16,6 +17,21 @@ CORPUS = REPO / "corpus"
 REFSOLVER_CMD = f"{sys.executable} {REPO / 'scripts' / 'refsolver.py'}"
 
 U = Sort("U")
+
+
+# --- random linear constraints ------------------------------------------------
+
+def linear_atom(coeffs, vs, op, const):
+    """op(c1*v1 + c2*v2 + .., const), the zero terms left out."""
+    total = int_val(0)
+    for c, v in zip(coeffs, vs):
+        if c:
+            total = theory.add(total, theory.mul(c, v))
+    return op(total, const)
+
+
+LINEAR_OPS = (theory.le, theory.lt, theory.eq, theory.ne, theory.ge)
+LINEAR_ATOM = st.tuples(st.lists(st.integers(-2, 2), min_size=5, max_size=5), st.sampled_from(LINEAR_OPS), st.integers(-3, 3))
 
 
 # --- test-side oracles: multi-steps and closedness of plain rewriting ---------

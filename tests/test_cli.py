@@ -181,6 +181,13 @@ def test_bad_values_flag(capsys):
     assert code == 1
 
 
+def test_negative_depth_flag(capsys):
+    code, out, err = run_cli(capsys, "analyze", str(CORPUS / "calc_chain.lctrs"), "--depth", "-1")
+    assert code == 1
+    assert out == ""
+    assert "input error" in err and "--depth" in err
+
+
 def test_bad_criteria_flag(capsys):
     code, _, err = run_cli(
         capsys, "analyze", str(CORPUS / "projection.lctrs"), "--criteria", "wo,bogus"
@@ -253,3 +260,8 @@ def test_run_corpus_values_forms(capsys):
             run_corpus.parse_args(["--values", bad])
         assert exc.value.code == 2
     assert "--values" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_corpus.parse_args(["--depth", "-1"])
+    assert exc.value.code == 2
+    assert "--depth" in capsys.readouterr().err
+    assert run_corpus.parse_args(["--depth", "0"]) == (0, -4, 4)

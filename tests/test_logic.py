@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lctrs import cooper, logic, theory
+from lctrs import cooper, logic, rewriting, theory
 from lctrs.analysis import analyze
 from lctrs.logic import ConstraintSolver, search_model
 from lctrs.parser import parse
-from lctrs.terms import BOOL, INT, Var, apply_subst, bool_val, int_val, variables
+from lctrs.terms import App, BOOL, INT, FunSym, TermError, Var, apply_subst, bool_val, int_val, value_of, variables
 
-from tests.conftest import CORPUS
+from tests.conftest import CORPUS, LINEAR_ATOM, linear_atom
 
 x, y, z, n, m = (Var(s, INT) for s in "xyznm")
 
@@ -70,6 +70,47 @@ def test_interpret_homomorphism_random():
         assert theory.interpret(t) == expected
 
 
+b1, b2 = Var("b1", BOOL), Var("b2", BOOL)
+_CONNECTIVES = (theory.conj, theory.disj, theory.imp, theory.eq, theory.ne)  # eq, ne: = and != on Bool
+_CONSTRAINT = st.recursive(
+    st.one_of(
+        st.builds(lambda atom: linear_atom(atom[0], [x, y, z], atom[1], atom[2]), LINEAR_ATOM),
+        st.sampled_from([b1, b2, bool_val(True), bool_val(False)]),
+    ),
+    lambda sub: st.one_of(
+        st.builds(theory.neg, sub),
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from(_CONNECTIVES), sub, sub),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _CONSTRAINT,
+    st.permutations([x, y, z, b1, b2]),
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    st.lists(st.booleans(), min_size=2, max_size=2),
+)
+def test_evaluator_agrees_with_holds(phi, vs, ints, bools):
+    """The compiled constraint, given the values in any variable order,
+    agrees with interpreting the instantiated constraint."""
+    sigma = {**{v: int_val(i) for v, i in zip([x, y, z], ints)}, **{v: bool_val(b) for v, b in zip([b1, b2], bools)}}
+    values = tuple(value_of(sigma[v]) for v in vs)
+    assert theory.evaluator(phi, vs)(values) == theory.holds(apply_subst(sigma, phi))
+
+
+def test_evaluator_rejects_what_interpret_rejects():
+    f = FunSym("f", (INT,), INT, "term")
+    phi = theory.eq(App(f, (x,)), 0)
+    with pytest.raises(TermError):
+        theory.interpret(apply_subst({x: int_val(0)}, phi))
+    with pytest.raises(TermError):
+        theory.evaluator(phi, [x])
+    with pytest.raises(TermError):
+        theory.evaluator(theory.gt(x, y), [x])
+
+
 # --- satisfiability ---------------------------------------------------------
 
 def test_unsat_strict_window(solver):
@@ -115,18 +156,6 @@ def test_invalid_with_counter_valuation(solver):
     res = solver.is_valid(theory.gt(x, 0))
     assert res.status == "invalid"
     assert not theory.holds(apply_subst(res.assignment, theory.gt(x, 0)))
-
-
-def test_valid_residual_decides_value_instances():
-    """x > 0 => y < x holds for every x exactly when y <= 0."""
-    solver = ConstraintSolver()
-    phi = theory.imp(theory.gt(x, 0), theory.lt(y, x))
-    residual = solver.valid_residual(phi, (y,))
-    for v in range(-3, 4):
-        instance = theory.imp(theory.gt(x, 0), theory.lt(int_val(v), x))
-        assert cooper.eval_formula(residual, {"y": v}) == solver.is_valid(instance).is_valid == (v <= 0)
-    assert solver.valid_residual(phi, (y,)) is residual
-    assert solver.valid_residual(theory.eq(theory.mul(y, y), x), (y,)) is None
 
 
 # --- quantified sentences ----------------------------------------------------
@@ -355,15 +384,30 @@ def _corpus_system(name):
 
 
 @pytest.mark.parametrize("name", ["calc_chain.lctrs", "guarded_swap.lctrs"])
-def test_analysis_builds_no_model(monkeypatch, name):
+def test_analysis_builds_one_model_per_oracle_constraint(monkeypatch, name):
+    """The constrained oracle reads one model of each constraint it runs
+    under; no counter-model of a validity query is ever built."""
     want = analyze(_corpus_system(name), ConstraintSolver())
+    calls = _counting_search_model(monkeypatch)
+    under = set()
+    real_oracle = rewriting.constrained_oracle
+
+    def recording_oracle(ct, *args):
+        under.add(ct.constraint)
+        return real_oracle(ct, *args)
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("model built on the analysis path")
+        raise AssertionError("counter-model built on the analysis path")
 
-    monkeypatch.setattr(logic, "search_model", refuse)
-    got = analyze(_corpus_system(name), ConstraintSolver())
+    monkeypatch.setattr(rewriting, "constrained_oracle", recording_oracle)
+    monkeypatch.setattr(ConstraintSolver, "_counter_valuation", refuse)
+    solver = _RecordingSolver()
+    got = analyze(_corpus_system(name), solver)
     assert (got.result, got.criterion, got.reasons) == (want.result, want.criterion, want.reasons)
+    assert calls and len(calls) == len(set(calls))
+    assert set(calls) <= under
+    invalid = {phi for res, phi in solver.asked.values() if res.status == "invalid"}
+    assert invalid and not {theory.neg(phi) for phi in invalid} & set(calls)
 
 
 class _RecordingSolver(ConstraintSolver):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lctrs import cooper, theory
+from lctrs import logic, theory
 from lctrs.logic import ConstraintSolver
 from lctrs.rules import ConstrainedRule, Lctrs, Signature, calc_rules, respects
 from lctrs.rewriting import (
@@ -28,7 +28,7 @@ from lctrs.rewriting import (
 )
 from lctrs.terms import App, INT, Var, apply_subst, int_val, subterm_at, variables
 
-from tests.conftest import plain_multi_successors
+from tests.conftest import LINEAR_ATOM, linear_atom, plain_multi_successors
 
 CFG = RewriteConfig()
 x, y, z, m, n = (Var(name, INT) for name in "xyzmn")
@@ -158,57 +158,50 @@ def test_nonlinear_guard_is_decided_per_value(solver):
     assert guarded == [App(g, (int_val(-3),)), App(g, (int_val(3),))]
 
 
-def test_matches_with_one_guard_share_one_residual(monkeypatch):
+def test_matches_with_one_guard_share_one_model(monkeypatch):
     """k(f(x), f(x)) [x > 0] under f(n) -> g(m) [0 <= m < n]: both matches
-    instantiate the guard alike, so it is eliminated once."""
+    are decided under the same model of x > 0, which is built once."""
     sig = Signature()
     f, g = sig.add_fun("f", [INT], INT), sig.add_fun("g", [INT], INT)
     k = sig.add_fun("k", [INT, INT], INT)
     guard = theory.conj(theory.le(0, m), theory.lt(m, n))
     system = Lctrs(sig, (ConstrainedRule(App(f, (n,)), App(g, (m,)), guard),))
     calls = []
-    real = cooper.residual
-    monkeypatch.setattr(cooper, "residual", lambda *args: calls.append(args) or real(*args))
+    real = logic.search_model
+    monkeypatch.setattr(logic, "search_model", lambda *args: calls.append(args) or real(*args))
     fx = App(f, (x,))
     ct = ConstrainedTerm(App(k, (fx, fx)), theory.gt(x, 0))
     results = [res.term for res, _ in cstep(ct, system, ConstraintSolver())]
     g0 = App(g, (int_val(0),))
     assert results == [App(k, (g0, fx)), App(k, (fx, g0))]
-    assert len(calls) == 1
-
-
-def _linear_atom(coeffs, vs, op, const):
-    total = int_val(0)
-    for c, v in zip(coeffs, vs):
-        if c:
-            total = theory.add(total, theory.mul(c, v))
-    return op(total, const)
-
-
-_OPS = (theory.le, theory.lt, theory.eq, theory.ne, theory.ge)
-_ATOM = st.tuples(st.lists(st.integers(-2, 2), min_size=5, max_size=5), st.sampled_from(_OPS), st.integers(-3, 3))
+    assert calls == [(ct.constraint,)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 3),
     st.lists(st.sampled_from(["p", "u", "w"]), min_size=1, max_size=2, unique=True),
-    st.lists(_ATOM, min_size=1, max_size=2),
-    st.lists(_ATOM, min_size=1, max_size=2),
+    st.lists(LINEAR_ATOM, min_size=1, max_size=2),
+    st.lists(LINEAR_ATOM, min_size=1, max_size=2),
 )
 @example(  # a - p = 1 with a bound to the constraint's p = 1: the rule's p is 0
     1, ["p", "u"], [([1, 0, 0, 0, 0], theory.eq, 1)], [([1, -1, 0, 0, 0], theory.eq, 1), ([0, 1, 1, 0, 0], theory.ge, 0)]
 )
-def test_residual_accepts_exactly_the_valid_instances(arity, unbound_names, phi_atoms, guard_atoms):
+@example(  # p <= -1 and p >= 1 has no model: every choice is valid, by a query each
+    1, ["u"], [([1, 0, 0, 0, 0], theory.le, -1), ([1, 0, 0, 0, 0], theory.ge, 1)], [([1, 1, 0, 0, 0], theory.eq, 3)]
+)
+def test_oracle_accepts_exactly_the_valid_instances(arity, unbound_names, phi_atoms, guard_atoms):
     """f(a, b, ..) -> g(unbound) [guard] on f(p, q, ..) [phi]: the oracle's
     instances are the candidate choices for which phi => guard*sigma is valid.
-    An unbound variable named p shares its name with a constraint variable."""
+    An unbound variable named p shares its name with a constraint variable.
+    Every validity query the oracle asks holds in phi's model: a choice that
+    the model refutes costs none."""
     cvars = [Var(name, INT) for name in "pqr"[:arity]]
     lhs_vars = [Var(name, INT) for name in "abc"[:arity]]
     unbound = [Var(name, INT) for name in sorted(unbound_names)]
-    phi = theory.conj(*(_linear_atom(cs, cvars, op, k) for cs, op, k in phi_atoms))
+    phi = theory.conj(*(linear_atom(cs, cvars, op, k) for cs, op, k in phi_atoms))
     assume(variables(phi) == set(cvars))  # the match binds a, b, .. to constraint variables
-    guard = theory.conj(*(_linear_atom(cs, lhs_vars + unbound, op, k) for cs, op, k in guard_atoms))
+    guard = theory.conj(*(linear_atom(cs, lhs_vars + unbound, op, k) for cs, op, k in guard_atoms))
     system, f, _g = _one_rule(lhs_vars, unbound, guard)
     config = RewriteConfig(lo=-1, hi=1)
     solver = ConstraintSolver()
@@ -217,8 +210,29 @@ def test_residual_accepts_exactly_the_valid_instances(arity, unbound_names, phi_
     options = [_candidate_values(v, rule, sigma0, phi, system, config) for v in unbound]
     sigmas = [{**sigma0, **dict(zip(unbound, choice))} for choice in itertools.product(*options)]
     wanted = [sigma for sigma in sigmas if solver.is_valid(theory.imp(phi, apply_subst(sigma, guard))).is_valid]
-    found = constrained_oracle(ConstrainedTerm(App(f, tuple(cvars)), phi), system, ConstraintSolver(), config)
+    oracle_solver = _QueryLog()
+    found = constrained_oracle(ConstrainedTerm(App(f, tuple(cvars)), phi), system, oracle_solver, config)
     assert [sigma for _rule, sigma in found(App(f, tuple(cvars)))] == wanted
+    sat = oracle_solver.is_satisfiable(phi)
+    if not sat.is_sat:  # no model to evaluate under: one query per choice
+        assert len(oracle_solver.valid_queries) == len(sigmas)
+    for query in oracle_solver.valid_queries:
+        premise, conclusion = query.args
+        assert premise == phi
+        if sat.is_sat:
+            assert theory.holds(apply_subst(sat.assignment, conclusion)), query
+
+
+class _QueryLog(ConstraintSolver):
+    """Keeps every validity query it is asked."""
+
+    def __init__(self):
+        super().__init__()
+        self.valid_queries = []
+
+    def is_valid(self, phi):
+        self.valid_queries.append(phi)
+        return super().is_valid(phi)
 
 
 def test_cstep_calculation_with_defined_variable(single_value, solver):

@@ -21,7 +21,6 @@ from .logic import ConstraintSolver
 from .rewriting import (
     ConstrainedTerm,
     RewriteConfig,
-    _align,
     breadth_first,
     cstep_tilde,
     multi_tilde,
@@ -121,15 +120,16 @@ def _single_overlaps(rules, index):
                 yield rho2, [rho1], (p,)
 
 
-def _parallel_overlaps(rules, index, cap: int):
+def _parallel_overlaps(rules, index):
     """(outer copy, inner copies, positions) for every set of parallel
-    function positions of an outer left-hand side, up to cap sets per rule,
-    and every choice of inner rules the index retrieves as unifiable there;
-    the outer copy keeps its variable names."""
+    function positions of an outer left-hand side, up to
+    terms.PARALLEL_SET_CAP sets per rule, and every choice of inner rules the
+    index retrieves as unifiable there; the outer copy keeps its variable
+    names."""
     for outer in rules:
         ps = sorted(positions(outer.lhs, "function"))
         hits = {p: [rules[i] for i in index.unifiable(subterm_at(outer.lhs, p))] for p in ps}
-        for pset in parallel_subsets(ps, cap=cap)[1:]:
+        for pset in parallel_subsets(ps)[1:]:
             for inner_choice in itertools.product(*(hits[p] for p in pset)):
                 if outer.calc and all(r.calc for r in inner_choice):
                     continue
@@ -137,17 +137,17 @@ def _parallel_overlaps(rules, index, cap: int):
                 yield rho, inners, tuple(pset)
 
 
-def _critical_pairs(rules, index, sat, parallel: bool = False, cap: int | None = None) -> list:
-    """Critical pairs (parallel ones when asked, up to cap position sets per
-    rule) of the rules and their LhsIndex, deduplicated up to variable
-    renaming, the first record of each key kept.
+def _critical_pairs(rules, index, sat, parallel: bool = False) -> list:
+    """Critical pairs (parallel ones when asked, up to terms.PARALLEL_SET_CAP
+    position sets per rule) of the rules and their LhsIndex, deduplicated up
+    to variable renaming, the first record of each key kept.
 
     sat answers "sat", "unsat" or "unknown" for the instantiated guards;
     unsat overlaps are dropped.  Single pairs carry the constraint
     (inner & outer guards) & EC, parallel ones outer guard & EC & inner
     guards."""
     seen: dict[str, CCPRecord | CPCPRecord] = {}
-    overlaps = _parallel_overlaps(rules, index, cap) if parallel else _single_overlaps(rules, index)
+    overlaps = _parallel_overlaps(rules, index) if parallel else _single_overlaps(rules, index)
     for rho, inners, pset in overlaps:
         sigma = unify([(inner.lhs, subterm_at(rho.lhs, p)) for inner, p in zip(inners, pset)])
         if sigma is None:
@@ -182,14 +182,40 @@ def ccps(lctrs: Lctrs, solver: ConstraintSolver) -> list[CCPRecord]:
     return _critical_pairs(lctrs.rc_rules, lctrs.lhs_index, lambda phi: solver.is_satisfiable(phi).status)
 
 
-def cpcps(lctrs: Lctrs, solver: ConstraintSolver, config: RewriteConfig = RewriteConfig()) -> list[CPCPRecord]:
+def cpcps(lctrs: Lctrs, solver: ConstraintSolver) -> list[CPCPRecord]:
     """All constrained parallel critical pairs; a rule with more parallel
-    position sets than config.max_parallel_sets raises ParallelSetCap."""
+    position sets than terms.PARALLEL_SET_CAP raises ParallelSetCap."""
     sat = lambda phi: solver.is_satisfiable(phi).status  # noqa: E731
-    return _critical_pairs(lctrs.rc_rules, lctrs.lhs_index, sat, parallel=True, cap=config.max_parallel_sets)
+    return _critical_pairs(lctrs.rc_rules, lctrs.lhs_index, sat, parallel=True)
 
 
 # --- triviality ---------------------------------------------------------------
+
+def _align(s: Term, svars: set[Var], t: Term, tvars: set[Var]) -> list[tuple[Term, Term]] | None:
+    """Pairs (left, right) of logical variables/values at aligned positions,
+    or None on a rigid mismatch."""
+    s_log = isinstance(s, Var) and s in svars
+    t_log = isinstance(t, Var) and t in tvars
+    if s_log or t_log:
+        s_ok = s_log or is_value(s)
+        t_ok = t_log or is_value(t)
+        if not (s_ok and t_ok) or sort_of(s) != sort_of(t):
+            return None
+        return [(s, t)]
+    if isinstance(s, Var) or isinstance(t, Var):
+        return [] if s == t else None
+    if is_value(s) or is_value(t):
+        return [] if s == t else None
+    if s.sym != t.sym:
+        return None
+    out: list[tuple[Term, Term]] = []
+    for sa, ta in zip(s.args, t.args):
+        sub = _align(sa, svars, ta, tvars)
+        if sub is None:
+            return None
+        out.extend(sub)
+    return out
+
 
 def is_trivial(pair: ConstrainedTerm, solver: ConstraintSolver) -> str:
     """Yes / no / unknown: do both components coincide under every model?"""
@@ -248,7 +274,7 @@ def _closing(
     breadth-first tail of up to depth constrained steps below the other
     side, accepting the first trivial node; given allowed, only one whose
     TVar below qset lies in it.  A parallel first step with more redex
-    subsets than the configured cap gives unknown."""
+    subsets than terms.PARALLEL_SET_CAP gives unknown."""
     try:
         mids = first(start, lctrs, solver, config, below=(side,))
     except ParallelSetCap as exc:
@@ -331,19 +357,6 @@ def is_left_linear(lctrs: Lctrs) -> bool:
     return True
 
 
-def is_weakly_orthogonal(lctrs: Lctrs, solver: ConstraintSolver) -> str:
-    if not is_left_linear(lctrs):
-        return "no"
-    unknown = False
-    for ccp in ccps(lctrs, solver):
-        verdict = is_trivial(ccp.pair(), solver)
-        if verdict == "no":
-            return "no"
-        if verdict == "unknown":
-            unknown = True
-    return "unknown" if unknown else "yes"
-
-
 @dataclass
 class AnalysisConfig:
     criteria: tuple[str, ...] = ("wo", "adc", "pc")
@@ -406,7 +419,7 @@ def analyze(lctrs: Lctrs, solver: ConstraintSolver, config: AnalysisConfig | Non
     ppairs = None
     if ll and "pc" in config.criteria:
         try:
-            ppairs = cpcps(lctrs, solver, config.rewrite)
+            ppairs = cpcps(lctrs, solver)
         except ParallelSetCap as exc:
             reasons["parallel-closed"] = f"unknown ({exc})"
 

@@ -96,14 +96,14 @@ def _cpcp_json(rec) -> dict:
     }
 
 
-def _verdict_json(v: Verdict, system, solver, config: RewriteConfig) -> dict:
+def _verdict_json(v: Verdict, system, solver) -> dict:
     criteria = []
     if v.criterion and v.result == "YES":
         criteria.append({"name": v.criterion, "result": "pass", "detail": ""})
     for name, detail in v.reasons.items():
         criteria.append({"name": name, "result": "fail", "detail": detail})
     try:
-        parallel = [_cpcp_json(r) for r in (cpcps(system, solver, config) if v.cpcps is None else v.cpcps)]
+        parallel = [_cpcp_json(r) for r in (cpcps(system, solver) if v.cpcps is None else v.cpcps)]
     except ParallelSetCap:
         parallel = None  # more parallel position sets than the cap allows
     witnesses = []
@@ -122,7 +122,7 @@ def cmd_analyze(args) -> int:
     system, solver, config = _setup(args)
     verdict = analyze(system, solver, config)
     if args.json:
-        print(json.dumps(_verdict_json(verdict, system, solver, config.rewrite), indent=2))
+        print(json.dumps(_verdict_json(verdict, system, solver), indent=2))
         return 0
     print(verdict.result)
     if verdict.criterion:
@@ -150,7 +150,7 @@ def cmd_ccp(args) -> int:
 
 def cmd_cpcp(args) -> int:
     system, solver, config = _setup(args)
-    records = cpcps(system, solver, config.rewrite)
+    records = cpcps(system, solver)
     if args.json:
         print(json.dumps([_cpcp_json(r) for r in records], indent=2))
         return 0

@@ -129,8 +129,7 @@ def trs_cps(fragment: GroundFragment) -> list[CCPRecord]:
 
 def trs_pcps(fragment: GroundFragment) -> list[CPCPRecord]:
     """Parallel critical pairs of the fragment, with true constraints."""
-    cap = fragment.config.max_parallel_sets
-    return _critical_pairs(fragment.rules, fragment.lhs_index, _always_sat, parallel=True, cap=cap)
+    return _critical_pairs(fragment.rules, fragment.lhs_index, _always_sat, parallel=True)
 
 
 def find_nonjoinable_peak(fragment: GroundFragment, depth: int = 8):
@@ -206,7 +205,7 @@ def check_cp_correspondence(
     frag_cps = trs_cps(fragment)
     for kind, pairs, sources in (
         ("pair", frag_cps, constrained),
-        ("parallel pair", trs_pcps(fragment), cpcps(lctrs, solver, config)),
+        ("parallel pair", trs_pcps(fragment), cpcps(lctrs, solver)),
     ):
         for cp in pairs:
             report.checked += 1

@@ -257,9 +257,7 @@ def _parse_rule(sig: Signature, lhs_node: Node, rhs_node: Node, guard_node: Node
                 return _Pre(node, _SortCell(sym.result_sort), head=sym, args=args)
             # overloaded equality: both arguments share a sort, result Bool
             args[0].cell.unite(args[1].cell, node)
-            pre = _Pre(node, _SortCell(BOOL), args=args, eq_overload=True)
-            pre.head = overloads[0] if name == "=" else overloads[0]
-            return pre
+            return _Pre(node, _SortCell(BOOL), args=args, eq_overload=True)
         raise ParseError(f"unknown symbol {name!r}", head.line, head.col)
 
     lhs_pre = build(lhs_node)

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import theory
-from .rewriting import RewriteConfig, plain_successors
 from .rules import ConstrainedRule, Lctrs, Signature
-from .terms import App, INT, Sort, Term, Var, int_val, is_value, value_of
+from .terms import App, INT, Sort, Term, Var, int_val
 
 STRING = Sort("String")
 PCP_SORT = Sort("PCP")
@@ -48,30 +47,6 @@ class PCPInstance:
                 raise ValueError(f"malformed pair {chunk!r}")
             pairs.append((parts[0].strip(), parts[1].strip()))
         return cls(tuple(pairs))
-
-
-def encode_string(indices, size: int) -> int:
-    """Candidate string to natural number; accepts digit strings for N <= 9."""
-    if isinstance(indices, str):
-        indices = [int(c) for c in indices]
-    indices = list(indices)
-    if any(not 1 <= i <= size for i in indices):
-        raise ValueError(f"indices must lie in 1..{size}: {indices}")
-    out = 0
-    for i in reversed(indices):
-        out = size * out + i
-    return out
-
-
-def decode(n: int, size: int) -> tuple[int, ...]:
-    if n < 0 or size < 1:
-        raise ValueError("need n >= 0 and size >= 1")
-    out = []
-    while n > 0:
-        i = (n - 1) % size + 1
-        out.append(i)
-        n = (n - i) // size
-    return tuple(out)
 
 
 def build_rp(instance: PCPInstance) -> Lctrs:
@@ -129,37 +104,3 @@ def build_rp(instance: PCPInstance) -> Lctrs:
         rules.append(ConstrainedRule(App(alpha, (n,)), word(aw, App(alpha, (m,))), guard))
         rules.append(ConstrainedRule(App(beta, (n,)), word(bw, App(beta, (m,))), guard))
     return Lctrs(sig, tuple(rules))
-
-
-def _max_literal(t: Term) -> int:
-    if isinstance(t, App):
-        if is_value(t) and t.sym.result_sort == INT:
-            return abs(value_of(t))
-        return max((_max_literal(a) for a in t.args), default=0)
-    return 0
-
-
-def check_candidate(instance: PCPInstance, n: int, depth: int | None = None) -> str:
-    """Rewrite the candidate test to a normal form within the fuel bound.
-
-    The quotient in the recursive guards strictly decreases, so the default
-    fuel of 10 steps per decoded index always suffices.
-    """
-    if n <= 0:
-        raise ValueError("candidates are positive numbers")
-    system = build_rp(instance)
-    word_len = len(decode(n, instance.size))
-    fuel = depth if depth is not None else 10 * max(word_len, 1)
-    sig = system.signature.term_syms
-    t: Term = App(sig["test"], (App(sig["alpha"], (int_val(n),)), App(sig["beta"], (int_val(n),)), int_val(n)))
-    for _ in range(fuel):
-        config = RewriteConfig(lo=0, hi=_max_literal(t))
-        successors = plain_successors(t, system, config)
-        if not successors:
-            break
-        t = sorted((r for r, _ in successors), key=repr)[0]
-    if t == App(sig["top"]):
-        return "solution"
-    if t == App(sig["bot"]):
-        return "non_solution"
-    return "out_of_fuel"

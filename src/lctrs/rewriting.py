@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
-from . import cooper, theory
+from . import theory
 from .logic import ConstraintSolver
 from .rules import ConstrainedRule, Lctrs
 from .terms import (
@@ -44,9 +43,7 @@ from .terms import (
     match,
     parallel_subsets,
     positions,
-    rename_away,
     replace_at,
-    sort_of,
     subterm_at,
     term_key,
     value_of,
@@ -82,7 +79,6 @@ MAX_UNBOUND = 3  # a rule with more logical variables to choose gives no instanc
 class RewriteConfig:
     lo: int = -4
     hi: int = 4
-    max_parallel_sets: int = 4096
 
     def int_domain(self, lctrs: Lctrs) -> tuple[int, ...]:
         return tuple(sorted(set(range(self.lo, self.hi + 1)) | lctrs.literals))
@@ -162,11 +158,11 @@ def single_steps(t: Term, found: list[Redex]) -> list[tuple[Term, StepRecord]]:
     ]
 
 
-def parallel_steps(t: Term, found: list[Redex], cap: int) -> list[tuple[Term, tuple[Position, ...]]]:
+def parallel_steps(t: Term, found: list[Redex]) -> list[tuple[Term, tuple[Position, ...]]]:
     """Contract every subset of redexes at parallel positions at once; the
     result carries its exact redex position set."""
     out = []
-    for subset in parallel_subsets(found, lambda red: red[0], cap):
+    for subset in parallel_subsets(found, lambda red: red[0]):
         repl = {p: apply_subst(sigma, rule.rhs) for p, rule, sigma in subset}
         out.append((replace_at(t, repl), tuple(sorted(repl))))
     return out
@@ -221,35 +217,6 @@ def breadth_first(start, successors, depth: int):
 
 # --- plain rewriting --------------------------------------------------------
 
-def _guard_solutions(guard: Term, unbound, domain, config: RewriteConfig, lctrs: Lctrs) -> list[Subst]:
-    """Domain assignments of the unbound variables satisfying the guard.
-
-    A domain product of more than 64 is searched by the decision procedure
-    with blocking clauses.  The product itself is enumerated when it is
-    small, when the guard falls outside the linear fragment, when the
-    blocking clauses blow up, and when the search reaches 4096 solutions."""
-    if math.prod(len(domain[x.sort]) for x in unbound) > 64:
-        bounds = []
-        for x in unbound:
-            if x.sort == INT:
-                window = theory.conj(theory.le(config.lo, x), theory.le(x, config.hi))
-                extras = [theory.eq(x, n) for n in lctrs.literals if not config.lo <= n <= config.hi]
-                bounds.append(theory.disj(window, *extras))
-        try:
-            f = cooper.formula_of(theory.conj(guard, *bounds))
-            out = []
-            while len(out) < 4096:
-                sigma = cooper.find_model(f, unbound)
-                if sigma is None:
-                    return out
-                out.append(sigma)
-                block = theory.disj(*(theory.ne(x, v) for x, v in sigma.items()))
-                f = cooper.mk_and((f, cooper.formula_of(block)))
-        except cooper.NonlinearError:  # BlowupError included
-            pass
-    return constraint_assignments(guard, unbound, domain)
-
-
 def plain_oracle(lctrs: Lctrs, config: RewriteConfig, rules=None, index=None) -> RedexOracle:
     """Root redexes of plain rewriting with `rules` and their LhsIndex, by
     default the rules and calculation rules of lctrs, whose oracle is built
@@ -276,7 +243,7 @@ def plain_oracle(lctrs: Lctrs, config: RewriteConfig, rules=None, index=None) ->
         guard = apply_subst(sigma0, rule.guard)
         if (guard, unbound) not in solved:
             # the empty product reads no domain
-            solved[guard, unbound] = _guard_solutions(guard, unbound, domain() if unbound else {}, config, lctrs)
+            solved[guard, unbound] = constraint_assignments(guard, unbound, domain() if unbound else {})
         return [{**sigma0, **extra} for extra in solved[guard, unbound]]
 
     return _oracle(rules, index, is_value, instances)
@@ -289,30 +256,20 @@ def plain_successors(
     return single_steps(s, redexes(s, plain_oracle(lctrs, config)))
 
 
-def plain_parallel_successors(
-    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()
-) -> list[tuple[Term, tuple[Position, ...]]]:
-    """All parallel-step results with their exact redex position sets."""
-    return parallel_steps(s, redexes(s, plain_oracle(lctrs, config)), config.max_parallel_sets)
-
-
 # --- rewriting on constrained terms ----------------------------------------
 
 def _candidate_values(
-    x: Var, rule: ConstrainedRule, sigma0: Subst, phi: Term, lctrs: Lctrs, config: RewriteConfig
+    x: Var, rule: ConstrainedRule, sigma0: Subst, phi_vars: list[Var], domain: dict[Sort, tuple[Term, ...]]
 ) -> list[Term]:
     """Instantiation candidates for an unbound logical variable: constraint
-    variables of the right sort, the exact calculation result when available,
-    and domain values."""
-    cands: list[Term] = [v for v in sorted(variables(phi), key=lambda v: v.name) if v.sort == x.sort]
+    variables (phi_vars, in name order) of the right sort, the exact
+    calculation result when available, and domain values."""
+    cands: list[Term] = [v for v in phi_vars if v.sort == x.sort]
     if rule.calc:
         args = apply_subst(sigma0, rule.lhs)
         if not variables(args):
             cands.append(theory.interpret_term(args))
-    if x.sort == BOOL:
-        cands.extend((bool_val(True), bool_val(False)))
-    else:
-        cands.extend(int_val(n) for n in config.int_domain(lctrs))
+    cands.extend(domain[x.sort])
     return list(dict.fromkeys(cands))
 
 
@@ -331,6 +288,8 @@ def constrained_oracle(
     model, is one validity query."""
     phi = ct.constraint
     phi_vars = variables(phi)
+    phi_vars_by_name = sorted(phi_vars, key=lambda v: v.name)
+    domain = functools.cache(lambda: domain_terms(lctrs, config))  # read only for unbound variables
 
     def admissible(value: Term) -> bool:
         return is_value(value) or (isinstance(value, Var) and value in phi_vars)
@@ -344,7 +303,7 @@ def constrained_oracle(
     def instances(rule: ConstrainedRule, sigma0: Subst, unbound: tuple[Var, ...]) -> list[Subst]:
         if len(unbound) > MAX_UNBOUND:
             return []
-        options = [_candidate_values(x, rule, sigma0, phi, lctrs, config) for x in unbound]
+        options = [_candidate_values(x, rule, sigma0, phi_vars_by_name, domain()) for x in unbound]
         gvars, guard_holds = rule.guard_evaluator
         model = sat_model()
         out = []
@@ -445,7 +404,7 @@ def parallel_successors(
 ) -> list[tuple[ConstrainedTerm, tuple[Position, ...]]]:
     """Constrained parallel steps with exact redex position sets."""
     found = constrained_redexes(ct, lctrs, solver, config, below)
-    steps = parallel_steps(ct.term, found, config.max_parallel_sets)
+    steps = parallel_steps(ct.term, found)
     return [(ConstrainedTerm(r, ct.constraint), pset) for r, pset in steps]
 
 
@@ -483,72 +442,3 @@ def multi_tilde(
     below: Position = EPSILON,
 ) -> list[ConstrainedTerm]:
     return _modulo_equivalence(ct, lambda e: multi_successors(e, lctrs, solver, config, below))
-
-
-# --- equivalence of constrained terms ---------------------------------------
-
-def equiv(a: ConstrainedTerm, b: ConstrainedTerm, solver: ConstraintSolver) -> str:
-    """Yes / No / Unknown for the equivalence of two constrained terms.
-
-    Structural alignment first: outside constraint-variable positions the
-    terms must agree syntactically; the aligned positions reduce equivalence
-    to a pair of forall/exists sentences over the theory.
-    """
-    sat_a = solver.is_satisfiable(a.constraint)
-    sat_b = solver.is_satisfiable(b.constraint)
-    if sat_a.is_unknown or sat_b.is_unknown:
-        return "unknown"
-    if sat_a.status == "unsat" and sat_b.status == "unsat":
-        return "yes"
-    if sat_a.status == "unsat" or sat_b.status == "unsat":
-        return "no"
-
-    eqs = _align(a.term, variables(a.constraint), b.term, variables(b.constraint))
-    if eqs is None:
-        return "no"
-
-    verdict1 = _direction(a, b, eqs, solver)
-    verdict2 = _direction(b, a, [(r, l) for l, r in eqs], solver)
-    if verdict1 == "valid" and verdict2 == "valid":
-        return "yes"
-    if "invalid" in (verdict1, verdict2):
-        return "no"
-    return "unknown"
-
-
-def _align(s: Term, svars: set[Var], t: Term, tvars: set[Var]) -> list[tuple[Term, Term]] | None:
-    """Pairs (left, right) of logical variables/values at aligned positions,
-    or None on a rigid mismatch."""
-    s_log = isinstance(s, Var) and s in svars
-    t_log = isinstance(t, Var) and t in tvars
-    if s_log or t_log:
-        s_ok = s_log or is_value(s)
-        t_ok = t_log or is_value(t)
-        if not (s_ok and t_ok) or sort_of(s) != sort_of(t):
-            return None
-        return [(s, t)]
-    if isinstance(s, Var) or isinstance(t, Var):
-        return [] if s == t else None
-    if is_value(s) or is_value(t):
-        return [] if s == t else None
-    if s.sym != t.sym:
-        return None
-    out: list[tuple[Term, Term]] = []
-    for sa, ta in zip(s.args, t.args):
-        sub = _align(sa, svars, ta, tvars)
-        if sub is None:
-            return None
-        out.extend(sub)
-    return out
-
-
-def _direction(a: ConstrainedTerm, b: ConstrainedTerm, eqs, solver: ConstraintSolver) -> str:
-    """forall models of a.constraint, exists model of b.constraint matching."""
-    avars = sorted(variables(a.constraint), key=lambda v: v.name)
-    bvars = sorted(variables(b.constraint), key=lambda v: v.name)
-    ren = rename_away(bvars, avars)
-    psi = apply_subst(ren, b.constraint)
-    conds = [theory.eq(l, apply_subst(ren, r)) for l, r in eqs]
-    body = theory.imp(a.constraint, theory.conj(psi, *conds))
-    prefix = [("forall", avars), ("exists", [ren.get(v, v) for v in bvars])]
-    return solver.is_valid_quantified(prefix, body).status

@@ -140,19 +140,6 @@ def is_variant(r1: ConstrainedRule, r2: ConstrainedRule) -> bool:
     return True
 
 
-def respects(sigma: Subst, rule: ConstrainedRule) -> bool:
-    """sigma instantiates the rule: logical variables to values, guard true."""
-    rule_vars = rule.variables()
-    if any(x not in rule_vars for x in sigma):
-        return False
-    if any(not is_value(sigma.get(x, x)) for x in rule.lvar()):
-        return False
-    guard = apply_subst(sigma, rule.guard)
-    if variables(guard):
-        return False
-    return theory.holds(guard)
-
-
 @dataclass
 class Signature:
     sorts: dict[str, Sort] = field(default_factory=dict)

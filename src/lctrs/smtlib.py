@@ -58,7 +58,6 @@ def smt_script(
     phi: Term,
     prefix: list[tuple[str, list[Var]]] | None = None,
     logic: str = "LIA",
-    get_model: bool = True,
 ) -> str:
     """check-sat script for phi under an optional quantifier prefix."""
     body = smt_term(phi)
@@ -72,8 +71,7 @@ def smt_script(
         lines.append(f"(declare-const {v.name} {_smt_sort(v.sort)})")
     lines.append(f"(assert {body})")
     lines.append("(check-sat)")
-    if get_model:
-        lines.append("(get-model)")
+    lines.append("(get-model)")
     lines.append("(exit)")
     return "\n".join(lines) + "\n"
 

@@ -119,18 +119,6 @@ def value_of(t: Term) -> int | bool:
     return int(t.sym.name)
 
 
-def mk_app(sym: FunSym, args: Iterable[Term]) -> App:
-    """Sort-checked application."""
-    args = tuple(args)
-    if len(args) != sym.arity:
-        raise TermError(f"{sym.name} expects {sym.arity} arguments, got {len(args)}")
-    for a, want in zip(args, sym.arg_sorts):
-        got = sort_of(a)
-        if got != want:
-            raise TermError(f"argument {a} of {sym.name} has sort {got}, expected {want}")
-    return App(sym, args)
-
-
 def sort_of(t: Term) -> Sort:
     """Sort of a term, validating arities and argument sorts along the way."""
     if isinstance(t, Var):
@@ -197,20 +185,23 @@ def parallel_positions(ps: Iterable[Position]) -> bool:
     return all(parallel(p, q) for i, p in enumerate(ps) for q in ps[i + 1 :])
 
 
+PARALLEL_SET_CAP = 4096
+
+
 class ParallelSetCap(Exception):
-    """More parallel subsets than the configured cap allows."""
+    """More parallel subsets than PARALLEL_SET_CAP allows."""
 
 
-def parallel_subsets(items: Iterable, position=lambda p: p, cap: int | None = None) -> list[list]:
+def parallel_subsets(items: Iterable, position=lambda p: p) -> list[list]:
     """Subsets of items at pairwise parallel, distinct positions, the empty
     one first, each item extending the subsets found before it; more than
-    cap subsets raises ParallelSetCap."""
+    PARALLEL_SET_CAP subsets raises ParallelSetCap."""
     subsets: list[list] = [[]]
     for item in items:
         p = position(item)
         subsets += [chosen + [item] for chosen in subsets if all(parallel(p, position(c)) for c in chosen)]
-        if cap is not None and len(subsets) > cap:
-            raise ParallelSetCap(f"parallel subset cap {cap} exceeded")
+        if len(subsets) > PARALLEL_SET_CAP:
+            raise ParallelSetCap(f"parallel subset cap {PARALLEL_SET_CAP} exceeded")
     return subsets
 
 
@@ -242,14 +233,6 @@ def apply_subst(sigma: Mapping[Var, Term], t: Term) -> Term:
     if not sigma:
         return t
     return App(t.sym, tuple(apply_subst(sigma, a) for a in t.args))
-
-
-def compose(sigma: Subst, tau: Subst) -> Subst:
-    """sigma then tau: apply(compose(sigma, tau), t) == apply(tau, apply(sigma, t))."""
-    out = {x: apply_subst(tau, s) for x, s in sigma.items()}
-    for y, s in tau.items():
-        out.setdefault(y, s)
-    return {x: s for x, s in out.items() if s != x}
 
 
 def match(pattern: Term, subject: Term) -> Subst | None:

@@ -5,12 +5,35 @@ import pytest
 from hypothesis import strategies as st
 
 from lctrs import theory
-from lctrs.analysis import tvar
+from lctrs.analysis import _align, tvar
 from lctrs.grounding import GroundFragment, reachable, trs_cps, trs_pcps
 from lctrs.logic import ConstraintSolver
-from lctrs.rewriting import MULTI_NESTING, RewriteConfig, multi_steps, parallel_steps, plain_oracle, redexes
+from lctrs.pcp import PCPInstance, build_rp
+from lctrs.rewriting import (
+    MULTI_NESTING,
+    ConstrainedTerm,
+    RewriteConfig,
+    multi_steps,
+    parallel_steps,
+    plain_oracle,
+    plain_successors,
+    redexes,
+)
 from lctrs.rules import ConstrainedRule, Lctrs, Signature
-from lctrs.terms import App, INT, Sort, Term, Var, int_val
+from lctrs.terms import (
+    App,
+    INT,
+    Position,
+    Sort,
+    Term,
+    Var,
+    apply_subst,
+    int_val,
+    is_value,
+    rename_away,
+    value_of,
+    variables,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -36,6 +59,13 @@ LINEAR_ATOM = st.tuples(st.lists(st.integers(-2, 2), min_size=5, max_size=5), st
 
 # --- test-side oracles: multi-steps and closedness of plain rewriting ---------
 
+def plain_parallel_successors(
+    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()
+) -> list[tuple[Term, tuple[Position, ...]]]:
+    """All parallel-step results with their exact redex position sets."""
+    return parallel_steps(s, redexes(s, plain_oracle(lctrs, config)))
+
+
 def plain_multi_successors(s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> set[Term]:
     """Multi-step results up to the engine's nesting bound."""
     return multi_steps(s, plain_oracle(lctrs, config), MULTI_NESTING)
@@ -47,12 +77,13 @@ def frag_multi(t: Term, fragment: GroundFragment) -> set[Term]:
 
 def trs_closedness_check(fragment: GroundFragment, depth: int = 6) -> dict:
     """Development/parallel closedness measured directly on the fragment,
-    multi-steps nested and parallel steps capped as its RewriteConfig says."""
+    multi-steps nested and parallel steps capped as the engine's constants
+    say."""
     cps = trs_cps(fragment)
     pcps = trs_pcps(fragment)
 
     def parallel(t: Term):
-        return parallel_steps(t, redexes(t, fragment.oracle), fragment.config.max_parallel_sets)
+        return parallel_steps(t, redexes(t, fragment.oracle))
 
     dev_all = adc_all = par1 = True
     for cp in cps:
@@ -79,6 +110,109 @@ def trs_closedness_check(fragment: GroundFragment, depth: int = 6) -> dict:
         "cp_count": len(cps),
         "pcp_count": len(pcps),
     }
+
+
+# --- test-side oracle: equivalence of constrained terms -----------------------
+
+def equiv(a: ConstrainedTerm, b: ConstrainedTerm, solver: ConstraintSolver) -> str:
+    """Yes / No / Unknown for the equivalence of two constrained terms.
+
+    Structural alignment first: outside constraint-variable positions the
+    terms must agree syntactically; the aligned positions reduce equivalence
+    to a pair of forall/exists sentences over the theory.
+    """
+    sat_a = solver.is_satisfiable(a.constraint)
+    sat_b = solver.is_satisfiable(b.constraint)
+    if sat_a.is_unknown or sat_b.is_unknown:
+        return "unknown"
+    if sat_a.status == "unsat" and sat_b.status == "unsat":
+        return "yes"
+    if sat_a.status == "unsat" or sat_b.status == "unsat":
+        return "no"
+
+    eqs = _align(a.term, variables(a.constraint), b.term, variables(b.constraint))
+    if eqs is None:
+        return "no"
+
+    verdict1 = _direction(a, b, eqs, solver)
+    verdict2 = _direction(b, a, [(r, l) for l, r in eqs], solver)
+    if verdict1 == "valid" and verdict2 == "valid":
+        return "yes"
+    if "invalid" in (verdict1, verdict2):
+        return "no"
+    return "unknown"
+
+
+def _direction(a: ConstrainedTerm, b: ConstrainedTerm, eqs, solver: ConstraintSolver) -> str:
+    """forall models of a.constraint, exists model of b.constraint matching."""
+    avars = sorted(variables(a.constraint), key=lambda v: v.name)
+    bvars = sorted(variables(b.constraint), key=lambda v: v.name)
+    ren = rename_away(bvars, avars)
+    psi = apply_subst(ren, b.constraint)
+    conds = [theory.eq(l, apply_subst(ren, r)) for l, r in eqs]
+    body = theory.imp(a.constraint, theory.conj(psi, *conds))
+    prefix = [("forall", avars), ("exists", [ren.get(v, v) for v in bvars])]
+    return solver.is_valid_quantified(prefix, body).status
+
+
+# --- test-side oracle: PCP candidates, packed and rewritten -------------------
+
+def encode_string(indices, size: int) -> int:
+    """Candidate string to natural number; accepts digit strings for N <= 9."""
+    if isinstance(indices, str):
+        indices = [int(c) for c in indices]
+    indices = list(indices)
+    if any(not 1 <= i <= size for i in indices):
+        raise ValueError(f"indices must lie in 1..{size}: {indices}")
+    out = 0
+    for i in reversed(indices):
+        out = size * out + i
+    return out
+
+
+def decode(n: int, size: int) -> tuple[int, ...]:
+    if n < 0 or size < 1:
+        raise ValueError("need n >= 0 and size >= 1")
+    out = []
+    while n > 0:
+        i = (n - 1) % size + 1
+        out.append(i)
+        n = (n - i) // size
+    return tuple(out)
+
+
+def _max_literal(t: Term) -> int:
+    if isinstance(t, App):
+        if is_value(t) and t.sym.result_sort == INT:
+            return abs(value_of(t))
+        return max((_max_literal(a) for a in t.args), default=0)
+    return 0
+
+
+def check_candidate(instance: PCPInstance, n: int, depth: int | None = None) -> str:
+    """Rewrite the candidate test to a normal form within the fuel bound.
+
+    The quotient in the recursive guards strictly decreases, so the default
+    fuel of 10 steps per decoded index always suffices.
+    """
+    if n <= 0:
+        raise ValueError("candidates are positive numbers")
+    system = build_rp(instance)
+    word_len = len(decode(n, instance.size))
+    fuel = depth if depth is not None else 10 * max(word_len, 1)
+    sig = system.signature.term_syms
+    t: Term = App(sig["test"], (App(sig["alpha"], (int_val(n),)), App(sig["beta"], (int_val(n),)), int_val(n)))
+    for _ in range(fuel):
+        config = RewriteConfig(lo=0, hi=_max_literal(t))
+        successors = plain_successors(t, system, config)
+        if not successors:
+            break
+        t = sorted((r for r, _ in successors), key=repr)[0]
+    if t == App(sig["top"]):
+        return "solution"
+    if t == App(sig["bot"]):
+        return "non_solution"
+    return "out_of_fuel"
 
 
 @pytest.fixture(scope="session")

@@ -33,18 +33,25 @@ from lctrs.grounding import (
 )
 from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse
-from lctrs.pcp import PCPInstance, check_candidate, decode, encode_string
+from lctrs.pcp import PCPInstance
 from lctrs.rules import ConstrainedRule
 from lctrs.rewriting import (
     ConstrainedTerm,
     RewriteConfig,
     cstep_tilde,
-    equiv,
     multi_tilde,
 )
 from lctrs.terms import App, INT, Sort, Var, apply_subst, int_val, match, unify, variables
 
-from tests.conftest import CORPUS, REFSOLVER_CMD, trs_closedness_check
+from tests.conftest import (
+    CORPUS,
+    REFSOLVER_CMD,
+    check_candidate,
+    decode,
+    encode_string,
+    equiv,
+    trs_closedness_check,
+)
 
 
 def report(number: int, ok: bool, message: str):

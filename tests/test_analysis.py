@@ -1,6 +1,6 @@
 import pytest
 
-from lctrs import theory
+from lctrs import terms, theory
 from lctrs.analysis import (
     AnalysisConfig,
     CCPRecord,
@@ -10,7 +10,6 @@ from lctrs.analysis import (
     dev_closed_check,
     is_left_linear,
     is_trivial,
-    is_weakly_orthogonal,
     mk_pair,
     parallel_closed_1,
     parallel_closed_2,
@@ -208,11 +207,13 @@ def test_left_linear_examples(swap, solver):
 
 
 def test_weak_orthogonality(single_value, swap, solver):
-    assert is_weakly_orthogonal(single_value, solver) == "yes"
-    assert is_weakly_orthogonal(swap, solver) == "no"
+    wo = AnalysisConfig(criteria=("wo",))
+    assert analyze(single_value, solver, wo).criterion == "weak-orthogonality"
+    not_wo = analyze(swap, solver, wo)
+    assert not_wo.result != "YES" and "nontrivial" in not_wo.reasons["weak-orthogonality"]
     sig = Signature()
     empty = Lctrs(sig, ())
-    assert is_weakly_orthogonal(empty, solver) == "yes"
+    assert analyze(empty, solver, wo).criterion == "weak-orthogonality"
 
 
 # --- verdicts ----------------------------------------------------------------------
@@ -331,17 +332,18 @@ CAPPED = """
 """
 
 
-def test_parallel_subset_cap_gives_unknown(solver):
+def test_parallel_subset_cap_gives_unknown(solver, monkeypatch):
     # g(a,a,a,a) has 16 parallel redex subsets, more than a cap of 8 allows
     system = parse(CAPPED)
-    config = RewriteConfig(max_parallel_sets=8)
-    first = [parallel_closed_1(c, system, solver, config) for c in ccps(system, solver)]
-    second = [parallel_closed_2(c, system, solver, config) for c in cpcps(system, solver)]
+    with monkeypatch.context() as capped_at_8:
+        capped_at_8.setattr(terms, "PARALLEL_SET_CAP", 8)
+        first = [parallel_closed_1(c, system, solver) for c in ccps(system, solver)]
+        second = [parallel_closed_2(c, system, solver) for c in cpcps(system, solver)]
+        verdict = analyze(system, solver, AnalysisConfig(criteria=("pc",)))
     for closings in (first, second):
         capped = [c for c in closings if c.reason]
         assert capped and all(c.status == "unknown" for c in capped)
         assert capped[0].reason == "parallel subset cap 8 exceeded"
-    verdict = analyze(system, solver, AnalysisConfig(criteria=("pc",), rewrite=config))
     assert "unknown (parallel subset cap 8 exceeded)" in verdict.reasons["parallel-closed"]
     uncapped = analyze(system, solver, AnalysisConfig(criteria=("pc",)))
     assert "cap" not in uncapped.reasons["parallel-closed"]
@@ -355,13 +357,14 @@ def wide_g(arity: int) -> str:
     )
 
 
-def test_parallel_pairs_over_the_cap_give_maybe_and_the_no_search_runs(solver):
+def test_parallel_pairs_over_the_cap_give_maybe_and_the_no_search_runs(solver, monkeypatch):
     system = parse(wide_g(4))
-    config = RewriteConfig(max_parallel_sets=8)
-    with pytest.raises(ParallelSetCap, match="parallel subset cap 8 exceeded"):
-        cpcps(system, solver, config)
+    with monkeypatch.context() as capped_at_8:
+        capped_at_8.setattr(terms, "PARALLEL_SET_CAP", 8)
+        with pytest.raises(ParallelSetCap, match="parallel subset cap 8 exceeded"):
+            cpcps(system, solver)
+        verdict = analyze(system, solver)
     assert len(cpcps(system, solver)) == 2**4 - 1
-    verdict = analyze(system, solver, AnalysisConfig(rewrite=config))
     assert verdict.reasons["parallel-closed"] == "unknown (parallel subset cap 8 exceeded)"
     assert verdict.cpcps is None
     assert verdict.result == "NO"  # c and g(b, a, a, a) reach distinct normal forms

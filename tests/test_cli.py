@@ -102,8 +102,8 @@ def test_check_json_schema(capsys):
 
 
 def test_check_survives_guard_blowup(tmp_path, capsys):
-    """At the default values the model search for y <= z blows up; check
-    falls back to the domain product instead of exiting 2."""
+    """At the default values check enumerates the 81 domain pairs for y and
+    z of y <= z instead of exiting 2; no model search runs."""
     path = tmp_path / "blowup.lctrs"
     path.write_text("(fun f (Int) Int)\n(fun g (Int Int) Int)\n(rule (f x) (g y z) :guard (<= y z))\n")
     code, out, err = run_cli(capsys, "check", str(path), "--json")

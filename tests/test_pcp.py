@@ -5,8 +5,10 @@ import pytest
 
 from lctrs import theory
 from lctrs.analysis import ccps
-from lctrs.pcp import PCPInstance, build_rp, check_candidate, decode, encode_string
+from lctrs.pcp import PCPInstance, build_rp
 from lctrs.terms import App, Var, INT, int_val, variables
+
+from tests.conftest import check_candidate, decode, encode_string
 
 INSTANCE = PCPInstance.parse("1,101;10,00;011,11")
 

@@ -18,15 +18,13 @@ from lctrs.rewriting import (
     RewriteConfig,
     cstep_tilde,
     domain_terms,
-    equiv,
     multi_tilde,
     parallel_tilde,
-    plain_parallel_successors,
     plain_successors,
 )
 from lctrs.terms import App, INT, Var, apply_subst, int_val, match, variables
 
-from tests.conftest import plain_multi_successors, trs_closedness_check
+from tests.conftest import equiv, plain_multi_successors, plain_parallel_successors, trs_closedness_check
 
 CFG = RewriteConfig()
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lctrs import logic, theory
 from lctrs.logic import ConstraintSolver
-from lctrs.rules import ConstrainedRule, Lctrs, Signature, calc_rules, respects
+from lctrs.rules import ConstrainedRule, Lctrs, Signature, calc_rules
 from lctrs.rewriting import (
     ConstrainedTerm,
     RewriteConfig,
@@ -17,18 +17,16 @@ from lctrs.rewriting import (
     cstep,
     cstep_tilde,
     domain_terms,
-    equiv,
     equiv_extensions,
     multi_successors,
     multi_tilde,
     parallel_successors,
     parallel_tilde,
-    plain_parallel_successors,
     plain_successors,
 )
 from lctrs.terms import App, INT, Var, apply_subst, int_val, subterm_at, variables
 
-from tests.conftest import LINEAR_ATOM, linear_atom, plain_multi_successors
+from tests.conftest import LINEAR_ATOM, equiv, linear_atom, plain_multi_successors, plain_parallel_successors
 
 CFG = RewriteConfig()
 x, y, z, m, n = (Var(name, INT) for name in "xyzmn")
@@ -42,7 +40,7 @@ def app(lctrs, name, *args):
     return App(sym(lctrs, name), tuple(args))
 
 
-# --- calculation rules and respects -----------------------------------------
+# --- calculation rules ---------------------------------------------------------
 
 def test_calc_rule_for_addition(single_value):
     rules = {r.lhs.sym.name: r for r in calc_rules(single_value.signature) if r.lhs.sym.arg_sorts == (INT, INT)}
@@ -62,13 +60,6 @@ def test_calc_rule_for_conjunction(single_value):
 def test_no_theory_symbols_no_calc_rules(single_value):
     bare = Signature(theory_syms=())
     assert calc_rules(bare) == ()
-
-
-def test_respects_value(single_value):
-    rule = single_value.rules[0]
-    assert respects({x: int_val(0)}, rule)
-    assert not respects({x: int_val(1)}, rule)
-    assert not respects({x: y}, rule)
 
 
 # --- plain steps -------------------------------------------------------------
@@ -120,15 +111,20 @@ def test_cstep_rule_variable_named_like_constraint_variable(solver):
 
 
 def test_guard_blowup_falls_back_to_the_domain_product():
-    """f(x) -> g(y, z) [y <= z]: the blocking clauses of the model search
-    blow up, and the domain product gives every successor of f(0)."""
+    """f(x) -> g(y, z) [guard] on f(0): the guard is evaluated on each of the
+    81 domain pairs for y and z, which gives every successor; no model
+    search runs, however large the product."""
     sig = Signature()
     f, g = sig.add_fun("f", [INT], INT), sig.add_fun("g", [INT, INT], INT)
-    system = Lctrs(sig, (ConstrainedRule(App(f, (x,)), App(g, (y, z)), theory.le(y, z)),))
-    results = [r for r, _ in plain_successors(App(f, (int_val(0),)), system, CFG)]
-    wanted = {App(g, (int_val(a), int_val(b))) for a in range(-4, 5) for b in range(a, 5)}
-    assert len(results) == len(wanted) == 45
-    assert set(results) == wanted
+    vals = range(-4, 5)
+    for guard, wanted in (
+        (theory.le(y, z), {(b, c) for b in vals for c in vals if b <= c}),
+        (theory.conj(theory.lt(x, y), theory.lt(y, z)), {(b, c) for b in vals for c in vals if 0 < b < c}),
+    ):
+        system = Lctrs(sig, (ConstrainedRule(App(f, (x,)), App(g, (y, z)), guard),))
+        results = [r for r, _ in plain_successors(App(f, (int_val(0),)), system, CFG)]
+        assert len(results) == len(wanted)
+        assert set(results) == {App(g, (int_val(b), int_val(c))) for b, c in wanted}
 
 
 def _one_rule(lhs_args, rhs_args, guard):
@@ -207,7 +203,8 @@ def test_oracle_accepts_exactly_the_valid_instances(arity, unbound_names, phi_at
     solver = ConstraintSolver()
     (rule,) = system.rules
     sigma0 = dict(zip(lhs_vars, cvars))
-    options = [_candidate_values(v, rule, sigma0, phi, system, config) for v in unbound]
+    phi_vars = sorted(variables(phi), key=lambda v: v.name)
+    options = [_candidate_values(v, rule, sigma0, phi_vars, domain_terms(system, config)) for v in unbound]
     sigmas = [{**sigma0, **dict(zip(unbound, choice))} for choice in itertools.product(*options)]
     wanted = [sigma for sigma in sigmas if solver.is_valid(theory.imp(phi, apply_subst(sigma, guard))).is_valid]
     oracle_solver = _QueryLog()

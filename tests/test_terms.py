@@ -14,11 +14,9 @@ from lctrs.terms import (
     Var,
     alpha_key,
     apply_subst,
-    compose,
     fresh_name,
     int_val,
     match,
-    mk_app,
     parallel_positions,
     positions,
     rename_away,
@@ -61,11 +59,6 @@ def test_sort_of_rejects_sort_clash():
     bad = App(theory.ADD, (int_val(1), theory.bool_val(True)))
     with pytest.raises(TermError):
         sort_of(bad)
-
-
-def test_mk_app_checks_arity():
-    with pytest.raises(TermError):
-        mk_app(f2, [a])
 
 
 def test_positions_variable_has_no_function_positions():
@@ -163,13 +156,6 @@ def test_unify_example():
     # generality: another unifier factors through sigma via matching
     tau = {x: App(g1, (a,)), y: b, z: a, yp: b}
     assert match(apply_subst(sigma, lhs), apply_subst(tau, lhs)) is not None
-
-
-def test_compose_law():
-    sigma = {x: App(g1, (y,))}
-    tau = {y: a}
-    t = App(f2, (x, y))
-    assert apply_subst(compose(sigma, tau), t) == apply_subst(tau, apply_subst(sigma, t))
 
 
 def test_fresh_name_primes():

@@ -491,18 +491,6 @@ def eliminate_prefix(prefix: list[tuple[str, list[tuple[str, str]]]], f: Formula
     return f
 
 
-def ground_value(f: Formula) -> bool:
-    if f == TRUE:
-        return True
-    if f == FALSE:
-        return False
-    if f[0] == "and":
-        return all(ground_value(g) for g in f[1])
-    if f[0] == "or":
-        return any(ground_value(g) for g in f[1])
-    raise ValueError(f"formula not ground: {f}")
-
-
 def _kinds(vs) -> list[tuple[str, str]]:
     """(name, "int" | "bool") for each variable, in the given order."""
     out = []
@@ -520,7 +508,7 @@ def _var_kinds(phi: Term) -> list[tuple[str, str]]:
 def decide_sat(phi: Term) -> bool:
     """Satisfiability of a constraint, free variables read existentially."""
     f = formula_of(phi)
-    return ground_value(eliminate_exists(_var_kinds(phi), f))
+    return eval_formula(eliminate_exists(_var_kinds(phi), f), {})
 
 
 def decide_prefixed(prefix: list[tuple[str, list[Var]]], phi: Term) -> bool:
@@ -535,12 +523,7 @@ def decide_prefixed(prefix: list[tuple[str, list[Var]]], phi: Term) -> bool:
     free = [(n, k) for n, k in _var_kinds(phi) if n not in bound]
     if free:
         blocks.insert(0, ("forall", free))
-    return ground_value(eliminate_prefix(blocks, f))
-
-
-def residual(prefix: list[tuple[str, list[Var]]], phi: Term) -> Formula:
-    """Eliminate the prefixed blocks only, leaving free variables in place."""
-    return eliminate_prefix([(quant, _kinds(vs)) for quant, vs in prefix], formula_of(phi))
+    return eval_formula(eliminate_prefix(blocks, f), {})
 
 
 def _single_var_witness(x: str, g: Formula) -> int | None:
@@ -565,7 +548,7 @@ def _single_var_witness(x: str, g: Formula) -> int | None:
         base = -rest // c
         cands.update(range(base - period - 1, base + period + 2))
     if not cands:
-        return 0 if ground_value(g) else None
+        return 0 if eval_formula(g, {}) else None
     low = min(cands)
     cands.update(range(low - period - 1, low))
     for v in sorted(cands, key=lambda n: (abs(n), n)):
@@ -582,7 +565,7 @@ def find_model(f: Formula, vs: list[Var]) -> dict[Var, Term] | None:
     remaining = sorted(formula_vars(f))
 
     def still_sat(g: Formula, names: list[str]) -> bool:
-        return ground_value(eliminate_exists([(n, kinds[n]) for n in names], g))
+        return eval_formula(eliminate_exists([(n, kinds[n]) for n in names], g), {})
 
     if not still_sat(f, remaining):
         return None

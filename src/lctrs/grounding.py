@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import theory
-from .analysis import CCPRecord, CPCPRecord, _critical_pairs, ccps, cpcps
+from .analysis import CCPRecord, CPCPRecord, _critical_pairs, ccps, cpcps, mk_pair
 from .logic import ConstraintSolver
 from .rewriting import (
     RedexOracle,
@@ -37,12 +37,13 @@ from .terms import (
     FunSym,
     LhsIndex,
     Sort,
-    Subst,
     Term,
     Var,
     apply_subst,
     is_value,
     match,
+    positions,
+    subterm_at,
     term_key,
     variables,
 )
@@ -50,8 +51,6 @@ from .terms import (
 
 @dataclass
 class GroundFragment:
-    origin: Lctrs
-    config: RewriteConfig
     rules: tuple[ConstrainedRule, ...]  # true guards, no logical variables
     lhs_index: LhsIndex
     oracle: RedexOracle  # the plain oracle over the rules: matching
@@ -61,7 +60,12 @@ class GroundFragment:
 def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
     """Symbols of the given kind in the rules' term sides, in order of first
     occurrence."""
-    subterms = (s for rule in lctrs.rules for side in (rule.lhs, rule.rhs) for s in _subapps(side))
+    subterms = (
+        subterm_at(side, p)
+        for rule in lctrs.rules
+        for side in (rule.lhs, rule.rhs)
+        for p in sorted(positions(side, "function"))  # preorder
+    )
     return list(dict.fromkeys(s.sym for s in subterms if s.sym.kind == kind))
 
 
@@ -80,7 +84,7 @@ def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> Gr
             out.setdefault(inst.key(), inst)
     rules = tuple(rule for _, rule in sorted(out.items()))
     index = LhsIndex(rule.lhs for rule in rules)
-    return GroundFragment(lctrs, config, rules, index, plain_oracle(lctrs, config, rules, index))
+    return GroundFragment(rules, index, plain_oracle(lctrs, config, rules, index))
 
 
 # --- fragment rewriting: the plain engine over the fragment's rules -----------
@@ -160,7 +164,7 @@ class Report:
 def _instance_matches(source, pair, domain) -> bool:
     """Is the fragment pair an instance of the constrained source pair, under
     a matcher that respects the source's constraint?"""
-    gamma = match_pair(source.left, source.right, pair.left, pair.right)
+    gamma = match(source.pair().term, pair.pair().term)
     if gamma is None:
         return False
     if any(not is_value(gamma[x]) for x in variables(source.constraint) & set(gamma)):
@@ -168,24 +172,6 @@ def _instance_matches(source, pair, domain) -> bool:
     # extend over constraint variables not bound by the match
     phi = apply_subst(gamma, source.constraint)
     return bool(constraint_assignments(phi, variables(phi), domain, limit=1))
-
-
-def match_pair(pl: Term, pr: Term, sl: Term, sr: Term) -> Subst | None:
-    """Simultaneous match of both components with one substitution."""
-    first = match(pl, sl)
-    if first is None:
-        return None
-    rest = match(apply_subst(first, pr), sr)
-    if rest is None:
-        return None
-    merged = dict(first)
-    for k, v in rest.items():
-        if k in merged and merged[k] != v:
-            return None
-        merged[k] = v
-    if apply_subst(merged, pl) != sl or apply_subst(merged, pr) != sr:
-        return None
-    return merged
 
 
 def check_cp_correspondence(
@@ -222,10 +208,7 @@ def check_cp_correspondence(
             inst_r = apply_subst(sigma, c.right)
             if inst_l == inst_r:
                 continue
-            if any(
-                match_pair(cp.left, cp.right, inst_l, inst_r) is not None
-                for cp in frag_cps
-            ):
+            if any(match(cp.pair().term, mk_pair(inst_l, inst_r)) is not None for cp in frag_cps):
                 continue
             report.violations.append(
                 f"instance {inst_l!r} ~ {inst_r!r} of {c!r} has no fragment counterpart"
@@ -253,19 +236,9 @@ def _sample_terms(lctrs: Lctrs, config: RewriteConfig, count: int, seed: int) ->
         return App(f, tuple(gen(s, depth - 1) for s in f.arg_sorts))
 
     sorts = sorted({r.lhs.sym.result_sort for r in lctrs.rules}, key=lambda s: s.name)
-    out = []
-    for _ in range(count):
-        out.append(gen(rng.choice(sorts), rng.randint(1, 3)))
-    return out
-
-
-def _subapps(t: Term) -> list[App]:
-    if isinstance(t, Var):
-        return []
-    out = [t]
-    for a in t.args:
-        out.extend(_subapps(a))
-    return out
+    if not sorts:
+        return []  # no rules, so no sort to sample a term of
+    return [gen(rng.choice(sorts), rng.randint(1, 3)) for _ in range(count)]
 
 
 def check_step_equivalence(

@@ -2,11 +2,13 @@
 
 The internal route is complete for linear integer arithmetic with booleans;
 anything nonlinear goes to the configured external SMT solver, or comes back
-Unknown when none is configured.  Every model produced on any route is
-re-checked by direct evaluation before it is accepted; the internal route
-builds a model only when a caller first reads it.  A memoised verdict keeps
-its model, so a caller can refute many instances of one constraint by
-evaluating them under that one model before it asks for their validity.
+Unknown when none is configured.  A quantified query is decided on the
+internal route alone and returns only its status.  Every model produced on
+any route is re-checked by direct evaluation before it is accepted; the
+internal route builds a model only when a caller first reads it.  A memoised
+verdict keeps its model, so a caller can refute many instances of one
+constraint by evaluating them under that one model before it asks for their
+validity.
 """
 
 from __future__ import annotations
@@ -91,12 +93,12 @@ def _sat_model(phi: Term) -> dict[Var, Term]:
     return model
 
 
-def _box_search_model(phi: Term, budget: int, radii=_RADII) -> dict[Var, Term] | None:
+def _box_search_model(phi: Term, budget: int) -> dict[Var, Term] | None:
     """None once `budget` candidates or the last radius are used up."""
     ivars = sorted((v for v in variables(phi) if v.sort == INT), key=lambda v: v.name)
     bvars = sorted((v for v in variables(phi) if v.sort == BOOL), key=lambda v: v.name)
     spent = 0
-    for radius in radii:
+    for radius in _RADII:
         for ints in itertools.product(range(-radius, radius + 1), repeat=len(ivars)):
             if ints and max(abs(i) for i in ints) != radius:
                 continue  # inner shell already covered
@@ -183,52 +185,23 @@ class ConstraintSolver:
         return self._memo[key]
 
     def _is_valid_quantified(self, prefix: Prefix, phi: Term) -> SolverVerdict:
+        """Status only: no counter-model, and never the external solver."""
         try:
-            if cooper.decide_prefixed(prefix, phi):
-                return SolverVerdict("valid")
-            return SolverVerdict("invalid", build_model=lambda: self._counter_valuation(prefix, phi))
+            return SolverVerdict("valid" if cooper.decide_prefixed(prefix, phi) else "invalid")
         except cooper.NonlinearError as exc:
-            if self.smt_command is None:
-                return SolverVerdict("unknown", reason=str(exc))
-            res = self.smt_backend(theory.neg(phi), prefix=_negate_prefix(prefix))
-            if res.status == "unsat":
-                return SolverVerdict("valid")
-            if res.status == "sat":
-                return SolverVerdict("invalid")
-            return res
+            return SolverVerdict("unknown", reason=str(exc))
 
-    def _counter_valuation(self, prefix: Prefix, phi: Term) -> dict[Var, Term] | None:
-        """Valuation of the free/leading-forall variables refuting the sentence."""
-        bound_after: Prefix = list(prefix)
-        outer: list[Var] = sorted(
-            variables(phi) - {v for _, vs in prefix for v in vs}, key=lambda v: v.name
-        )
-        if not outer and bound_after and bound_after[0][0] == "forall":
-            outer = list(bound_after.pop(0)[1])
-        if not outer:
-            return None
-        residual = cooper.residual(bound_after, phi)
-        return cooper.find_model(cooper.mk_not(residual), outer)
-
-    def smt_backend(self, phi: Term, prefix: Prefix | None = None) -> SolverVerdict:
+    def smt_backend(self, phi: Term) -> SolverVerdict:
         """Serialize, spawn the external solver, parse and re-validate."""
         if self.smt_command is None:
             return SolverVerdict("unknown", reason="no external solver configured")
-        script = smtlib.smt_script(phi, prefix=prefix, logic=smtlib.pick_logic(phi))
+        script = smtlib.smt_script(phi, logic=smtlib.pick_logic(phi))
         output, diag = smtlib.run_solver(self.smt_command, script, self.timeout_ms)
         if output is None:
             return SolverVerdict("unknown", reason=diag)
-        bound = {v for _, vs in (prefix or []) for v in vs}
-        wanted = {v.name: v for v in variables(phi) - bound}
-        status, model, why = smtlib.parse_result(output, wanted)
+        status, model, why = smtlib.parse_result(output, {v.name: v for v in variables(phi)})
         if status == "unsat":
             return SolverVerdict("unsat")
         if status == "sat":
-            if prefix:
-                return SolverVerdict("sat")
             return self._checked_model(phi, model, "external solver")
         return SolverVerdict("unknown", reason=why or "solver answered unknown")
-
-
-def _negate_prefix(prefix: Prefix) -> Prefix:
-    return [("forall" if q == "exists" else "exists", vs) for q, vs in prefix]

@@ -54,22 +54,12 @@ def _smt_sort(s: Sort) -> str:
     raise ValueError(f"sort {s} is not an SMT-LIB sort")
 
 
-def smt_script(
-    phi: Term,
-    prefix: list[tuple[str, list[Var]]] | None = None,
-    logic: str = "LIA",
-) -> str:
-    """check-sat script for phi under an optional quantifier prefix."""
-    body = smt_term(phi)
-    bound: set[Var] = set()
-    for quant, vs in reversed(prefix or []):
-        binders = " ".join(f"({v.name} {_smt_sort(v.sort)})" for v in vs)
-        body = f"({quant} ({binders}) {body})"
-        bound |= set(vs)
+def smt_script(phi: Term, logic: str = "LIA") -> str:
+    """check-sat script for phi, its variables declared as constants."""
     lines = [f"(set-logic {logic})"]
-    for v in sorted(variables(phi) - bound, key=lambda v: v.name):
+    for v in sorted(variables(phi), key=lambda v: v.name):
         lines.append(f"(declare-const {v.name} {_smt_sort(v.sort)})")
-    lines.append(f"(assert {body})")
+    lines.append(f"(assert {smt_term(phi)})")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     lines.append("(exit)")

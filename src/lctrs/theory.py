@@ -195,19 +195,3 @@ def conj(*phis: Term) -> Term:
         out = App(AND, (p, out))
     return out
 
-
-def disj(*phis: Term) -> Term:
-    parts = [p for p in phis if p != bool_val(False)]
-    if not parts:
-        return bool_val(False)
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = App(OR, (p, out))
-    return out
-
-
-def conjuncts(phi: Term) -> list[Term]:
-    """Flatten nested conjunctions."""
-    if isinstance(phi, App) and phi.sym == AND:
-        return conjuncts(phi.args[0]) + conjuncts(phi.args[1])
-    return [phi]

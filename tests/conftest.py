@@ -28,6 +28,7 @@ from lctrs.terms import (
     Term,
     Var,
     apply_subst,
+    bool_val,
     int_val,
     is_value,
     rename_away,
@@ -40,6 +41,26 @@ CORPUS = REPO / "corpus"
 REFSOLVER_CMD = f"{sys.executable} {REPO / 'scripts' / 'refsolver.py'}"
 
 U = Sort("U")
+
+
+# --- constraint builders that only tests use ----------------------------------
+
+def disj(*phis: Term) -> Term:
+    """Right-associated disjunction; false disjuncts are dropped."""
+    parts = [p for p in phis if p != bool_val(False)]
+    if not parts:
+        return bool_val(False)
+    out = parts[-1]
+    for p in reversed(parts[:-1]):
+        out = App(theory.OR, (p, out))
+    return out
+
+
+def conjuncts(phi: Term) -> list[Term]:
+    """Flatten nested conjunctions."""
+    if isinstance(phi, App) and phi.sym == theory.AND:
+        return conjuncts(phi.args[0]) + conjuncts(phi.args[1])
+    return [phi]
 
 
 # --- random linear constraints ------------------------------------------------

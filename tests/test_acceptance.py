@@ -4,10 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import itertools
-import json
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -20,7 +17,6 @@ from lctrs.analysis import (
     dev_closed_check,
     is_trivial,
     mk_pair,
-    parallel_closed_1,
     parallel_closed_2,
     tvar,
 )

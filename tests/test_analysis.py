@@ -3,7 +3,6 @@ import pytest
 from lctrs import terms, theory
 from lctrs.analysis import (
     AnalysisConfig,
-    CCPRecord,
     analyze,
     ccps,
     cpcps,
@@ -18,7 +17,7 @@ from lctrs.analysis import (
 from lctrs.parser import parse
 from lctrs.rewriting import ConstrainedTerm, plain_successors
 from lctrs.rules import ConstrainedRule, Lctrs, Signature
-from lctrs.terms import App, INT, ParallelSetCap, Var, alpha_key, apply_subst, int_val, variables
+from lctrs.terms import App, INT, ParallelSetCap, Var, apply_subst, int_val, variables
 from lctrs.grounding import constraint_assignments
 from lctrs.rewriting import domain_terms, RewriteConfig
 

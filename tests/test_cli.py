@@ -112,6 +112,19 @@ def test_check_survives_guard_blowup(tmp_path, capsys):
         assert entry["violations"] == []
 
 
+def test_check_without_rules_checks_nothing(tmp_path, capsys):
+    """A system with no rules has no sort to sample terms of: every report
+    passes with no checks instead of exiting 2."""
+    path = tmp_path / "norules.lctrs"
+    path.write_text("(theory Ints)\n")
+    code, out, err = run_cli(capsys, "check", str(path), "--json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert set(data) == {"correspondence", "step_equivalence", "instance_soundness"}
+    for entry in data.values():
+        assert entry == {"checked": 0, "violations": []}
+
+
 @pytest.mark.parametrize("command", ["cpcp", "check"])
 def test_parallel_subset_cap_is_exit_1(tmp_path, capsys, command):
     from tests.test_analysis import wide_g

@@ -1,5 +1,3 @@
-import pytest
-
 from lctrs import theory
 from lctrs.grounding import (
     check_cp_correspondence,
@@ -14,7 +12,7 @@ from lctrs.grounding import (
 )
 from lctrs.rewriting import RewriteConfig
 from lctrs.rules import ConstrainedRule
-from lctrs.terms import App, INT, Var, alpha_key, int_val, variables
+from lctrs.terms import App, INT, Var, alpha_key, int_val
 
 from tests.conftest import frag_multi, trs_closedness_check
 

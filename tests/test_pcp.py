@@ -6,7 +6,7 @@ import pytest
 from lctrs import theory
 from lctrs.analysis import ccps
 from lctrs.pcp import PCPInstance, build_rp
-from lctrs.terms import App, Var, INT, int_val, variables
+from lctrs.terms import Var, INT, variables
 
 from tests.conftest import check_candidate, decode, encode_string
 

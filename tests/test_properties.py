@@ -1,16 +1,12 @@
 """Cross-cutting properties tying the constrained relations to ground runs."""
 
-import pytest
-
 from lctrs import theory
-from lctrs.analysis import ccps, cpcps, dev_closed_check, mk_pair
+from lctrs.analysis import ccps, cpcps, dev_closed_check
 from lctrs.grounding import (
     constraint_assignments,
-    frag_successors,
     ground_fragment,
     joinable,
     reachable,
-    trs_cps,
 )
 from lctrs.pcp import PCPInstance, build_rp
 from lctrs.rewriting import (

@@ -1,7 +1,5 @@
 import itertools
-import random
 
-import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -19,14 +17,13 @@ from lctrs.rewriting import (
     domain_terms,
     equiv_extensions,
     multi_successors,
-    multi_tilde,
     parallel_successors,
     parallel_tilde,
     plain_successors,
 )
-from lctrs.terms import App, INT, Var, apply_subst, int_val, subterm_at, variables
+from lctrs.terms import App, INT, Var, apply_subst, int_val, variables
 
-from tests.conftest import LINEAR_ATOM, equiv, linear_atom, plain_multi_successors, plain_parallel_successors
+from tests.conftest import LINEAR_ATOM, conjuncts, equiv, linear_atom, plain_multi_successors, plain_parallel_successors
 
 CFG = RewriteConfig()
 x, y, z, m, n = (Var(name, INT) for name in "xyzmn")
@@ -302,7 +299,7 @@ def test_equiv_extensions_cover_paper_shapes(solver, swap):
     gy = app(swap, "g", y, theory.mul(2, 2))
     exts = equiv_extensions(ConstrainedTerm(gy, theory.eq(y, 2)))
     assert any(
-        theory.eq(Var("w", INT), theory.mul(2, 2)) in theory.conjuncts(res.constraint)
+        theory.eq(Var("w", INT), theory.mul(2, 2)) in conjuncts(res.constraint)
         for res in exts
     )
     for res in exts:

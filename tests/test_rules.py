@@ -1,7 +1,7 @@
 import pytest
 
 from lctrs import theory
-from lctrs.rules import ConstrainedRule, Lctrs, RuleError, Signature, is_variant, rename_apart
+from lctrs.rules import ConstrainedRule, RuleError, Signature, is_variant, rename_apart
 from lctrs.terms import App, FunSym, INT, Sort, Var
 
 U = Sort("U")

@@ -1,8 +1,6 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 from lctrs import smtlib, theory
 from lctrs.logic import ConstraintSolver
 from lctrs.terms import INT, Var, apply_subst, int_val
@@ -96,13 +94,6 @@ def test_backend_timeout_gives_unknown(tmp_path):
 def test_backend_missing_binary_gives_unknown():
     solver = ConstraintSolver(smt_command="/nonexistent/solver-binary")
     assert solver.smt_backend(theory.gt(x, 0)).status == "unknown"
-
-
-def test_backend_quantified_sentence():
-    solver = ConstraintSolver(smt_command=REFSOLVER)
-    phi = theory.imp(theory.gt(x, 3), theory.gt(x, 1))
-    res = solver.smt_backend(theory.neg(phi), prefix=[("exists", [x])])
-    assert res.status == "unsat"  # no counterexample: the implication is valid
 
 
 def test_internal_external_agreement_sample():

@@ -3,11 +3,10 @@
 
 Reads a script on stdin (or from a file argument), understands declare-const /
 declare-fun (arity 0), assert, check-sat, get-model and exit.  Quantifier-free
-linear problems and quantified linear sentences are decided exactly by
-variable elimination; nonlinear goals are decided by exhaustive search when
-the asserted conjuncts pin every variable into a finite box (explicit bounds,
-or var*var = nonzero-constant which bounds both factors by the constant),
-and answered unknown otherwise.
+linear problems are decided exactly by variable elimination; nonlinear goals
+are decided by exhaustive search when the asserted conjuncts pin every
+variable into a finite box (explicit bounds, or var*var = nonzero-constant
+which bounds both factors by the constant), and answered unknown otherwise.
 
 Deliberately self-contained: this is the external cross-check for the host
 package, so it shares no code with it.
@@ -207,7 +206,7 @@ def negate(f):
 
 
 def build(e, env):
-    """SMT expression to internal formula (quantifiers eliminated eagerly)."""
+    """SMT expression to internal formula."""
     if e == "true":
         return TRUEF
     if e == "false":
@@ -224,18 +223,6 @@ def build(e, env):
         return negate(build(e[1], env))
     if op == "=>":
         return disj([negate(build(e[1], env)), build(e[2], env)])
-    if op in ("exists", "forall"):
-        inner_env = dict(env)
-        bound = []
-        for name, sort in e[1]:
-            inner_env[name] = sort
-            bound.append((name, sort))
-        body = build(e[2], inner_env)
-        if op == "forall":
-            body = negate(body)
-        for name, sort in reversed(bound):
-            body = drop_var(name, sort, body)
-        return negate(body) if op == "forall" else body
     if op in ("=", "distinct") and is_bool_expr(e[1], env):
         a, b = build(e[1], env), build(e[2], env)
         same = disj([conj([a, b]), conj([negate(a), negate(b)])])
@@ -260,7 +247,7 @@ def build(e, env):
 def is_bool_expr(e, env):
     if isinstance(e, str):
         return e in ("true", "false") or env.get(e) == "Bool"
-    return e[0] in ("and", "or", "not", "=>", "<", "<=", ">", ">=", "exists", "forall") or (
+    return e[0] in ("and", "or", "not", "=>", "<", "<=", ">", ">=") or (
         e[0] in ("=", "distinct") and is_bool_expr(e[1], env)
     )
 
@@ -498,12 +485,7 @@ def find_model(f, env):
     bools = [n for n in names if env.get(n) == "Bool"]
     radius = 0
     while radius <= 1 << 20:
-        lo, hi = -radius, radius
-        for vals in iproduct(range(lo, hi + 1), repeat=len(ints)):
-            if vals and max(map(abs, vals)) != radius:
-                continue
-            if not vals and radius:
-                break
+        for vals in iproduct(range(-radius, radius + 1), repeat=len(ints)):
             for bvals in iproduct((True, False), repeat=len(bools)):
                 asg = dict(zip(ints, vals)) | dict(zip(bools, bvals))
                 if holds(f, asg):

@@ -106,7 +106,7 @@ def _single_overlaps(rules, index):
     inner copy keeps its variable names."""
     sites: dict[int, dict[int, list[Position]]] = {}  # inner -> outer -> positions
     for j, outer in enumerate(rules):
-        for p in sorted(positions(outer.lhs, "function")):
+        for p in positions(outer.lhs):
             for i in index.unifiable(subterm_at(outer.lhs, p)):
                 sites.setdefault(i, {}).setdefault(j, []).append(p)
     for i in sorted(sites):
@@ -127,7 +127,7 @@ def _parallel_overlaps(rules, index):
     index retrieves as unifiable there; the outer copy keeps its variable
     names."""
     for outer in rules:
-        ps = sorted(positions(outer.lhs, "function"))
+        ps = positions(outer.lhs)
         hits = {p: [rules[i] for i in index.unifiable(subterm_at(outer.lhs, p))] for p in ps}
         for pset in parallel_subsets(ps)[1:]:
             for inner_choice in itertools.product(*(hits[p] for p in pset)):

@@ -64,7 +64,7 @@ def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
         subterm_at(side, p)
         for rule in lctrs.rules
         for side in (rule.lhs, rule.rhs)
-        for p in sorted(positions(side, "function"))  # preorder
+        for p in positions(side)
     )
     return list(dict.fromkeys(s.sym for s in subterms if s.sym.kind == kind))
 

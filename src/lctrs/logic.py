@@ -13,11 +13,10 @@ validity.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable
 
 from . import cooper, smtlib, theory
-from .terms import BOOL, INT, Term, Var, apply_subst, bool_val, int_val, variables
+from .terms import BOOL, Term, Var, apply_subst, bool_val, int_val, variables
 
 Prefix = list[tuple[str, list[Var]]]
 
@@ -68,51 +67,13 @@ class SolverVerdict:
         return f"<{self.status}{extra}>"
 
 
-_RADII = (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 512, 1024, 4096)
-
-
-def search_model(phi: Term, budget: int = 2_000_000) -> dict[Var, Term] | None:
-    """Value assignment satisfying phi: extracted from the decision procedure
-    on the linear fragment, found by expanding-box search otherwise.  None
-    when phi is unsat, or when the box search gives up."""
+def search_model(phi: Term) -> dict[Var, Term]:
+    """The model of a satisfiable linear phi that the decision procedure
+    extracts, re-checked by direct evaluation."""
     vs = sorted(variables(phi), key=lambda v: v.name)
-    try:
-        f = cooper.formula_of(phi)
-    except cooper.NonlinearError:
-        return _box_search_model(phi, budget)
-    sigma = cooper.find_model(f, vs)
-    if sigma is None:
-        return None
-    assert theory.holds(apply_subst(sigma, phi)), f"extracted model fails: {phi}"
+    sigma = cooper.find_model(cooper.formula_of(phi), vs)
+    assert sigma is not None and theory.holds(apply_subst(sigma, phi)), f"decision procedure claims sat: {phi}"
     return sigma
-
-
-def _sat_model(phi: Term) -> dict[Var, Term]:
-    model = search_model(phi)
-    assert model is not None, f"decision procedure claims sat: {phi}"
-    return model
-
-
-def _box_search_model(phi: Term, budget: int) -> dict[Var, Term] | None:
-    """None once `budget` candidates or the last radius are used up."""
-    ivars = sorted((v for v in variables(phi) if v.sort == INT), key=lambda v: v.name)
-    bvars = sorted((v for v in variables(phi) if v.sort == BOOL), key=lambda v: v.name)
-    spent = 0
-    for radius in _RADII:
-        for ints in itertools.product(range(-radius, radius + 1), repeat=len(ivars)):
-            if ints and max(abs(i) for i in ints) != radius:
-                continue  # inner shell already covered
-            if not ints and radius > 0:
-                break
-            for bools in itertools.product((True, False), repeat=len(bvars)):
-                sigma: dict[Var, Term] = {v: int_val(i) for v, i in zip(ivars, ints)}
-                sigma.update({v: bool_val(b) for v, b in zip(bvars, bools)})
-                if theory.holds(apply_subst(sigma, phi)):
-                    return sigma
-                spent += 1
-                if spent > budget:
-                    return None
-    return None
 
 
 class ConstraintSolver:
@@ -132,16 +93,10 @@ class ConstraintSolver:
     # -- internal helpers --
 
     def _checked_model(self, phi: Term, model: dict[Var, Term], origin: str) -> SolverVerdict:
-        """sat once the model re-validates; the variables it leaves out (all
-        of them when there is no model) are filled in by model search."""
-        if variables(phi) - model.keys():
-            rest = apply_subst(model, phi)
-            extra = search_model(rest)
-            if extra is None:
-                # the search is exact on linear constraints, bounded otherwise
-                why = "model failed re-validation" if cooper.is_linear(rest) else "model search budget exhausted"
-                return SolverVerdict("unknown", reason=f"{origin}: {why}")
-            model = {**model, **extra}
+        """sat once the model re-validates; a variable it leaves out takes
+        false or 0, as under z3's model completion."""
+        for v in sorted(variables(phi) - model.keys(), key=lambda v: v.name):
+            model[v] = bool_val(False) if v.sort == BOOL else int_val(0)
         if not theory.holds(apply_subst(model, phi)):
             return SolverVerdict("unknown", reason=f"{origin}: model failed re-validation")
         return SolverVerdict("sat", assignment=model)
@@ -157,7 +112,7 @@ class ConstraintSolver:
     def _is_satisfiable(self, phi: Term) -> SolverVerdict:
         try:
             if cooper.decide_sat(phi):
-                return SolverVerdict("sat", build_model=lambda: _sat_model(phi))
+                return SolverVerdict("sat", build_model=lambda: search_model(phi))
             return SolverVerdict("unsat")
         except cooper.NonlinearError as exc:
             if self.smt_command is None:

@@ -144,7 +144,7 @@ def redexes(t: Term, redexes_at: RedexOracle, below: Position = EPSILON) -> list
     position of t under `below`, in position order."""
     return [
         (p, rule, sigma)
-        for p in sorted(positions(t, "function"))
+        for p in positions(t)
         if p[: len(below)] == below
         for rule, sigma in redexes_at(subterm_at(t, p))
     ]
@@ -358,7 +358,7 @@ def equiv_extensions(ct: ConstrainedTerm) -> list[ConstrainedTerm]:
     taken = {v.name for v in phi_vars | variables(ct.term)}
     out = [ct]
     seen: set[Term] = set()
-    for p in sorted(positions(ct.term, "function")):
+    for p in positions(ct.term):
         sub = subterm_at(ct.term, p)
         if not isinstance(sub, App) or sub.sym.kind != "theory":
             continue

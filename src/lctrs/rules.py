@@ -144,7 +144,6 @@ def is_variant(r1: ConstrainedRule, r2: ConstrainedRule) -> bool:
 class Signature:
     sorts: dict[str, Sort] = field(default_factory=dict)
     term_syms: dict[str, FunSym] = field(default_factory=dict)
-    theory_syms: tuple[FunSym, ...] = theory.THEORY_SYMS
 
     def __post_init__(self):
         self.sorts.setdefault("Int", INT)
@@ -164,10 +163,10 @@ class Signature:
         return sym
 
 
-def calc_rules(signature: Signature) -> tuple[ConstrainedRule, ...]:
+def calc_rules() -> tuple[ConstrainedRule, ...]:
     """One rule f(x1..xn) -> y [y = f(x1..xn)] per non-value theory symbol."""
     out = []
-    for f in signature.theory_syms:
+    for f in theory.THEORY_SYMS:
         args = tuple(Var(f"x{i}", s) for i, s in enumerate(f.arg_sorts, start=1))
         y = Var("y", f.result_sort)
         out.append(ConstrainedRule(App(f, args), y, theory.eq(y, App(f, args)), calc=True))
@@ -181,7 +180,7 @@ class Lctrs:
 
     @cached_property
     def rc_rules(self) -> tuple[ConstrainedRule, ...]:
-        return self.rules + calc_rules(self.signature)
+        return self.rules + calc_rules()
 
     @cached_property
     def lhs_index(self) -> LhsIndex:

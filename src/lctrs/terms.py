@@ -146,20 +146,16 @@ def variables(t: Term) -> set[Var]:
     return out
 
 
-def positions(t: Term, filter: str = "all") -> set[Position]:
-    """All positions of t; filter="function" keeps only non-variable ones."""
-    if filter not in ("all", "function"):
-        raise ValueError(f"unknown position filter {filter!r}")
-    out: set[Position] = set()
+def positions(t: Term) -> list[Position]:
+    """The function (non-variable) positions of t in preorder, which is
+    their sorted order."""
+    out: list[Position] = []
 
     def walk(s: Term, here: Position):
-        if isinstance(s, Var):
-            if filter == "all":
-                out.add(here)
-            return
-        out.add(here)
-        for i, a in enumerate(s.args, start=1):
-            walk(a, here + (i,))
+        if isinstance(s, App):
+            out.append(here)
+            for i, a in enumerate(s.args, start=1):
+                walk(a, here + (i,))
 
     walk(t, EPSILON)
     return out
@@ -323,29 +319,25 @@ def rename_away(vars_to_rename: Iterable[Var], avoid: Iterable[Var]) -> Subst:
     return out
 
 
-def term_key(t: Term) -> str:
-    """Canonical render for printing and deterministic ordering."""
+def term_key(t: Term, names: dict[Var, str] | None = None) -> str:
+    """Canonical render for printing and deterministic ordering.  Given
+    `names`, a variable is renamed by first occurrence, recorded there."""
     if isinstance(t, Var):
-        return t.name
+        if names is None:
+            return t.name
+        if t not in names:
+            names[t] = f"_v{len(names)}"
+        return names[t]
     if not t.args:
         return t.sym.name
-    return f"({t.sym.name} {' '.join(term_key(a) for a in t.args)})"
+    # a list, not a generator: one nested frame less per level, so deeper terms render
+    return f"({t.sym.name} {' '.join([term_key(a, names) for a in t.args])})"
 
 
 def alpha_key(terms: Iterable[Term]) -> str:
     """Render of a term tuple with variables canonicalized by first occurrence."""
     names: dict[Var, str] = {}
-
-    def go(t: Term) -> str:
-        if isinstance(t, Var):
-            if t not in names:
-                names[t] = f"_v{len(names)}"
-            return names[t]
-        if not t.args:
-            return t.sym.name
-        return f"({t.sym.name} {' '.join(go(a) for a in t.args)})"
-
-    return " | ".join(go(t) for t in terms)
+    return " | ".join([term_key(t, names) for t in terms])
 
 
 # --- term index -----------------------------------------------------------------

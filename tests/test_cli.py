@@ -136,6 +136,20 @@ def test_parallel_subset_cap_is_exit_1(tmp_path, capsys, command):
     assert "parallel subset cap 4096 exceeded" in err and "internal error" not in err
 
 
+INPUTS = sorted(CORPUS.glob("*.lctrs")) + sorted((REPO / "perfbench" / "inputs").glob("**/*.lctrs"))
+
+
+@pytest.mark.parametrize("path", INPUTS, ids=lambda p: str(p.relative_to(REPO)))
+def test_no_subcommand_exits_2(capsys, path):
+    failed = []
+    for command in ("analyze", "ccp", "cpcp", "ground", "check"):
+        for flags in ((), ("--json",)):
+            code, _, err = run_cli(capsys, command, str(path), *flags)
+            if code != 0:
+                failed.append(f"{command} {' '.join(flags)}: exit {code}: {err.strip()}")
+    assert not failed, f"{path.name}: " + "; ".join(failed)
+
+
 def test_closed_output_pipe_ends_quietly():
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(

@@ -39,8 +39,8 @@ def app(lctrs, name, *args):
 
 # --- calculation rules ---------------------------------------------------------
 
-def test_calc_rule_for_addition(single_value):
-    rules = {r.lhs.sym.name: r for r in calc_rules(single_value.signature) if r.lhs.sym.arg_sorts == (INT, INT)}
+def test_calc_rule_for_addition():
+    rules = {r.lhs.sym.name: r for r in calc_rules() if r.lhs.sym.arg_sorts == (INT, INT)}
     plus = rules["+"]
     x1, x2 = plus.lhs.args
     assert plus.rhs == Var("y", INT)
@@ -48,15 +48,10 @@ def test_calc_rule_for_addition(single_value):
     assert plus.calc
 
 
-def test_calc_rule_for_conjunction(single_value):
-    ands = [r for r in calc_rules(single_value.signature) if r.lhs.sym == theory.AND]
+def test_calc_rule_for_conjunction():
+    ands = [r for r in calc_rules() if r.lhs.sym == theory.AND]
     assert len(ands) == 1
     assert ands[0].guard == theory.eq(ands[0].rhs, ands[0].lhs)
-
-
-def test_no_theory_symbols_no_calc_rules(single_value):
-    bare = Signature(theory_syms=())
-    assert calc_rules(bare) == ()
 
 
 # --- plain steps -------------------------------------------------------------

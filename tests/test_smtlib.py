@@ -58,6 +58,13 @@ def test_backend_sat_model_revalidated():
     assert theory.holds(apply_subst(res.assignment, phi))
 
 
+def test_backend_model_beyond_the_first_radii():
+    """The reference solver widens its box past radius 8 and finds x = 10."""
+    res = ConstraintSolver(smt_command=REFSOLVER).smt_backend(theory.eq(x, 10))
+    assert res.status == "sat"
+    assert res.assignment == {x: int_val(10)}
+
+
 def test_backend_false_unsat():
     solver = ConstraintSolver(smt_command=REFSOLVER)
     assert solver.smt_backend(theory.bool_val(False)).status == "unsat"

@@ -61,17 +61,23 @@ def test_sort_of_rejects_sort_clash():
         sort_of(bad)
 
 
+def _all_positions(t):
+    """Every position of t, variable positions included, in preorder."""
+    if isinstance(t, Var):
+        return [EPSILON]
+    return [EPSILON] + [(i, *p) for i, s in enumerate(t.args, start=1) for p in _all_positions(s)]
+
+
 def test_positions_variable_has_no_function_positions():
-    assert positions(x, "function") == set()
+    assert positions(x) == []
 
 
 def test_positions_function_filter():
-    assert positions(App(f2, (a, y)), "function") == {EPSILON, (1,)}
+    assert positions(App(f2, (a, y))) == [EPSILON, (1,)]
     # derived by enumerating all subterms and keeping the non-variable ones
     t = App(f2, (App(g1, (x,)), y))
-    all_pos = positions(t, "all")
-    expected = {p for p in all_pos if not isinstance(subterm_at(t, p), Var)}
-    assert positions(t, "function") == expected == {EPSILON, (1,)}
+    expected = [p for p in _all_positions(t) if not isinstance(subterm_at(t, p), Var)]
+    assert positions(t) == expected == [EPSILON, (1,)]
 
 
 def test_replace_at_single():
@@ -220,10 +226,10 @@ def test_unify_soundness_and_idempotence(s, t):
 @settings(max_examples=100)
 @given(term_strategy())
 def test_produced_position_sets_are_parallel(t):
-    pos = positions(t, "function")
+    pos = positions(t)
+    assert pos == sorted(pos) == [p for p in _all_positions(t) if not isinstance(subterm_at(t, p), Var)]
     leaves = {p for p in pos if not any(q != p and q[: len(p)] == p for q in pos)}
     assert parallel_positions(leaves)
-    assert positions(t, "all") >= pos
 
 
 # --- the left-hand-side index ----------------------------------------------------

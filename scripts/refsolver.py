@@ -3,10 +3,11 @@
 
 Reads a script on stdin (or from a file argument), understands declare-const /
 declare-fun (arity 0), assert, check-sat, get-model and exit.  Quantifier-free
-linear problems are decided exactly by variable elimination; nonlinear goals
-are decided by exhaustive search when the asserted conjuncts pin every
-variable into a finite box (explicit bounds, or var*var = nonzero-constant
-which bounds both factors by the constant), and answered unknown otherwise.
+linear problems are decided exactly by variable elimination, which also builds
+the model one variable at a time; nonlinear goals are decided by exhaustive
+search when the asserted conjuncts pin every variable into a finite box
+(explicit bounds, or var*var = nonzero-constant which bounds both factors by
+the constant), and answered unknown otherwise.
 
 Deliberately self-contained: this is the external cross-check for the host
 package, so it shares no code with it.
@@ -464,55 +465,41 @@ def _drop_cost(name, f):
     return (min(lows, ups), coeffs, name)
 
 
-def decide(f, env):
-    """(status, model|None) for the conjunction f over declared env."""
+def satisfiable(f, env):
+    """Whether the quantifier-free f has a model over declared env."""
     g = f
     pending = set(fvars(f))
     while pending:
         name = min(pending, key=lambda n: _drop_cost(n, g))
         pending.discard(name)
         g = drop_var(name, env.get(name, "Int"), g)
-    if g == FALSEF:
+    assert g in (TRUEF, FALSEF), g
+    return g == TRUEF
+
+
+def decide(f, env):
+    """(status, model|None) for the conjunction f over declared env."""
+    if not satisfiable(f, env):
         return "unsat", None
-    assert g == TRUEF, g
-    model = find_model(f, env)
-    return "sat", model
+    return "sat", find_model(f, env)
 
 
 def find_model(f, env):
-    names = sorted(fvars(f))
-    ints = [n for n in names if env.get(n, "Int") == "Int"]
-    bools = [n for n in names if env.get(n) == "Bool"]
-    radius = 0
-    while radius <= 1 << 20:
-        for vals in iproduct(range(-radius, radius + 1), repeat=len(ints)):
-            for bvals in iproduct((True, False), repeat=len(bools)):
-                asg = dict(zip(ints, vals)) | dict(zip(bools, bvals))
-                if holds(f, asg):
-                    return asg
-        radius = radius + 1 if radius < 8 else radius * 2
-    raise RuntimeError("sat but no model found")
-
-
-def holds(f, asg):
-    k = f[0]
-    if k == "all":
-        return all(holds(g, asg) for g in f[1])
-    if k == "any":
-        return any(holds(g, asg) for g in f[1])
-    if k == "pvar":
-        return bool(asg[f[1]])
-    if k == "npvar":
-        return not asg[f[1]]
-    m = f[1] if k in ("div", "ndiv") else None
-    total = sum(c if x is CONST else c * asg[x] for x, c in (f[2] if m else f[1]))
-    if k == "lt":
-        return total < 0
-    if k == "eq":
-        return total == 0
-    if k == "ne":
-        return total != 0
-    return total % m == 0 if k == "div" else total % m != 0
+    """Fix the variables of a satisfiable f one at a time, in name order: a
+    Bool to true if the rest stays satisfiable, else false; an Int to the
+    first of 0, 1, -1, 2, -2, ... under which the rest stays satisfiable."""
+    model = {}
+    for name in sorted(fvars(f)):
+        if env.get(name) == "Bool":
+            val = satisfiable(put_bool(f, name, True), env)
+            f = put_bool(f, name, val)
+        else:
+            val = 0
+            while not satisfiable(put_int(f, name, {CONST: val}), env):
+                val = -val + (val <= 0)
+            f = put_int(f, name, {CONST: val})
+        model[name] = val
+    return model
 
 
 # --- nonlinear fallback ------------------------------------------------------

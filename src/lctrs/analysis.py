@@ -122,14 +122,14 @@ def _single_overlaps(rules, index):
 
 def _parallel_overlaps(rules, index):
     """(outer copy, inner copies, positions) for every set of parallel
-    function positions of an outer left-hand side, up to
-    terms.PARALLEL_SET_CAP sets per rule, and every choice of inner rules the
-    index retrieves as unifiable there; the outer copy keeps its variable
+    function positions of an outer left-hand side where the index retrieves
+    some inner rule as unifiable, up to terms.PARALLEL_SET_CAP sets per rule,
+    and every choice of those inner rules; the outer copy keeps its variable
     names."""
     for outer in rules:
         ps = positions(outer.lhs)
         hits = {p: [rules[i] for i in index.unifiable(subterm_at(outer.lhs, p))] for p in ps}
-        for pset in parallel_subsets(ps)[1:]:
+        for pset in parallel_subsets([p for p in ps if hits[p]])[1:]:
             for inner_choice in itertools.product(*(hits[p] for p in pset)):
                 if outer.calc and all(r.calc for r in inner_choice):
                     continue
@@ -184,7 +184,8 @@ def ccps(lctrs: Lctrs, solver: ConstraintSolver) -> list[CCPRecord]:
 
 def cpcps(lctrs: Lctrs, solver: ConstraintSolver) -> list[CPCPRecord]:
     """All constrained parallel critical pairs; a rule with more parallel
-    position sets than terms.PARALLEL_SET_CAP raises ParallelSetCap."""
+    sets of overlapped positions than terms.PARALLEL_SET_CAP raises
+    ParallelSetCap."""
     sat = lambda phi: solver.is_satisfiable(phi).status  # noqa: E731
     return _critical_pairs(lctrs.rc_rules, lctrs.lhs_index, sat, parallel=True)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from . import cooper, smtlib, theory
+from . import cooper, theory
 from .terms import BOOL, Term, Var, apply_subst, bool_val, int_val, variables
 
 Prefix = list[tuple[str, list[Var]]]
@@ -150,6 +150,8 @@ class ConstraintSolver:
         """Serialize, spawn the external solver, parse and re-validate."""
         if self.smt_command is None:
             return SolverVerdict("unknown", reason="no external solver configured")
+        from . import smtlib  # with subprocess, loaded only when a solver is configured
+
         script = smtlib.smt_script(phi, logic=smtlib.pick_logic(phi))
         output, diag = smtlib.run_solver(self.smt_command, script, self.timeout_ms)
         if output is None:

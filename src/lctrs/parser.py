@@ -9,6 +9,10 @@ Undeclared identifiers are variables; their sorts are inferred by propagating
 the declared argument sorts (equality and disequality are overloaded between
 Int and Bool, everything else is fixed).  Remaining ambiguity is an error, as
 is any arity or sort clash, each reported with line and column.
+
+The theory symbols are written by their SMT-LIB names, and read_sexprs is the
+one s-expression reader: smtlib, which is loaded only for --smt, reads the
+external solver's replies with it.
 """
 
 from __future__ import annotations
@@ -29,37 +33,6 @@ class ParseError(Exception):
 
 
 @dataclass
-class Tok:
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[Tok]:
-    out, line, col, i = [], 1, 1, 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line, col, i = line + 1, 1, i + 1
-        elif c in " \t\r":
-            col, i = col + 1, i + 1
-        elif c == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            out.append(Tok(c, line, col))
-            col, i = col + 1, i + 1
-        else:
-            j = i
-            while j < len(text) and text[j] not in "() \t\r\n;":
-                j += 1
-            out.append(Tok(text[i:j], line, col))
-            col += j - i
-            i = j
-    return out
-
-
-@dataclass
 class Node:
     """Either an atom (text set) or a list (items set)."""
 
@@ -69,20 +42,36 @@ class Node:
     items: list["Node"] | None = None
 
 
-def _read(tokens: list[Tok]) -> list[Node]:
+def read_sexprs(text: str) -> list[Node]:
+    """The s-expressions of text, `;` starting a comment to the end of the
+    line; an unbalanced parenthesis raises ParseError at its line:col."""
     out: list[Node] = []
     stack: list[Node] = []
-    for tok in tokens:
-        if tok.text == "(":
-            stack.append(Node(tok.line, tok.col, items=[]))
-        elif tok.text == ")":
-            if not stack:
-                raise ParseError("unmatched ')'", tok.line, tok.col)
-            done = stack.pop()
-            (stack[-1].items if stack else out).append(done)
+    line, col, i = 1, 1, 0
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            line, col, i = line + 1, 1, i + 1
+        elif c in " \t\r":
+            col, i = col + 1, i + 1
+        elif c == ";":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif c == "(":
+            stack.append(Node(line, col, items=[]))
+            col, i = col + 1, i + 1
         else:
-            node = Node(tok.line, tok.col, text=tok.text)
+            if c == ")":
+                if not stack:
+                    raise ParseError("unmatched ')'", line, col)
+                node, j = stack.pop(), i + 1
+            else:
+                j = i
+                while j < len(text) and text[j] not in "() \t\r\n;":
+                    j += 1
+                node = Node(line, col, text=text[i:j])
             (stack[-1].items if stack else out).append(node)
+            col, i = col + j - i, j
     if stack:
         raise ParseError("unmatched '('", stack[-1].line, stack[-1].col)
     return out
@@ -90,21 +79,10 @@ def _read(tokens: list[Tok]) -> list[Node]:
 
 _INT_RE = re.compile(r"-?\d+")
 
-_FIXED_THEORY = {
-    "+": [theory.ADD],
-    "-": [theory.SUB],
-    "*": [theory.MUL],
-    "<": [theory.LT],
-    "<=": [theory.LE],
-    ">": [theory.GT],
-    ">=": [theory.GE],
-    "and": [theory.AND],
-    "or": [theory.OR],
-    "not": [theory.NOT],
-    "=>": [theory.IMP],
-    "=": [theory.EQ, theory.EQB],
-    "!=": [theory.NE, theory.NEB],
-}
+# name -> the theory symbols it denotes; = and != are overloaded at Int and Bool
+_FIXED_THEORY: dict[str, list[FunSym]] = {}
+for _sym in theory.THEORY_SYMS:
+    _FIXED_THEORY.setdefault(_sym.name, []).append(_sym)
 
 
 class _SortCell:
@@ -150,7 +128,7 @@ def parse(text: str) -> Lctrs:
     sig = Signature()
     rules: list[ConstrainedRule] = []
     theory_seen = False
-    for form in _read(_tokenize(text)):
+    for form in read_sexprs(text):
         if form.items is None:
             raise ParseError(f"expected a declaration, got {form.text!r}", form.line, form.col)
         if not form.items or form.items[0].text is None:
@@ -283,12 +261,9 @@ def _parse_rule(sig: Signature, lhs_node: Node, rhs_node: Node, guard_node: Node
             arg_sort = pre.args[0].cell.find().sort
             if arg_sort is None:
                 raise ParseError("ambiguous equality: cannot infer the argument sort", pre.node.line, pre.node.col)
-            name = "=" if pre.node.items[0].text == "=" else "!="
-            if arg_sort == INT:
-                sym = theory.EQ if name == "=" else theory.NE
-            elif arg_sort == BOOL:
-                sym = theory.EQB if name == "=" else theory.NEB
-            else:
+            name = pre.node.items[0].text
+            sym = next((o for o in _FIXED_THEORY[name] if o.arg_sorts[0] == arg_sort), None)
+            if sym is None:
                 raise ParseError(f"no {name} at sort {arg_sort}", pre.node.line, pre.node.col)
             return App(sym, tuple(args))
         return App(pre.head, tuple(args))

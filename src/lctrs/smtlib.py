@@ -1,8 +1,9 @@
 """SMT-LIB 2 serialization and a subprocess client for external solvers.
 
 The script sent over stdin is the usual set-logic / declare-const / assert /
-check-sat / get-model sequence.  Model output is parsed permissively: any
-define-fun of arity zero (or a bare (name value) pair) counts.
+check-sat / get-model sequence.  The reply is read with the input format's
+s-expression reader and its model permissively: any define-fun of arity zero
+(or a bare (name value) pair) counts.
 """
 
 from __future__ import annotations
@@ -11,26 +12,12 @@ import shlex
 import subprocess
 
 from . import theory
+from .parser import Node, ParseError, read_sexprs
 from .terms import BOOL, INT, Sort, Term, Var, bool_val, int_val, is_value, value_of, variables
-
-_SMT_NAMES = {
-    theory.ADD: "+",
-    theory.SUB: "-",
-    theory.MUL: "*",
-    theory.EQ: "=",
-    theory.EQB: "=",
-    theory.LT: "<",
-    theory.LE: "<=",
-    theory.GT: ">",
-    theory.GE: ">=",
-    theory.AND: "and",
-    theory.OR: "or",
-    theory.NOT: "not",
-    theory.IMP: "=>",
-}
 
 
 def smt_term(t: Term) -> str:
+    """A theory symbol's name is its SMT-LIB name, but != is distinct."""
     if isinstance(t, Var):
         return t.name
     if is_value(t):
@@ -38,11 +25,9 @@ def smt_term(t: Term) -> str:
         if isinstance(v, bool):
             return "true" if v else "false"
         return str(v) if v >= 0 else f"(- {-v})"
-    if t.sym in (theory.NE, theory.NEB):
-        return f"(distinct {smt_term(t.args[0])} {smt_term(t.args[1])})"
-    name = _SMT_NAMES.get(t.sym)
-    if name is None:
+    if t.sym not in theory.THEORY_SYMS:
         raise ValueError(f"symbol {t.sym.name} has no SMT-LIB counterpart")
+    name = "distinct" if t.sym.name == "!=" else t.sym.name
     return f"({name} {' '.join(smt_term(a) for a in t.args)})"
 
 
@@ -72,60 +57,16 @@ def pick_logic(phi: Term) -> str:
     return "LIA" if is_linear(phi) else "NIA"
 
 
-def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in "()":
-            out.append(c)
-            i += 1
-        elif c.isspace():
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        else:
-            j = i
-            while j < n and text[j] not in "() \t\n;":
-                j += 1
-            out.append(text[i:j])
-            i = j
-    return out
-
-
-def _read_sexprs(tokens: list[str]):
-    exprs, stack = [], []
-    for tok in tokens:
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            if not stack:
-                raise ValueError("unmatched ')' in solver output")
-            done = stack.pop()
-            if stack:
-                stack[-1].append(done)
-            else:
-                exprs.append(done)
-        elif stack:
-            stack[-1].append(tok)
-        else:
-            exprs.append(tok)
-    return exprs
-
-
-def _value_term(expr) -> Term | None:
-    if expr == "true":
-        return bool_val(True)
-    if expr == "false":
-        return bool_val(False)
-    if isinstance(expr, str):
+def _value_term(node: Node) -> Term | None:
+    if node.text in ("true", "false"):
+        return bool_val(node.text == "true")
+    if node.text is not None:
         try:
-            return int_val(int(expr))
+            return int_val(int(node.text))
         except ValueError:
             return None
-    if isinstance(expr, list) and len(expr) == 2 and expr[0] == "-":
-        inner = _value_term(expr[1])
+    if len(node.items) == 2 and node.items[0].text == "-":
+        inner = _value_term(node.items[1])
         if inner is not None:
             return int_val(-value_of(inner))
     return None
@@ -141,24 +82,24 @@ def parse_result(output: str, wanted: dict[str, Var]) -> tuple[str, dict[Var, Te
             status = word
             break
     try:
-        exprs = _read_sexprs(_tokenize(output))
-    except ValueError as exc:
+        exprs = read_sexprs(output)
+    except ParseError as exc:
         return "unknown", {}, str(exc)
     model: dict[Var, Term] = {}
     for expr in exprs:
         stackable = [expr]
         while stackable:
-            e = stackable.pop()
-            if not isinstance(e, list):
+            e = stackable.pop().items
+            if e is None:
                 continue
-            if len(e) >= 5 and e[0] == "define-fun" and e[2] == []:
-                name, val = e[1], _value_term(e[4])
-            elif len(e) == 2 and isinstance(e[0], str) and e[0] in wanted:
-                name, val = e[0], _value_term(e[1])
+            if len(e) >= 5 and e[0].text == "define-fun" and e[2].items == []:
+                name, val = e[1].text, _value_term(e[4])
+            elif len(e) == 2 and e[0].text in wanted:
+                name, val = e[0].text, _value_term(e[1])
             else:
                 stackable.extend(e)
                 continue
-            if isinstance(name, str) and name in wanted and val is not None:
+            if name in wanted and val is not None:
                 model[wanted[name]] = val
     return status, model, ""
 

@@ -369,6 +369,17 @@ def test_parallel_pairs_over_the_cap_give_maybe_and_the_no_search_runs(solver, m
     assert verdict.result == "NO"  # c and g(b, a, a, a) reach distinct normal forms
 
 
+def test_parallel_pairs_count_only_positions_a_rule_overlaps(solver):
+    """f has 3^13 parallel position sets, far over the cap, but no rule
+    overlaps below its root, so only the two root pairs are enumerated."""
+    lhs = "(f " + " ".join(f"(c x{i})" for i in range(13)) + ")"
+    system = parse(
+        f"(sort S)\n(fun a () S)\n(fun b () S)\n(fun c (S) S)\n(fun f ({' '.join(['S'] * 13)}) S)\n"
+        f"(rule {lhs} a)\n(rule {lhs} b)\n(rule a b)\n"
+    )
+    assert [repr(p) for p in cpcps(system, solver)] == ["a ~ b [true] P=((),)", "b ~ a [true] P=((),)"]
+
+
 def test_verdict_carries_the_pairs_it_computed(calc_chain, parity, solver):
     yes = analyze(calc_chain, solver)
     assert yes.criterion == "parallel-closed"

@@ -269,6 +269,25 @@ def test_console_entry_point():
     assert proc.stdout.splitlines()[0] == "YES"
 
 
+def test_analyze_loads_no_external_solver_code():
+    """Only --smt needs the SMT-LIB client and the subprocess module."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        "from lctrs.cli import main\n"
+        "code = main(['analyze', 'corpus/pcp_101.lctrs'])\n"
+        "print(code, 'lctrs.smtlib' in sys.modules, 'subprocess' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.splitlines()[-1] == "0 False False"
+
+
 def _run_corpus_module():
     import importlib.util
 

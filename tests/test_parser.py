@@ -62,6 +62,13 @@ def test_ambiguous_equality_is_error():
         )
 
 
+@pytest.mark.parametrize("op", ["=", "!="])
+def test_no_equality_at_a_declared_sort(op):
+    with pytest.raises(ParseError) as exc:
+        parse(f"(theory Ints)\n(sort U)\n(fun a () U)\n(fun g (U) U)\n(rule (g x) a :guard ({op} x a))\n")
+    assert str(exc.value) == f"5:22: no {op} at sort U"
+
+
 def test_guard_must_be_boolean():
     with pytest.raises(ParseError):
         parse("(theory Ints)\n(fun a () Int)\n(rule a a :guard (+ 1 2))\n")

@@ -3,7 +3,7 @@ from pathlib import Path
 
 from lctrs import smtlib, theory
 from lctrs.logic import ConstraintSolver
-from lctrs.terms import INT, Var, apply_subst, int_val
+from lctrs.terms import App, BOOL, INT, Var, apply_subst, int_val
 
 REPO = Path(__file__).resolve().parent.parent
 REFSOLVER = f"{sys.executable} {REPO / 'scripts' / 'refsolver.py'}"
@@ -59,10 +59,15 @@ def test_backend_sat_model_revalidated():
 
 
 def test_backend_model_beyond_the_first_radii():
-    """The reference solver widens its box past radius 8 and finds x = 10."""
+    """The reference solver fixes one variable at a time by elimination, so a
+    value far from 0 comes out without a search over every box around 0."""
     res = ConstraintSolver(smt_command=REFSOLVER).smt_backend(theory.eq(x, 10))
     assert res.status == "sat"
     assert res.assignment == {x: int_val(10)}
+    phi = theory.conj(theory.eq(x, 40), theory.eq(theory.add(y, z), 0))
+    res = ConstraintSolver(smt_command=REFSOLVER, timeout_ms=2000).smt_backend(phi)
+    assert res.status == "sat"
+    assert theory.holds(apply_subst(res.assignment, phi))
 
 
 def test_backend_false_unsat():
@@ -142,3 +147,25 @@ def test_quantified_nonlinear_unknown_without_backend():
     phi = theory.eq(theory.mul(x, y), z)
     res = solver.is_valid_quantified([("forall", [x]), ("exists", [y])], phi)
     assert res.status == "unknown"
+
+
+def test_every_theory_symbol_renders_with_its_smtlib_name():
+    b, c = Var("b", BOOL), Var("c", BOOL)
+    args = {INT: (x, y), BOOL: (b, c)}
+    rendered = [smtlib.smt_term(App(sym, args[sym.arg_sorts[0]][: sym.arity])) for sym in theory.THEORY_SYMS]
+    assert rendered == [
+        "(+ x y)", "(- x y)", "(* x y)", "(= x y)", "(distinct x y)", "(< x y)", "(<= x y)", "(> x y)",
+        "(>= x y)", "(and b c)", "(or b c)", "(not b)", "(=> b c)", "(= b c)", "(distinct b c)",
+    ]
+    phi = theory.conj(theory.ne(x, y), theory.imp(theory.ne(b, b), theory.eq(b, theory.neg(b))))
+    assert smtlib.smt_term(phi) == "(and (distinct x y) (=> (distinct b b) (= b (not b))))"
+
+
+def test_parse_model_bare_pairs_and_a_string():
+    b = Var("b", BOOL)
+    out = 'sat\n((x (- 3)) (b false) (q 1))\n(error "no model")'
+    status, model, why = smtlib.parse_result(out, {"x": x, "b": b})
+    assert (status, model, why) == ("sat", {x: int_val(-3), b: theory.bool_val(False)}, "")
+    # of two bindings in one list the first wins; of two lists the last
+    assert smtlib.parse_result("sat\n((x 1) (x 2))", {"x": x})[1] == {x: int_val(1)}
+    assert smtlib.parse_result("sat\n(x 1)\n(x 2)", {"x": x})[1] == {x: int_val(2)}

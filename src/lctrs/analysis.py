@@ -14,7 +14,6 @@ ordinary subterm filters.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import theory
 from .logic import ConstraintSolver
@@ -33,6 +32,7 @@ from .terms import (
     FunSym,
     ParallelSetCap,
     Position,
+    Record,
     Sort,
     Term,
     Var,
@@ -59,13 +59,8 @@ def mk_pair(s: Term, t: Term) -> App:
     return App(pair_sym(sort_of(s)), (s, t))
 
 
-@dataclass(frozen=True)
-class CCPRecord:
-    left: Term
-    right: Term
-    constraint: Term
-    position: Position
-    peak_source: Term
+class CCPRecord(Record):
+    __slots__ = ("left", "right", "constraint", "position", "peak_source")
 
     @property
     def overlay(self) -> bool:
@@ -81,13 +76,8 @@ class CCPRecord:
         return f"{self.left!r} ~ {self.right!r} [{self.constraint!r}]"
 
 
-@dataclass(frozen=True)
-class CPCPRecord:
-    left: Term
-    right: Term
-    constraint: Term
-    pset: tuple[Position, ...]
-    peak_source: Term
+class CPCPRecord(Record):
+    __slots__ = ("left", "right", "constraint", "pset", "peak_source")
 
     def pair(self) -> ConstrainedTerm:
         return ConstrainedTerm(mk_pair(self.left, self.right), self.constraint)
@@ -249,12 +239,18 @@ def tvar(t: Term, phi: Term, pset) -> set[Var]:
 
 # --- closedness ----------------------------------------------------------------
 
-@dataclass
 class Closing:
-    status: str  # "closed" | "not_closed" | "unknown"
-    sequence: list[ConstrainedTerm] = field(default_factory=list)
-    qset: tuple[Position, ...] | None = None
-    reason: str = ""  # why the search gave up, when it did
+    def __init__(
+        self,
+        status: str,  # "closed" | "not_closed" | "unknown"
+        sequence: list[ConstrainedTerm] | None = None,
+        qset: tuple[Position, ...] | None = None,
+        reason: str = "",  # why the search gave up, when it did
+    ):
+        self.status = status
+        self.sequence = [] if sequence is None else sequence
+        self.qset = qset
+        self.reason = reason
 
     def summary(self) -> str:
         return f"{self.status} ({self.reason})" if self.reason else self.status
@@ -358,21 +354,34 @@ def is_left_linear(lctrs: Lctrs) -> bool:
     return True
 
 
-@dataclass
 class AnalysisConfig:
-    criteria: tuple[str, ...] = ("wo", "adc", "pc")
-    depth: int = 4
-    rewrite: RewriteConfig = field(default_factory=RewriteConfig)
+    def __init__(
+        self,
+        criteria: tuple[str, ...] = ("wo", "adc", "pc"),
+        depth: int = 4,
+        rewrite: RewriteConfig | None = None,
+    ):
+        self.criteria = criteria
+        self.depth = depth
+        self.rewrite = RewriteConfig() if rewrite is None else rewrite
 
 
-@dataclass
 class Verdict:
-    result: str  # "YES" | "NO" | "MAYBE"
-    criterion: str | None = None
-    reasons: dict[str, str] = field(default_factory=dict)
-    witness: tuple[Term, Term] | None = None
-    ccps: list[CCPRecord] = field(default_factory=list)
-    cpcps: list[CPCPRecord] | None = None  # None when the parallel criterion did not run
+    def __init__(
+        self,
+        result: str,  # "YES" | "NO" | "MAYBE"
+        criterion: str | None = None,
+        reasons: dict[str, str] | None = None,
+        witness: tuple[Term, Term] | None = None,
+        ccps: list[CCPRecord] | None = None,
+        cpcps: list[CPCPRecord] | None = None,  # None when the parallel criterion did not run
+    ):
+        self.result = result
+        self.criterion = criterion
+        self.reasons = {} if reasons is None else reasons
+        self.witness = witness
+        self.ccps = [] if ccps is None else ccps
+        self.cpcps = cpcps
 
     @property
     def ccp_count(self) -> int:

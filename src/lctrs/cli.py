@@ -24,7 +24,6 @@ from .grounding import (
 )
 from .logic import ConstraintSolver
 from .parser import ParseError, parse, print_system
-from .pcp import PCPInstance, build_rp
 from .rewriting import RewriteConfig
 from .terms import ParallelSetCap, term_key
 
@@ -209,6 +208,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen_pcp(args) -> int:
+    from .pcp import PCPInstance, build_rp  # only gen-pcp builds PCP systems
+
     instance = PCPInstance.parse(args.pairs)
     sys.stdout.write(print_system(build_rp(instance)))
     return 0

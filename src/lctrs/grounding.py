@@ -13,8 +13,6 @@ fragment back to the constrained analysis.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass, field
 
 from . import theory
 from .analysis import CCPRecord, CPCPRecord, _critical_pairs, ccps, cpcps, mk_pair
@@ -49,12 +47,12 @@ from .terms import (
 )
 
 
-@dataclass
 class GroundFragment:
-    rules: tuple[ConstrainedRule, ...]  # true guards, no logical variables
-    lhs_index: LhsIndex
-    oracle: RedexOracle  # the plain oracle over the rules: matching
-    successors: dict[Term, tuple[Term, ...]] = field(default_factory=dict, repr=False)  # see frag_successors
+    def __init__(self, rules: tuple[ConstrainedRule, ...], lhs_index: LhsIndex, oracle: RedexOracle):
+        self.rules = rules  # true guards, no logical variables
+        self.lhs_index = lhs_index
+        self.oracle = oracle  # the plain oracle over the rules: matching
+        self.successors: dict[Term, tuple[Term, ...]] = {}  # see frag_successors
 
 
 def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
@@ -146,10 +144,10 @@ def find_nonjoinable_peak(fragment: GroundFragment, depth: int = 8):
 
 # --- correspondence reports -----------------------------------------------------
 
-@dataclass
 class Report:
-    checked: int = 0
-    violations: list[str] = field(default_factory=list)
+    def __init__(self, checked: int = 0, violations: list[str] | None = None):
+        self.checked = checked
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -198,6 +196,8 @@ def check_cp_correspondence(
             if not any(_instance_matches(c, cp, domain) for c in sources):
                 report.violations.append(f"fragment {kind} has no constrained source: {cp.left!r} ~ {cp.right!r}")
 
+    import random  # only the check samples
+
     rng = random.Random(seed)
     for c in constrained:
         models = constraint_assignments(c.constraint, variables(c.constraint), domain, limit=4 * samples)
@@ -218,6 +218,8 @@ def check_cp_correspondence(
 
 def _sample_terms(lctrs: Lctrs, config: RewriteConfig, count: int, seed: int) -> list[Term]:
     """Random terms over the rules' symbols, domain values and variables."""
+    import random  # only the check samples
+
     rng = random.Random(seed)
     domain = domain_terms(lctrs, config)
     term_syms = sorted(_side_syms(lctrs, "term"), key=lambda f: f.name)

@@ -13,7 +13,7 @@ validity.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from . import cooper, theory
 from .terms import BOOL, Term, Var, apply_subst, bool_val, int_val, variables

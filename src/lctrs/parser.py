@@ -18,7 +18,6 @@ external solver's replies with it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from . import theory
 from .rules import ConstrainedRule, Lctrs, RuleError, Signature
@@ -32,14 +31,14 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass
 class Node:
     """Either an atom (text set) or a list (items set)."""
 
-    line: int
-    col: int
-    text: str | None = None
-    items: list["Node"] | None = None
+    def __init__(self, line: int, col: int, text: str | None = None, items: list[Node] | None = None):
+        self.line = line
+        self.col = col
+        self.text = text
+        self.items = items
 
 
 def read_sexprs(text: str) -> list[Node]:
@@ -110,17 +109,26 @@ class _SortCell:
             b.parent = a
 
 
-@dataclass
 class _Pre:
     """Pre-term carrying unresolved sorts; resolved into a Term afterwards."""
 
-    node: Node
-    cell: _SortCell
-    head: FunSym | None = None  # fixed symbol, if known
-    var: str | None = None
-    value: Term | None = None
-    args: list["_Pre"] = field(default_factory=list)
-    eq_overload: bool = False  # choose Int/Bool equality by argument sort
+    def __init__(
+        self,
+        node: Node,
+        cell: _SortCell,
+        head: FunSym | None = None,  # fixed symbol, if known
+        var: str | None = None,
+        value: Term | None = None,
+        args: list[_Pre] | None = None,
+        eq_overload: bool = False,  # choose Int/Bool equality by argument sort
+    ):
+        self.node = node
+        self.cell = cell
+        self.head = head
+        self.var = var
+        self.value = value
+        self.args = [] if args is None else args
+        self.eq_overload = eq_overload
 
 
 def parse(text: str) -> Lctrs:

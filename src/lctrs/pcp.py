@@ -8,21 +8,19 @@ compares them constructor by constructor, ending in top (a match) or bot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import theory
 from .rules import ConstrainedRule, Lctrs, Signature
-from .terms import App, INT, Sort, Term, Var, int_val
+from .terms import App, INT, Record, Sort, Term, Var, int_val
 
 STRING = Sort("String")
 PCP_SORT = Sort("PCP")
 
 
-@dataclass(frozen=True)
-class PCPInstance:
-    pairs: tuple[tuple[str, str], ...]
+class PCPInstance(Record):
+    __slots__ = ("pairs",)
 
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[str, str], ...]):
+        Record.__init__(self, pairs)
         if not self.pairs:
             raise ValueError("an instance needs at least one pair")
         for a, b in self.pairs:

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from . import theory
 from .logic import ConstraintSolver
@@ -31,6 +30,7 @@ from .terms import (
     EPSILON,
     INT,
     Position,
+    Record,
     Sort,
     Subst,
     Term,
@@ -51,20 +51,18 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class ConstrainedTerm:
-    term: Term
-    constraint: Term = theory.bool_val(True)
+class ConstrainedTerm(Record):
+    __slots__ = ("term", "constraint")
+
+    def __init__(self, term: Term, constraint: Term = theory.bool_val(True)):
+        Record.__init__(self, term, constraint)
 
     def __repr__(self):
         return f"{self.term!r} [{self.constraint!r}]"
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    position: Position
-    rule: ConstrainedRule
-    bindings: tuple[tuple[Var, Term], ...]
+class StepRecord(Record):
+    __slots__ = ("position", "rule", "bindings")  # bindings: ((Var, Term), ...) in name order
 
     @property
     def sigma(self) -> Subst:
@@ -75,10 +73,11 @@ MULTI_NESTING = 3  # levels of nested rule application in a multi-step
 MAX_UNBOUND = 3  # a rule with more logical variables to choose gives no instances
 
 
-@dataclass(frozen=True)
-class RewriteConfig:
-    lo: int = -4
-    hi: int = 4
+class RewriteConfig(Record):
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int = -4, hi: int = 4):
+        Record.__init__(self, lo, hi)
 
     def int_domain(self, lctrs: Lctrs) -> tuple[int, ...]:
         return tuple(sorted(set(range(self.lo, self.hi + 1)) | lctrs.literals))

@@ -10,9 +10,8 @@ signature and marked with calc=True.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable
 
 from . import theory
 from .terms import (
@@ -21,6 +20,7 @@ from .terms import (
     FunSym,
     INT,
     LhsIndex,
+    Record,
     Sort,
     Subst,
     Term,
@@ -38,14 +38,11 @@ class RuleError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ConstrainedRule:
-    lhs: Term
-    rhs: Term
-    guard: Term = theory.bool_val(True)
-    calc: bool = False
+class ConstrainedRule(Record):
+    __slots__ = ("lhs", "rhs", "guard", "calc", "__dict__")  # __dict__ holds the cached properties
 
-    def __post_init__(self):
+    def __init__(self, lhs: Term, rhs: Term, guard: Term = theory.bool_val(True), calc: bool = False):
+        Record.__init__(self, lhs, rhs, guard, calc)
         if not isinstance(self.lhs, App):
             raise RuleError("left-hand side must not be a variable")
         if not self.calc and self.lhs.sym.kind != "term":
@@ -93,14 +90,17 @@ class ConstrainedRule:
         return theory.conj(*(theory.eq(x, x) for x in sorted(self.evar(), key=lambda v: v.name)))
 
     def rename(self, ren: Subst) -> "ConstrainedRule":
+        """The copy under an injective, sort-preserving variable renaming
+        (as rename_away gives).  Such a renaming keeps every fact the
+        constructor checks, so the copy is built without re-checking them,
+        and its side variables are the original's mapped through ren."""
         if not ren:
             return self
-        return ConstrainedRule(
-            apply_subst(ren, self.lhs),
-            apply_subst(ren, self.rhs),
-            apply_subst(ren, self.guard),
-            self.calc,
-        )
+        copy = object.__new__(ConstrainedRule)
+        sides = (apply_subst(ren, self.lhs), apply_subst(ren, self.rhs), apply_subst(ren, self.guard))
+        Record.__init__(copy, *sides, self.calc)
+        copy.__dict__["_side_vars"] = tuple(frozenset([ren.get(v, v) for v in vs]) for vs in self._side_vars)
+        return copy
 
     def key(self) -> str:
         return alpha_key([self.lhs, self.rhs, self.guard])
@@ -140,12 +140,10 @@ def is_variant(r1: ConstrainedRule, r2: ConstrainedRule) -> bool:
     return True
 
 
-@dataclass
 class Signature:
-    sorts: dict[str, Sort] = field(default_factory=dict)
-    term_syms: dict[str, FunSym] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, sorts: dict[str, Sort] | None = None, term_syms: dict[str, FunSym] | None = None):
+        self.sorts = {} if sorts is None else sorts
+        self.term_syms = {} if term_syms is None else term_syms
         self.sorts.setdefault("Int", INT)
         self.sorts.setdefault("Bool", BOOL)
 
@@ -173,10 +171,10 @@ def calc_rules() -> tuple[ConstrainedRule, ...]:
     return tuple(out)
 
 
-@dataclass
 class Lctrs:
-    signature: Signature
-    rules: tuple[ConstrainedRule, ...]
+    def __init__(self, signature: Signature, rules: tuple[ConstrainedRule, ...]):
+        self.signature = signature
+        self.rules = rules
 
     @cached_property
     def rc_rules(self) -> tuple[ConstrainedRule, ...]:

@@ -11,7 +11,8 @@ Substitutions are plain dicts from Var to Term.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
+from operator import attrgetter
 
 Position = tuple[int, ...]
 EPSILON: Position = ()
@@ -48,6 +49,35 @@ class _Interned:
 
     def __repr__(self):
         return self.name
+
+
+class Record:
+    """An immutable record compared by value: its fields are the names in
+    __slots__ (bar a "__dict__" that a subclass adds for cached properties),
+    set once by __init__; == and hash go by the field tuple, and setting or
+    deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(n for n in cls.__slots__ if n != "__dict__")
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    __setattr__ = __delattr__ = _Interned.__setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class Sort(_Interned):

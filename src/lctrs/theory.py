@@ -6,7 +6,7 @@ convenience constructors for building constraints.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .terms import (
     App,

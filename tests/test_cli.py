@@ -269,23 +269,33 @@ def test_console_entry_point():
     assert proc.stdout.splitlines()[0] == "YES"
 
 
-def test_analyze_loads_no_external_solver_code():
-    """Only --smt needs the SMT-LIB client and the subprocess module."""
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+WATCHED_MODULES = ["dataclasses", "inspect", "typing", "random", "lctrs.pcp", "lctrs.smtlib", "subprocess"]
+
+
+def _watched_after(argv: list[str]) -> str:
+    """Exit code and the WATCHED_MODULES loaded after running the command in
+    a fresh interpreter under -I -S, where no site hook preloads anything."""
     probe = (
         "import sys\n"
+        "sys.path.insert(0, 'src')\n"
         "from lctrs.cli import main\n"
-        "code = main(['analyze', 'corpus/pcp_101.lctrs'])\n"
-        "print(code, 'lctrs.smtlib' in sys.modules, 'subprocess' in sys.modules)\n"
+        f"code = main({argv!r})\n"
+        f"print(code, [m for m in {WATCHED_MODULES!r} if m in sys.modules])\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        cwd=REPO,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.stdout.splitlines()[-1] == "0 False False"
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_analyze_loads_no_external_solver_code():
+    """Only --smt needs the SMT-LIB client and the subprocess module, only
+    gen-pcp needs pcp, only check samples with random, and no record is a
+    dataclass (dataclasses pulls in inspect)."""
+    assert _watched_after(["analyze", "corpus/pcp_101.lctrs"]) == "0 []"
+
+
+def test_gen_pcp_loads_pcp():
+    assert _watched_after(["gen-pcp", "1,101;10,00;011,11"]) == "0 ['lctrs.pcp']"
 
 
 def _run_corpus_module():

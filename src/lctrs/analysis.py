@@ -115,15 +115,19 @@ def _parallel_overlaps(rules, index):
     function positions of an outer left-hand side where the index retrieves
     some inner rule as unifiable, up to terms.PARALLEL_SET_CAP sets per rule,
     and every choice of those inner rules; the outer copy keeps its variable
-    names."""
+    names.  The copies depend only on the rule tuple, so each tuple is
+    renamed once."""
     for outer in rules:
         ps = positions(outer.lhs)
-        hits = {p: [rules[i] for i in index.unifiable(subterm_at(outer.lhs, p))] for p in ps}
+        hits = {p: index.unifiable(subterm_at(outer.lhs, p)) for p in ps}
+        copies: dict[tuple[int, ...], list] = {}
         for pset in parallel_subsets([p for p in ps if hits[p]])[1:]:
             for inner_choice in itertools.product(*(hits[p] for p in pset)):
-                if outer.calc and all(r.calc for r in inner_choice):
+                if outer.calc and all(rules[i].calc for i in inner_choice):
                     continue
-                rho, *inners = rename_apart([outer, *inner_choice])
+                if inner_choice not in copies:
+                    copies[inner_choice] = rename_apart([outer, *(rules[i] for i in inner_choice)])
+                rho, *inners = copies[inner_choice]
                 yield rho, inners, tuple(pset)
 
 
@@ -146,7 +150,8 @@ def _critical_pairs(rules, index, sat, parallel: bool = False) -> list:
         if not all(is_value(sigma.get(x, x)) or isinstance(sigma.get(x, x), Var) for x in lvars):
             continue  # a logical variable bound to a proper term
         if pset == (EPSILON,) and is_variant(inners[0], rho):
-            if variables(rho.rhs) <= variables(rho.lhs):
+            lhs_vars, rhs_vars, _guard_vars = rho._side_vars
+            if rhs_vars <= lhs_vars:
                 continue
         copies = [rho, *inners] if parallel else [*inners, rho]
         guards = [apply_subst(sigma, r.guard) for r in copies]

@@ -110,7 +110,7 @@ def _freeze(sigma: Subst) -> tuple[tuple[Var, Term], ...]:
 
 # --- the engine: redex oracles and the layers above them ---------------------
 
-RedexOracle = Callable[[Term], list[tuple[ConstrainedRule, Subst]]]
+RedexOracle = Callable[[Term], tuple[tuple[ConstrainedRule, Subst], ...]]
 Redex = tuple[Position, ConstrainedRule, Subst]
 
 
@@ -122,18 +122,24 @@ def _oracle(rules, index, admissible, instances) -> RedexOracle:
     Every logical variable of a left-hand side must match an admissible term
     (match drops the bindings x -> x), and instances(rule, sigma0, unbound)
     lists the full substitutions that complete a match, given the rule's
-    other logical variables in name order."""
+    other logical variables in name order.  The redexes of each subterm are
+    found once and kept (terms are hash-consed, so the table is keyed by
+    identity); callers must not mutate the substitutions."""
+    table: dict[Term, tuple[tuple[ConstrainedRule, Subst], ...]] = {}
 
-    def redexes_at(sub: Term) -> list[tuple[ConstrainedRule, Subst]]:
-        out = []
-        for rule in [rules[i] for i in index.generalizations(sub)]:
-            sigma0 = match(rule.lhs, sub)
-            if sigma0 is None:
-                continue
-            matched, unbound = rule.lvar_split
-            if all(admissible(sigma0.get(x, x)) for x in matched):
-                out.extend((rule, sigma) for sigma in instances(rule, sigma0, unbound))
-        return out
+    def redexes_at(sub: Term) -> tuple[tuple[ConstrainedRule, Subst], ...]:
+        found = table.get(sub)
+        if found is None:
+            out = []
+            for rule in [rules[i] for i in index.generalizations(sub)]:
+                sigma0 = match(rule.lhs, sub)
+                if sigma0 is None:
+                    continue
+                matched, unbound = rule.lvar_split
+                if all(admissible(sigma0.get(x, x)) for x in matched):
+                    out.extend((rule, sigma) for sigma in instances(rule, sigma0, unbound))
+            found = table[sub] = tuple(out)
+        return found
 
     return redexes_at
 
@@ -219,7 +225,7 @@ def breadth_first(start, successors, depth: int):
 def plain_oracle(lctrs: Lctrs, config: RewriteConfig, rules=None, index=None) -> RedexOracle:
     """Root redexes of plain rewriting with `rules` and their LhsIndex, by
     default the rules and calculation rules of lctrs, whose oracle is built
-    once per config and kept on lctrs.
+    once per config and kept on lctrs (lctrs.oracles).
 
     Logical variables outside the left-hand side take guard-satisfying domain
     values, except calculation results, which are computed exactly from the
@@ -227,9 +233,9 @@ def plain_oracle(lctrs: Lctrs, config: RewriteConfig, rules=None, index=None) ->
     guard.  Rules without logical variables, such as those of a ground
     fragment, reduce to matching."""
     if rules is None:
-        if config not in lctrs.plain_oracles:
-            lctrs.plain_oracles[config] = plain_oracle(lctrs, config, lctrs.rc_rules, lctrs.lhs_index)
-        return lctrs.plain_oracles[config]
+        if config not in lctrs.oracles:
+            lctrs.oracles[config] = plain_oracle(lctrs, config, lctrs.rc_rules, lctrs.lhs_index)
+        return lctrs.oracles[config]
     domain = functools.cache(lambda: domain_terms(lctrs, config))  # unused by fragment rules
     solved: dict[tuple[Term, tuple[Var, ...]], list[Subst]] = {}
 
@@ -284,8 +290,15 @@ def constrained_oracle(
     sigma and one model of a satisfiable constraint: false refutes it, true
     with every guard variable at a value accepts it.  Only a choice that the
     model cannot decide, and every choice under a constraint without a
-    model, is one validity query."""
+    model, is one validity query.
+
+    The oracle depends on ct only through its constraint, so it is built
+    once per (config, solver, constraint) and kept on lctrs: every step
+    under one constraint shares its model and its redex table."""
     phi = ct.constraint
+    key = (config, solver, phi)
+    if key in lctrs.oracles:
+        return lctrs.oracles[key]
     phi_vars = variables(phi)
     phi_vars_by_name = sorted(phi_vars, key=lambda v: v.name)
     domain = functools.cache(lambda: domain_terms(lctrs, config))  # read only for unbound variables
@@ -319,7 +332,8 @@ def constrained_oracle(
                 out.append(sigma)
         return out
 
-    return _oracle(lctrs.rc_rules, lctrs.lhs_index, admissible, instances)
+    oracle = lctrs.oracles[key] = _oracle(lctrs.rc_rules, lctrs.lhs_index, admissible, instances)
+    return oracle
 
 
 def constrained_redexes(

@@ -185,8 +185,9 @@ class Lctrs:
         return LhsIndex(rule.lhs for rule in self.rc_rules)
 
     @cached_property
-    def plain_oracles(self) -> dict:
-        """rewriting.plain_oracle's oracles over rc_rules by rewrite config."""
+    def oracles(self) -> dict:
+        """The redex oracles of rewriting over rc_rules: plain_oracle's by
+        rewrite config, constrained_oracle's by (config, solver, constraint)."""
         return {}
 
     @cached_property

@@ -380,6 +380,29 @@ def test_parallel_pairs_count_only_positions_a_rule_overlaps(solver):
     assert [repr(p) for p in cpcps(system, solver)] == ["a ~ b [true] P=((),)", "b ~ a [true] P=((),)"]
 
 
+def test_parallel_overlaps_rename_each_rule_tuple_once(monkeypatch, solver):
+    """g(z) -> a overlaps f(g(x), g(y)) -> b at 1, at 2 and at both; the
+    copies depend only on the rule tuple, so (f-rule, g-rule) is renamed
+    once for its two position sets."""
+    from lctrs import analysis
+
+    system = parse(
+        "(sort S)\n(fun a () S)\n(fun b () S)\n(fun g (S) S)\n(fun f (S S) S)\n"
+        "(rule (f (g x) (g y)) b)\n(rule (g z) a)\n"
+    )
+    want = [repr(p) for p in cpcps(system, solver)]
+    renamed = []
+    real = analysis.rename_apart
+
+    def counted(rules):
+        renamed.append(tuple(rules))
+        return real(rules)
+
+    monkeypatch.setattr(analysis, "rename_apart", counted)
+    assert [repr(p) for p in cpcps(system, solver)] == want
+    assert len(want) == 3 and len(renamed) == len(set(renamed)) == 4
+
+
 def test_verdict_carries_the_pairs_it_computed(calc_chain, parity, solver):
     yes = analyze(calc_chain, solver)
     assert yes.criterion == "parallel-closed"

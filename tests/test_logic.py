@@ -380,6 +380,46 @@ def test_analysis_builds_one_model_per_oracle_constraint(monkeypatch, name):
     assert invalid and not {theory.neg(phi) for phi in invalid} & set(calls)
 
 
+@pytest.mark.parametrize("name", ["calc_chain.lctrs", "guarded_swap.lctrs"])
+def test_one_analysis_asks_each_oracle_question_once(monkeypatch, name):
+    """Each (constraint, subterm) question reaches the constrained oracle's
+    rule index once per analysis: one oracle per constraint, which keeps
+    the redexes it found for each subterm."""
+    from collections import Counter
+
+    want = analyze(_corpus_system(name), ConstraintSolver())
+    asked = Counter()
+    building = []  # the constraint whose oracle is being built
+    real_oracle, real_constrained = rewriting._oracle, rewriting.constrained_oracle
+
+    class CountingIndex:
+        def __init__(self, index, phi):
+            self.index, self.phi = index, phi
+
+        def generalizations(self, sub):
+            asked[self.phi, sub] += 1
+            return self.index.generalizations(sub)
+
+    def constrained(ct, *args):
+        building.append(ct.constraint)
+        try:
+            return real_constrained(ct, *args)
+        finally:
+            building.pop()
+
+    def counting_oracle(rules, index, admissible, instances):
+        if building:
+            index = CountingIndex(index, building[-1])
+        return real_oracle(rules, index, admissible, instances)
+
+    monkeypatch.setattr(rewriting, "constrained_oracle", constrained)
+    monkeypatch.setattr(rewriting, "_oracle", counting_oracle)
+    got = analyze(_corpus_system(name), ConstraintSolver())
+    assert (got.result, got.criterion, got.reasons) == (want.result, want.criterion, want.reasons)
+    assert len(asked) > 10
+    assert max(asked.values()) == 1
+
+
 class _RecordingSolver(ConstraintSolver):
     """Keeps the formula of every query next to its verdict.  An unknown
     verdict that is_valid passes on keeps its is_satisfiable record."""

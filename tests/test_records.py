@@ -5,9 +5,10 @@ import pytest
 
 from lctrs import theory
 from lctrs.analysis import CCPRecord, CPCPRecord
+from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse
 from lctrs.pcp import PCPInstance
-from lctrs.rewriting import ConstrainedTerm, RewriteConfig, StepRecord, plain_oracle
+from lctrs.rewriting import ConstrainedTerm, RewriteConfig, StepRecord, constrained_oracle, plain_oracle
 from lctrs.rules import ConstrainedRule, Signature, calc_rules
 from lctrs.terms import App, INT, Var, int_val, rename_away
 
@@ -78,7 +79,23 @@ def test_equal_rewrite_configs_share_one_plain_oracle():
     first = plain_oracle(system, RewriteConfig(-2, 2))
     assert plain_oracle(system, RewriteConfig(-2, 2)) is first
     assert plain_oracle(system, RewriteConfig(-2, 3)) is not first
-    assert len(system.plain_oracles) == 2
+    assert len(system.oracles) == 2
+
+
+def test_one_constraint_shares_one_constrained_oracle():
+    """The constrained oracle depends on a constrained term only through its
+    constraint: one oracle per (config, solver, constraint) on the system."""
+    system = parse("(theory Ints)\n(fun h (Int) Int)\n(rule (h x) x :guard (> x 0))\n")
+    h = system.signature.term_syms["h"]
+    phi = theory.gt(y, 1)
+    solver, config = ConstraintSolver(), RewriteConfig(-2, 2)
+    first = constrained_oracle(ConstrainedTerm(App(h, (y,)), phi), system, solver, config)
+    assert constrained_oracle(ConstrainedTerm(App(h, (App(h, (y,)),)), phi), system, solver, config) is first
+    assert constrained_oracle(ConstrainedTerm(App(h, (y,)), phi), system, ConstraintSolver(), config) is not first
+    assert constrained_oracle(ConstrainedTerm(App(h, (y,)), phi), system, solver, RewriteConfig(-2, 2)) is first
+    assert constrained_oracle(ConstrainedTerm(App(h, (y,)), phi), system, solver, RewriteConfig(-2, 3)) is not first
+    assert constrained_oracle(ConstrainedTerm(App(h, (y,)), theory.gt(y, 2)), system, solver, config) is not first
+    assert len(system.oracles) == 4
 
 
 CALC = {r.lhs.sym.name: r for r in calc_rules() if r.lhs.sym.arg_sorts == (INT, INT)}

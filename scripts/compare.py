@@ -19,7 +19,9 @@ for neither side), and a verdict:
 - "worse": the change's median is worse than BASE's by more than the
   metric's bound, read as a fraction of BASE's median;
 - "within bound" otherwise.
-The last line of standard output is a JSON object with the raw runs.
+The last line of standard output is a JSON object with the raw runs, the
+full commit hashes of both sides, and the host: its CPU model (`model name`
+in /proc/cpuinfo, else platform.processor()) and os.cpu_count().
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import argparse
 import io
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -36,6 +39,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CPUINFO = Path("/proc/cpuinfo")
 
 
 class Refused(Exception):
@@ -53,6 +57,20 @@ def export(rev: str, dest: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest, filter="data")
     return dest
+
+
+def host() -> dict:
+    """The CPU model and the number of CPUs of the machine that runs the comparison."""
+    cpu = platform.processor()
+    try:
+        for line in CPUINFO.read_text().splitlines():
+            key, _, value = line.partition(":")
+            if key.strip() == "model name":
+                cpu = value.strip()
+                break
+    except OSError:
+        pass
+    return {"cpu": cpu, "cpu_count": os.cpu_count()}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -102,12 +120,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
+    shas = {}
     for side in ("base", "change"):
         rev = getattr(args, side)
         try:
-            setattr(args, side, git("rev-parse", "--short", f"{rev}^{{commit}}").decode().strip())
+            shas[side] = git("rev-parse", f"{rev}^{{commit}}").decode().strip()
         except subprocess.CalledProcessError:
             ap.error(f"{side} {rev!r} is not a commit of this repository")
+        setattr(args, side, git("rev-parse", "--short", shas[side]).decode().strip())
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="lctrs-compare-") as tmp:
         trees = {side: export(getattr(args, side), Path(tmp) / side) for side in runs}
@@ -135,7 +155,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {name:16s} {b2:.4g} [{b1:.4g}, {b3:.4g}] -> {c2:.4g} [{c1:.4g}, {c3:.4g}] "
               f"{metric['unit']}, change better in {got['wins']}/{args.pairs}, "
               f"bound {metric['bound']}: {got['verdict']}")
-    print(json.dumps({"base": args.base, "change": args.change, "workload": args.workload,
+    print(json.dumps({"base": args.base, "change": args.change, "base_sha": shas["base"],
+                      "change_sha": shas["change"], "host": host(), "workload": args.workload,
                       "seed": args.seed, "seconds": args.seconds, "report": report, "runs": runs}))
     return 0
 

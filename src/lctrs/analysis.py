@@ -96,8 +96,8 @@ def _single_overlaps(rules, index):
     inner copy keeps its variable names."""
     sites: dict[int, dict[int, list[Position]]] = {}  # inner -> outer -> positions
     for j, outer in enumerate(rules):
-        for p in positions(outer.lhs):
-            for i in index.unifiable(subterm_at(outer.lhs, p)):
+        for p, sub in positions(outer.lhs):
+            for i in index.unifiable(sub):
                 sites.setdefault(i, {}).setdefault(j, []).append(p)
     for i in sorted(sites):
         inner = rules[i]
@@ -118,10 +118,9 @@ def _parallel_overlaps(rules, index):
     names.  The copies depend only on the rule tuple, so each tuple is
     renamed once."""
     for outer in rules:
-        ps = positions(outer.lhs)
-        hits = {p: index.unifiable(subterm_at(outer.lhs, p)) for p in ps}
+        hits = {p: index.unifiable(sub) for p, sub in positions(outer.lhs)}
         copies: dict[tuple[int, ...], list] = {}
-        for pset in parallel_subsets([p for p in ps if hits[p]])[1:]:
+        for pset in parallel_subsets([p for p, found in hits.items() if found])[1:]:
             for inner_choice in itertools.product(*(hits[p] for p in pset)):
                 if outer.calc and all(rules[i].calc for i in inner_choice):
                     continue
@@ -168,7 +167,7 @@ def _critical_pairs(rules, index, sat, parallel: bool = False) -> list:
             phi = theory.conj(theory.conj(*guards), ec)
             rec = CCPRecord(left, right, phi, pset[0], peak)
         seen.setdefault(rec.key(), rec)
-    return sorted(seen.values(), key=lambda r: r.key())
+    return [seen[key] for key in sorted(seen)]
 
 
 def ccps(lctrs: Lctrs, solver: ConstraintSolver) -> list[CCPRecord]:
@@ -344,17 +343,9 @@ def is_left_linear(lctrs: Lctrs) -> bool:
     """Linear in the non-logical variables of every left-hand side."""
     for rule in lctrs.rules:
         lvars = rule.lvar()
-        counts: dict[Var, int] = {}
-
-        def walk(t: Term):
-            if isinstance(t, Var):
-                counts[t] = counts.get(t, 0) + 1
-            else:
-                for a in t.args:
-                    walk(a)
-
-        walk(rule.lhs)
-        if any(n > 1 for v, n in counts.items() if v not in lvars):
+        # a left-hand side is no variable, so every variable occurrence is an argument
+        xs = [a for _, sub in positions(rule.lhs) for a in sub.args if isinstance(a, Var) and a not in lvars]
+        if len(xs) != len(set(xs)):
             return False
     return True
 

@@ -41,7 +41,6 @@ from .terms import (
     is_value,
     match,
     positions,
-    subterm_at,
     term_key,
     variables,
 )
@@ -58,12 +57,7 @@ class GroundFragment:
 def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
     """Symbols of the given kind in the rules' term sides, in order of first
     occurrence."""
-    subterms = (
-        subterm_at(side, p)
-        for rule in lctrs.rules
-        for side in (rule.lhs, rule.rhs)
-        for p in positions(side)
-    )
+    subterms = (sub for rule in lctrs.rules for side in (rule.lhs, rule.rhs) for _, sub in positions(side))
     return list(dict.fromkeys(s.sym for s in subterms if s.sym.kind == kind))
 
 

@@ -146,12 +146,12 @@ def _oracle(rules, index, admissible, instances) -> RedexOracle:
 
 def redexes(t: Term, redexes_at: RedexOracle, below: Position = EPSILON) -> list[Redex]:
     """Every (position, rule, substitution) the oracle finds at a function
-    position of t under `below`, in position order."""
+    position of t under `below`, which must address a subterm of t, in
+    position order."""
     return [
-        (p, rule, sigma)
-        for p in positions(t)
-        if p[: len(below)] == below
-        for rule, sigma in redexes_at(subterm_at(t, p))
+        (below + p, rule, sigma)
+        for p, sub in positions(subterm_at(t, below))
+        for rule, sigma in redexes_at(sub)
     ]
 
 
@@ -371,15 +371,10 @@ def equiv_extensions(ct: ConstrainedTerm) -> list[ConstrainedTerm]:
     taken = {v.name for v in phi_vars | variables(ct.term)}
     out = [ct]
     seen: set[Term] = set()
-    for p in positions(ct.term):
-        sub = subterm_at(ct.term, p)
-        if not isinstance(sub, App) or sub.sym.kind != "theory":
+    for _, sub in positions(ct.term):
+        if sub.sym.kind != "theory" or sub in seen:
             continue
-        if not all(
-            is_value(a) or (isinstance(a, Var) and a in phi_vars) for a in sub.args
-        ):
-            continue
-        if sub in seen:
+        if not all(is_value(a) or (isinstance(a, Var) and a in phi_vars) for a in sub.args):
             continue
         seen.add(sub)
         z = Var(fresh_name("w", taken), sub.sym.result_sort)

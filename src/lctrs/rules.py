@@ -28,6 +28,7 @@ from .terms import (
     alpha_key,
     apply_subst,
     is_value,
+    positions,
     rename_away,
     sort_of,
     variables,
@@ -141,11 +142,9 @@ def is_variant(r1: ConstrainedRule, r2: ConstrainedRule) -> bool:
 
 
 class Signature:
-    def __init__(self, sorts: dict[str, Sort] | None = None, term_syms: dict[str, FunSym] | None = None):
-        self.sorts = {} if sorts is None else sorts
-        self.term_syms = {} if term_syms is None else term_syms
-        self.sorts.setdefault("Int", INT)
-        self.sorts.setdefault("Bool", BOOL)
+    def __init__(self):
+        self.sorts: dict[str, Sort] = {"Int": INT, "Bool": BOOL}
+        self.term_syms: dict[str, FunSym] = {}
 
     def add_sort(self, name: str) -> Sort:
         if name in self.sorts:
@@ -193,17 +192,10 @@ class Lctrs:
     @cached_property
     def literals(self) -> frozenset[int]:
         """Integer values appearing anywhere in the rules, walked once."""
-        out: set[int] = set()
-
-        def scan(t: Term):
-            if isinstance(t, App):
-                if is_value(t) and t.sym.result_sort == INT:
-                    out.add(int(t.sym.name))
-                for a in t.args:
-                    scan(a)
-
-        for rule in self.rules:
-            scan(rule.lhs)
-            scan(rule.rhs)
-            scan(rule.guard)
-        return frozenset(out)
+        return frozenset(
+            int(sub.sym.name)
+            for rule in self.rules
+            for side in (rule.lhs, rule.rhs, rule.guard)
+            for _, sub in positions(side)
+            if is_value(sub) and sub.sym.result_sort == INT
+        )

@@ -176,14 +176,14 @@ def variables(t: Term) -> set[Var]:
     return out
 
 
-def positions(t: Term) -> list[Position]:
-    """The function (non-variable) positions of t in preorder, which is
-    their sorted order."""
-    out: list[Position] = []
+def positions(t: Term) -> list[tuple[Position, App]]:
+    """The function (non-variable) positions p of t, each with its subterm
+    t|p, in preorder, which is the positions' sorted order."""
+    out: list[tuple[Position, App]] = []
 
     def walk(s: Term, here: Position):
         if isinstance(s, App):
-            out.append(here)
+            out.append((here, s))
             for i, a in enumerate(s.args, start=1):
                 walk(a, here + (i,))
 

@@ -18,6 +18,7 @@ from .terms import (
     Var,
     bool_val,
     int_val,
+    sort_of,
     value_of,
 )
 
@@ -149,15 +150,11 @@ def mul(a, b) -> App:
 
 def eq(a, b) -> App:
     a, b = _lift(a), _lift(b)
-    from .terms import sort_of
-
     return App(EQB if sort_of(a) == BOOL else EQ, (a, b))
 
 
 def ne(a, b) -> App:
     a, b = _lift(a), _lift(b)
-    from .terms import sort_of
-
     return App(NEB if sort_of(a) == BOOL else NE, (a, b))
 
 

@@ -202,6 +202,13 @@ def test_left_linear_examples(swap, solver):
     )
     assert is_left_linear(guarded)  # x is logical, repeats allowed
 
+    # a repeat at different depths counts too
+    sig3 = Signature()
+    f3 = sig3.add_fun("f", [INT, INT], INT)
+    g3 = sig3.add_fun("g", [INT], INT)
+    assert not is_left_linear(Lctrs(sig3, (ConstrainedRule(App(f3, (App(g3, (x,)), x)), x),)))
+    assert is_left_linear(Lctrs(sig3, (ConstrainedRule(App(f3, (App(g3, (x,)), y)), x),)))
+
     assert is_left_linear(swap)
 
 

@@ -1,7 +1,9 @@
-"""scripts/compare.py: the cache hygiene and the per-metric verdicts, checked
-without running the benchmark."""
+"""scripts/compare.py: the cache hygiene, the per-metric verdicts and the
+recorded commits and host, checked without running the benchmark."""
 
 import importlib.util
+import json
+import os
 
 import pytest
 
@@ -47,3 +49,48 @@ def test_verdicts_follow_wins_spread_and_bound():
         "wins": 0,
         "verdict": "within bound",
     }
+
+
+def test_host_reads_the_cpu_model_and_count(tmp_path, monkeypatch):
+    compare = _compare_module()
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text("processor\t: 0\nmodel name\t: Example CPU @ 2.00GHz\n\nprocessor\t: 1\nmodel name\t: Other\n")
+    monkeypatch.setattr(compare, "CPUINFO", cpuinfo)
+    assert compare.host() == {"cpu": "Example CPU @ 2.00GHz", "cpu_count": os.cpu_count()}
+    # without a cpuinfo file, or without a model name in it, the platform names the processor
+    monkeypatch.setattr(compare.platform, "processor", lambda: "fallback")
+    for text in (None, "processor\t: 0\n"):
+        if text is None:
+            cpuinfo.unlink()
+        else:
+            cpuinfo.write_text(text)
+        assert compare.host() == {"cpu": "fallback", "cpu_count": os.cpu_count()}
+
+
+def test_report_records_full_shas_and_host(monkeypatch, capsys):
+    compare = _compare_module()
+    metrics = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+    full = {"base": "1" * 40, "change": "2" * 40}
+
+    def fake_git(*args):
+        rev = args[-1].removesuffix("^{commit}")
+        sha = full.get(rev, rev)
+        return (sha[:7] if "--short" in args else sha).encode() + b"\n"
+
+    def fake_export(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text((REPO / "BENCHMARK.json").read_text())
+        return dest
+
+    def fake_run(tree, workload, seed, seconds):
+        return {"correct": True, "failed": 0, "metrics": {m["name"]: {"value": 1.0} for m in metrics}}
+
+    monkeypatch.setattr(compare, "git", fake_git)
+    monkeypatch.setattr(compare, "export", fake_export)
+    monkeypatch.setattr(compare, "run_once", fake_run)
+    monkeypatch.setattr(compare, "host", lambda: {"cpu": "Example CPU", "cpu_count": 3})
+    assert compare.main(["base", "change", "--workload", "criteria", "--pairs", "1", "--seconds", "1"]) == 0
+    line = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (line["base"], line["change"]) == ("1111111", "2222222")
+    assert (line["base_sha"], line["change_sha"]) == (full["base"], full["change"])
+    assert line["host"] == {"cpu": "Example CPU", "cpu_count": 3}

@@ -1,10 +1,13 @@
 import itertools
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lctrs import logic, theory
+from lctrs.analysis import ccps
 from lctrs.logic import ConstraintSolver
+from lctrs.parser import parse
 from lctrs.rules import ConstrainedRule, Lctrs, Signature, calc_rules
 from lctrs.rewriting import (
     ConstrainedTerm,
@@ -19,11 +22,13 @@ from lctrs.rewriting import (
     multi_successors,
     parallel_successors,
     parallel_tilde,
+    plain_oracle,
     plain_successors,
+    redexes,
 )
-from lctrs.terms import App, INT, Var, apply_subst, int_val, variables
+from lctrs.terms import App, INT, Var, apply_subst, int_val, positions, variables
 
-from tests.conftest import LINEAR_ATOM, conjuncts, equiv, linear_atom, plain_multi_successors, plain_parallel_successors
+from tests.conftest import CORPUS, LINEAR_ATOM, conjuncts, equiv, linear_atom, plain_multi_successors, plain_parallel_successors
 
 CFG = RewriteConfig()
 x, y, z, m, n = (Var(name, INT) for name in "xyzmn")
@@ -414,3 +419,16 @@ def test_parallel_instances_replay(calc_chain, solver):
         # every recorded position is a genuine single-step redex
         for p in pset:
             assert p in singles
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.lctrs")), ids=lambda p: p.stem)
+def test_redexes_below_a_position_are_the_redexes_there(path, solver):
+    """Walking from `below` finds what filtering every redex of the term by
+    the prefix `below` finds, with the plain and the constrained oracle."""
+    system = parse(path.read_text())
+    for rec in ccps(system, solver):
+        ct = rec.pair()
+        for oracle in (plain_oracle(system, CFG), constrained_oracle(ct, system, solver, CFG)):
+            everywhere = redexes(ct.term, oracle)
+            for q, _ in positions(ct.term):
+                assert redexes(ct.term, oracle, q) == [red for red in everywhere if red[0][: len(q)] == q]

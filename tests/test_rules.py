@@ -1,7 +1,7 @@
 import pytest
 
 from lctrs import theory
-from lctrs.rules import ConstrainedRule, RuleError, Signature, is_variant, rename_apart
+from lctrs.rules import ConstrainedRule, Lctrs, RuleError, Signature, is_variant, rename_apart
 from lctrs.terms import App, FunSym, INT, Sort, Var
 
 U = Sort("U")
@@ -73,3 +73,14 @@ def test_sides_same_sort():
     p = sig.add_fun("p", [], U)
     with pytest.raises(RuleError):
         ConstrainedRule(App(p), xi)
+
+
+def test_literals_are_the_int_values_of_every_rule_side():
+    sig = Signature()
+    h = sig.add_fun("h", [INT, INT], INT)
+    k = sig.add_fun("k", [INT], Sort("Bool"))
+    rules = (
+        ConstrainedRule(App(h, (xi, theory.int_val(3))), theory.add(xi, -2), theory.gt(xi, -5)),
+        ConstrainedRule(App(k, (xi,)), theory.bool_val(True), theory.eq(xi, 7)),
+    )
+    assert Lctrs(sig, rules).literals == {3, -2, -5, 7}  # true is a value of sort Bool, not counted

@@ -73,11 +73,11 @@ def test_positions_variable_has_no_function_positions():
 
 
 def test_positions_function_filter():
-    assert positions(App(f2, (a, y))) == [EPSILON, (1,)]
+    assert positions(App(f2, (a, y))) == [(EPSILON, App(f2, (a, y))), ((1,), a)]
     # derived by enumerating all subterms and keeping the non-variable ones
     t = App(f2, (App(g1, (x,)), y))
     expected = [p for p in _all_positions(t) if not isinstance(subterm_at(t, p), Var)]
-    assert positions(t) == expected == [EPSILON, (1,)]
+    assert [p for p, _ in positions(t)] == expected == [EPSILON, (1,)]
 
 
 def test_replace_at_single():
@@ -226,8 +226,10 @@ def test_unify_soundness_and_idempotence(s, t):
 @settings(max_examples=100)
 @given(term_strategy())
 def test_produced_position_sets_are_parallel(t):
-    pos = positions(t)
+    walked = positions(t)
+    pos = [p for p, _ in walked]
     assert pos == sorted(pos) == [p for p in _all_positions(t) if not isinstance(subterm_at(t, p), Var)]
+    assert all(sub is subterm_at(t, p) for p, sub in walked)
     leaves = {p for p in pos if not any(q != p and q[: len(p)] == p for q in pos)}
     assert parallel_positions(leaves)
 

@@ -8,10 +8,11 @@ Internal formula language, built from constraint terms:
   structure  ("and", fs) / ("or", fs) with tuple fs, TRUE = ("true",), FALSE = ("false",)
 
 Linear terms l are canonical tuples of (name, coeff) pairs sorted by name,
-the empty name holding the constant.  Integer variables are eliminated by
-the classic divisibility-based elimination (scale to unit coefficient, test
-the boundary points and the minus-infinity disjunct over one period);
-boolean variables by expansion.  Multiplication of two non-constant
+the empty name holding the constant.  An integer variable that a conjunct
+c*x + r = 0 defines is substituted (for |c| > 1 under the divisibility
+|c| | r); any other is eliminated by the classic divisibility-based
+elimination (scale to unit coefficient, test the boundary points and the
+minus-infinity disjunct over one period); boolean variables by expansion.  Multiplication of two non-constant
 operands is rejected with NonlinearError.
 """
 
@@ -117,8 +118,11 @@ _CMP = {
 }
 
 
+@functools.lru_cache(maxsize=200_000)
 def formula_of(phi: Term) -> Formula:
-    """Translate a constraint term; raises NonlinearError off the fragment."""
+    """Translate a constraint term; raises NonlinearError off the fragment.
+    Memoised like eliminate_int: terms are hash-consed, so a constraint
+    asked about again is looked up by identity."""
     if isinstance(phi, Var):
         if phi.sort != BOOL:
             raise NonlinearError(f"non-boolean variable as constraint: {phi}")
@@ -330,25 +334,53 @@ def eliminate_int(x: str, f: Formula) -> Formula:
     """Quantifier-free equivalent of exists-x f (f in NNF).
 
     The quantifier is pushed through disjunctions and past conjuncts without
-    x; only conjunctions of literals reach the core elimination, which keeps
-    the boundary-point expansion local.
+    x.  A conjunct c*x + r = 0 defines x, and the one with the least |c| is
+    substituted; only conjunctions of literals without such a conjunct
+    reach the core elimination, which keeps the boundary-point expansion
+    local.
     """
     if x not in formula_vars(f):
         return f
     if f[0] == "or":
         return mk_or(tuple(eliminate_int(x, g) for g in f[1]))
+    conjuncts = f[1] if f[0] == "and" else (f,)
+    keep = tuple(g for g in conjuncts if x not in formula_vars(g))
+    if keep:
+        rest = tuple(g for g in conjuncts if x in formula_vars(g))
+        return mk_and(keep + (eliminate_int(x, mk_and(rest)),))
+    eqs = [g for g in conjuncts if g[0] == "eq"]
+    if eqs:
+        return _substitute_equality(x, f, min(eqs, key=lambda g: abs(lcoeff(g[1], x))))
     if f[0] == "and":
-        keep = tuple(g for g in f[1] if x not in formula_vars(g))
-        rest = tuple(g for g in f[1] if x in formula_vars(g))
-        if keep:
-            return mk_and(keep + (eliminate_int(x, mk_and(rest)),))
         cubes = _dnf(f)
         if len(cubes) > 1:
             return mk_or(tuple(eliminate_int(x, mk_and(c)) for c in cubes))
     return _eliminate_core(x, f)
 
 
+def _substitute_equality(x: str, f: Formula, eq: Formula) -> Formula:
+    """exists-x f for a conjunct eq of f, c*x + r = 0: f with x := -c*r
+    when |c| = 1; otherwise every atom on x is scaled until its coefficient
+    is a multiple of c, c*x is replaced by -r, and |c| | r is conjoined."""
+    c = lcoeff(eq[1], x)
+    r = ldrop(eq[1], x)
+    if abs(c) == 1:
+        return subst_int(f, x, lscale(r, -c))
+
+    def solve(a: Formula) -> Formula:
+        if a[0] not in ("lt", "eq", "ne", "dvd", "ndvd") or lcoeff(a[-1], x) == 0:
+            return a
+        k = lcoeff(a[-1], x)
+        m = abs(c) // gcd(k, c)
+        l = ladd(ldrop(lscale(a[-1], m), x), lscale(r, -(k * m // c)))
+        return simplify((a[0], a[1] * m, l) if a[0] in ("dvd", "ndvd") else (a[0], l))
+
+    return mk_and((map_atoms(f, solve), simplify(("dvd", abs(c), r))))
+
+
 def _eliminate_core(x: str, f: Formula) -> Formula:
+    """exists-x f for a conjunction of literals f in which no equality
+    mentions x (eliminate_int substitutes those)."""
     coeffs = [lcoeff(a[-1], x) for a in atoms(f) if a[0] not in ("bvar", "nbvar")]
     coeffs = [c for c in coeffs if c != 0]
     if not coeffs:
@@ -382,7 +414,7 @@ def _eliminate_core(x: str, f: Formula) -> Formula:
                 lows += 1
             elif c > 0:
                 ups += 1
-        elif a[0] in ("eq", "ne") and lcoeff(a[1], x) != 0:
+        elif a[0] == "ne" and lcoeff(a[1], x) != 0:
             lows += 1
             ups += 1
     if ups < lows:
@@ -412,8 +444,6 @@ def _eliminate_core(x: str, f: Formula) -> Formula:
             return a
         if a[0] == "lt":
             return TRUE if c > 0 else FALSE
-        if a[0] == "eq":
-            return FALSE
         return TRUE  # ne
 
     f_low = map_atoms(f1, minus_inf)
@@ -429,9 +459,6 @@ def _eliminate_core(x: str, f: Formula) -> Formula:
         rest = ldrop(l, x)
         if a[0] == "lt" and c < 0:
             bset.add(rest)  # rest < x
-        elif a[0] == "eq":
-            base = lneg(rest) if c > 0 else rest
-            bset.add(ladd(base, lin_const(-1)))  # x = base
         elif a[0] == "ne":
             bset.add(lneg(rest) if c > 0 else rest)
 
@@ -444,6 +471,14 @@ def _eliminate_core(x: str, f: Formula) -> Formula:
 
 
 def _elimination_cost(name: str, f: Formula) -> tuple:
+    """Sort key for the order of elimination.  A variable that a top-level
+    equality defines comes first, least coefficient first, since
+    substituting it adds no disjunction; the others by the smaller side of
+    their bounds, the coefficients' lcm and their occurrences."""
+    conjuncts = f[1] if f[0] == "and" else (f,)
+    defining = [abs(lcoeff(g[1], name)) for g in conjuncts if g[0] == "eq" and lcoeff(g[1], name)]
+    if defining:
+        return (-1, min(defining), 0, name)
     lows = ups = occurrences = 0
     coeff_lcm = 1
     for a in atoms(f):
@@ -468,7 +503,7 @@ def _elimination_cost(name: str, f: Formula) -> tuple:
 
 def eliminate_exists(names: list[tuple[str, str]], f: Formula) -> Formula:
     """One block of existential variables; the order inside a block is free,
-    so one-sided and small-coefficient variables go first."""
+    so equality-defined, one-sided and small-coefficient variables go first."""
     pending = dict(names)
     while pending:
         name = min(pending, key=lambda n: _elimination_cost(n, f))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 
-from . import theory
 from .analysis import CCPRecord, CPCPRecord, _critical_pairs, ccps, cpcps, mk_pair
 from .logic import ConstraintSolver
 from .rewriting import (
@@ -29,7 +28,7 @@ from .rewriting import (
     redexes,
     single_steps,
 )
-from .rules import ConstrainedRule, Lctrs
+from .rules import ConstrainedRule, Lctrs, value_calc_instance
 from .terms import (
     App,
     FunSym,
@@ -67,12 +66,11 @@ def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> Gr
     out: dict[str, ConstrainedRule] = {}
     for rule in lctrs.rules:
         for tau in constraint_assignments(rule.guard, rule.lvar(), domain):
-            inst = ConstrainedRule(apply_subst(tau, rule.lhs), apply_subst(tau, rule.rhs))
+            inst = rule.instance(tau)
             out.setdefault(inst.key(), inst)
     for sym in _side_syms(lctrs, "theory"):
         for combo in itertools.product(*(domain[s] for s in sym.arg_sorts)):
-            lhs = App(sym, combo)
-            inst = ConstrainedRule(lhs, theory.interpret_term(lhs), calc=True)
+            inst = value_calc_instance(App(sym, combo))
             out.setdefault(inst.key(), inst)
     rules = tuple(rule for _, rule in sorted(out.items()))
     index = LhsIndex(rule.lhs for rule in rules)

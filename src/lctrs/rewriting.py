@@ -290,7 +290,10 @@ def constrained_oracle(
     sigma and one model of a satisfiable constraint: false refutes it, true
     with every guard variable at a value accepts it.  Only a choice that the
     model cannot decide, and every choice under a constraint without a
-    model, is one validity query.
+    model, is one validity query.  A variable that a guard conjunct defines
+    (ConstrainedRule.guard_definitions) has one value in the model, computed
+    from the matched values, so only candidates with that value are tried;
+    the others are exactly those the model would refute.
 
     The oracle depends on ct only through its constraint, so it is built
     once per (config, solver, constraint) and kept on lctrs: every step
@@ -318,6 +321,17 @@ def constrained_oracle(
         options = [_candidate_values(x, rule, sigma0, phi_vars_by_name, domain()) for x in unbound]
         gvars, guard_holds = rule.guard_evaluator
         model = sat_model()
+        if model is not None:
+            # a guard conjunct that defines x admits one model value of x:
+            # every other candidate would fail guard_holds below
+            in_model = lambda t: value_of(model.get(t, t))  # noqa: E731
+            for i, x in enumerate(unbound):
+                if x in rule.guard_definitions:
+                    c, vs, diff = rule.guard_definitions[x]
+                    r = diff((0, *(in_model(sigma0.get(v, v)) for v in vs)))
+                    if r % c:
+                        return []
+                    options[i] = [t for t in options[i] if in_model(t) == -r // c]
         out = []
         for choice in itertools.product(*options):
             sigma = {**sigma0, **dict(zip(unbound, choice))}

@@ -68,6 +68,32 @@ class ConstrainedRule(Record):
         vs = tuple(sorted(self._side_vars[2], key=lambda v: v.name))
         return vs, theory.evaluator(self.guard, vs)
 
+    @cached_property
+    def guard_definitions(self) -> dict[Var, tuple[int, tuple[Var, ...], Callable[[tuple], int]]]:
+        """For each Int variable y of the guard that an instance has to
+        choose (lvar_split), the first top-level guard conjunct a = b that is
+        linear in y and mentions no other such variable, as (c, vs, diff):
+        a - b is c*y + r with a nonzero integer c and r free of y, vs are the
+        conjunct's other variables in name order, and diff computes a - b
+        from the values of (y, *vs).  Given values for vs, the conjunct
+        holds for y = -r/c alone, and for no y when that is not an integer."""
+        unbound = frozenset(self.lvar_split[1])
+        out = {}
+        for part in _conjuncts(self.guard):
+            if isinstance(part, Var) or part.sym != theory.EQ:
+                continue
+            vs = variables(part)
+            free = vs & unbound
+            if len(free) != 1 or free <= out.keys():
+                continue
+            (y,) = free
+            diff = theory.sub(*part.args)
+            c = _coefficient(diff, y)
+            if c:
+                others = tuple(sorted(vs - free, key=lambda v: v.name))
+                out[y] = (c, others, theory.evaluator(diff, (y, *others)))
+        return out
+
     def variables(self) -> frozenset[Var]:
         lhs, rhs, guard = self._side_vars
         return lhs | rhs | guard
@@ -97,11 +123,17 @@ class ConstrainedRule(Record):
         and its side variables are the original's mapped through ren."""
         if not ren:
             return self
-        copy = object.__new__(ConstrainedRule)
         sides = (apply_subst(ren, self.lhs), apply_subst(ren, self.rhs), apply_subst(ren, self.guard))
-        Record.__init__(copy, *sides, self.calc)
-        copy.__dict__["_side_vars"] = tuple(frozenset([ren.get(v, v) for v in vs]) for vs in self._side_vars)
-        return copy
+        return _unchecked(*sides, self.calc, tuple(frozenset([ren.get(v, v) for v in vs]) for vs in self._side_vars))
+
+    def instance(self, tau: Subst) -> "ConstrainedRule":
+        """The unguarded rule tau(lhs) -> tau(rhs) for an assignment tau of
+        values to every logical variable.  An instance of a checked rule
+        passes every check of the constructor, so it is built without
+        re-checking them; its side variables are the original's less tau's."""
+        lhs, rhs, _ = self._side_vars
+        sides = (lhs.difference(tau), rhs.difference(tau), frozenset())
+        return _unchecked(apply_subst(tau, self.lhs), apply_subst(tau, self.rhs), theory.bool_val(True), False, sides)
 
     def key(self) -> str:
         return alpha_key([self.lhs, self.rhs, self.guard])
@@ -109,6 +141,49 @@ class ConstrainedRule(Record):
     def __repr__(self):
         guard = "" if self.guard == theory.bool_val(True) else f" [{self.guard!r}]"
         return f"{self.lhs!r} -> {self.rhs!r}{guard}"
+
+
+def _unchecked(lhs: Term, rhs: Term, guard: Term, calc: bool, side_vars) -> ConstrainedRule:
+    """A rule whose checks hold by construction, with its side variables
+    (those of lhs, rhs and guard) given."""
+    rule = object.__new__(ConstrainedRule)
+    Record.__init__(rule, lhs, rhs, guard, calc)
+    rule.__dict__["_side_vars"] = side_vars
+    return rule
+
+
+def value_calc_instance(lhs: App) -> ConstrainedRule:
+    """The calculation instance lhs -> v of a theory symbol applied to
+    values, v the value lhs denotes; it passes the constructor's checks by
+    construction."""
+    return _unchecked(lhs, theory.interpret_term(lhs), theory.bool_val(True), True, (frozenset(),) * 3)
+
+
+def _conjuncts(phi: Term) -> list[Term]:
+    """The top-level conjuncts of phi, left to right."""
+    if isinstance(phi, App) and phi.sym == theory.AND:
+        return [*_conjuncts(phi.args[0]), *_conjuncts(phi.args[1])]
+    return [phi]
+
+
+def _coefficient(t: Term, y: Var) -> int | None:
+    """c when the integer term t is c*y + r with an integer c and r free of
+    y, else None."""
+    if t == y:
+        return 1
+    if y not in variables(t):
+        return 0
+    if t.sym in (theory.ADD, theory.SUB):
+        a, b = (_coefficient(u, y) for u in t.args)
+        if a is None or b is None:
+            return None
+        return a + b if t.sym == theory.ADD else a - b
+    if t.sym == theory.MUL:
+        for k, u in (t.args, reversed(t.args)):
+            if not variables(k):
+                c = _coefficient(u, y)
+                return None if c is None else theory.interpret(k) * c
+    return None
 
 
 def rename_apart(rules: list[ConstrainedRule]) -> list[ConstrainedRule]:

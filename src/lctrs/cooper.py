@@ -12,8 +12,8 @@ the empty name holding the constant.  An integer variable that a conjunct
 c*x + r = 0 defines is substituted (for |c| > 1 under the divisibility
 |c| | r); any other is eliminated by the classic divisibility-based
 elimination (scale to unit coefficient, test the boundary points and the
-minus-infinity disjunct over one period); boolean variables by expansion.  Multiplication of two non-constant
-operands is rejected with NonlinearError.
+minus-infinity disjunct over one period); boolean variables by expansion.
+Multiplication of two non-constant operands is rejected with NonlinearError.
 """
 
 from __future__ import annotations

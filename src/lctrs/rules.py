@@ -79,7 +79,7 @@ class ConstrainedRule(Record):
         holds for y = -r/c alone, and for no y when that is not an integer."""
         unbound = frozenset(self.lvar_split[1])
         out = {}
-        for part in _conjuncts(self.guard):
+        for part in theory.conjuncts(self.guard):
             if isinstance(part, Var) or part.sym != theory.EQ:
                 continue
             vs = variables(part)
@@ -157,13 +157,6 @@ def value_calc_instance(lhs: App) -> ConstrainedRule:
     values, v the value lhs denotes; it passes the constructor's checks by
     construction."""
     return _unchecked(lhs, theory.interpret_term(lhs), theory.bool_val(True), True, (frozenset(),) * 3)
-
-
-def _conjuncts(phi: Term) -> list[Term]:
-    """The top-level conjuncts of phi, left to right."""
-    if isinstance(phi, App) and phi.sym == theory.AND:
-        return [*_conjuncts(phi.args[0]), *_conjuncts(phi.args[1])]
-    return [phi]
 
 
 def _coefficient(t: Term, y: Var) -> int | None:

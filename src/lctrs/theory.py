@@ -192,3 +192,9 @@ def conj(*phis: Term) -> Term:
         out = App(AND, (p, out))
     return out
 
+
+def conjuncts(phi: Term) -> list[Term]:
+    """The top-level conjuncts of phi, left to right (conj's inverse)."""
+    if isinstance(phi, App) and phi.sym == AND:
+        return [*conjuncts(phi.args[0]), *conjuncts(phi.args[1])]
+    return [phi]

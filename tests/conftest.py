@@ -56,13 +56,6 @@ def disj(*phis: Term) -> Term:
     return out
 
 
-def conjuncts(phi: Term) -> list[Term]:
-    """Flatten nested conjunctions."""
-    if isinstance(phi, App) and phi.sym == theory.AND:
-        return conjuncts(phi.args[0]) + conjuncts(phi.args[1])
-    return [phi]
-
-
 # --- random linear constraints ------------------------------------------------
 
 def linear_atom(coeffs, vs, op, const):

@@ -1,3 +1,5 @@
+import pytest
+
 from lctrs import theory
 from lctrs.grounding import (
     check_cp_correspondence,
@@ -10,11 +12,13 @@ from lctrs.grounding import (
     trs_cps,
     trs_pcps,
 )
+from lctrs.parser import parse
 from lctrs.rewriting import RewriteConfig
 from lctrs.rules import ConstrainedRule
 from lctrs.terms import App, INT, Var, alpha_key, int_val
 
-from tests.conftest import frag_multi, trs_closedness_check
+from tests.conftest import CORPUS, REPO, frag_multi, trs_closedness_check
+from tests.test_golden import GROUND_HALF_WIDTHS
 
 x = Var("x", INT)
 
@@ -25,6 +29,24 @@ def app(lctrs, name, *args):
 
 def rule_keys(fragment):
     return {r.key() for r in fragment.rules}
+
+
+FRAGMENT_SOURCES = sorted(CORPUS.glob("*.lctrs")) + sorted((REPO / "perfbench" / "inputs" / "ground").glob("*.lctrs"))
+
+
+@pytest.mark.parametrize("path", FRAGMENT_SOURCES, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_fragment_rules_equal_their_checked_construction(path):
+    """The fragment's instances are built without the constructor's checks;
+    each passes them and carries the side variables the constructor's rule
+    computes.  The ground inputs run at their benchmark half-widths."""
+    half = GROUND_HALF_WIDTHS.get(path.stem, 4)
+    fragment = ground_fragment(parse(path.read_text()), RewriteConfig(lo=-half, hi=half))
+    assert fragment.rules
+    for rule in fragment.rules:
+        checked = ConstrainedRule(rule.lhs, rule.rhs, rule.guard, rule.calc)
+        assert rule == checked
+        assert rule._side_vars == checked._side_vars
+        assert (rule.lvar(), rule.evar(), rule.key()) == (checked.lvar(), checked.evar(), checked.key())
 
 
 def test_single_value_fragment_is_one_rule(single_value):

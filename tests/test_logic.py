@@ -257,6 +257,111 @@ def test_elimination_matches_witness_window_oracle():
             assert got == want, (phi, env)
 
 
+def _defined_conjunction(rng):
+    """A conjunction of an equality c*x + a*y + b*z + k = 0 with |c| in
+    1..4, a disjunction of two atoms and one atom, where every atom may be a
+    (non-)divisibility; coefficients lie in -3..3 and constants in -6..6."""
+
+    def linear(cx):
+        return cooper.lin({"x": cx, "y": rng.randint(-3, 3), "z": rng.randint(-3, 3), "": rng.randint(-6, 6)})
+
+    def atom():
+        tag = rng.choice(["lt", "eq", "ne", "dvd", "ndvd"])
+        l = linear(rng.randint(-3, 3))
+        return cooper.simplify((tag, rng.randint(2, 4), l) if tag in ("dvd", "ndvd") else (tag, l))
+
+    parts = [cooper.simplify(("eq", linear(rng.choice([1, 2, 3, 4]) * rng.choice([1, -1])))), cooper.mk_or((atom(), atom())), atom()]
+    rng.shuffle(parts)
+    return cooper.mk_and(tuple(parts))
+
+
+def test_equality_elimination_matches_brute_force():
+    """exists-x of a conjunction with an equality on x, against a search
+    over x in -36..36: for y, z in -5..5 the equality admits only x with
+    |c*x| <= 3*5 + 3*5 + 6, so the search window is certified."""
+    rng = random.Random(45)
+    checked = 0
+    for _ in range(600):
+        f = _defined_conjunction(rng)
+        eliminated = cooper.eliminate_int("x", f)
+        assert "x" not in cooper.formula_vars(eliminated), f
+        for _ in range(6):
+            env = {"y": rng.randint(-5, 5), "z": rng.randint(-5, 5)}
+            want = any(cooper.eval_formula(f, {**env, "x": v}) for v in range(-36, 37))
+            assert cooper.eval_formula(eliminated, env) == want, (f, env)
+            checked += 1
+    assert checked == 3600
+
+
+def test_an_equality_defined_variable_is_eliminated_first(monkeypatch):
+    """In a block, the variable that an equality defines with coefficient 1
+    goes before one defined with coefficient 3 and before the others, so
+    no boundary-point expansion runs: the eliminations see at most the
+    input's four atoms."""
+    f = cooper.mk_and((
+        ("eq", cooper.lin({"": -1, "x": -1, "y": -3, "z": 1})),
+        cooper.mk_or((("dvd", 3, cooper.lin({"z": 1})), ("ne", cooper.lin({"": -5, "x": 3, "y": 3, "z": -2})))),
+        ("ndvd", 4, cooper.lin({"": 1, "x": 2, "y": 1, "z": 2})),
+    ))
+    order, sizes = [], []
+    real = cooper.eliminate_int
+
+    def recording(name, g):
+        if name not in order:
+            order.append(name)
+        sizes.append(len(cooper.atoms(g)))
+        return real(name, g)
+
+    monkeypatch.setattr(cooper, "eliminate_int", recording)
+    assert cooper.eliminate_exists([("y", "int"), ("z", "int"), ("x", "int")], f) == cooper.TRUE
+    assert order[0] == "x"
+    assert max(sizes) <= 4
+
+
+def _as_term(f, fresh):
+    """The formula as a constraint term, each (non-)divisibility d | l
+    spelled as l = d*w (l = d*w + k with 0 < k < d) over fresh variables,
+    so that the term is satisfiable exactly when f is."""
+    tag = f[0]
+    if tag in ("true", "false"):
+        return bool_val(tag == "true")
+    if tag == "and":
+        return theory.conj(*(_as_term(g, fresh) for g in f[1]))
+    if tag == "or":
+        return disj(*(_as_term(g, fresh) for g in f[1]))
+    total = int_val(0)
+    for name, c in f[-1]:
+        total = theory.add(total, int_val(c) if name == "" else theory.mul(c, Var(name, INT)))
+    if tag in ("lt", "eq", "ne"):
+        return {"lt": theory.lt, "eq": theory.eq, "ne": theory.ne}[tag](total, 0)
+    w = Var(f"w{next(fresh)}", INT)
+    if tag == "dvd":
+        return theory.eq(total, theory.mul(f[1], w))
+    k = Var(f"w{next(fresh)}", INT)
+    return theory.conj(theory.eq(total, theory.add(theory.mul(f[1], w), k)), theory.lt(0, k), theory.lt(k, f[1]))
+
+
+def test_sat_and_models_of_defined_conjunctions_agree_with_enumeration():
+    """decide_sat and find_model on the same kind of formulas: a model is
+    one, no model means none in the box y, z in -3..3 (where the equality
+    bounds x to -24..24), and decide_sat on the formula spelled as a term
+    answers whether find_model found one."""
+    rng = random.Random(46)
+    kinds = {True: 0, False: 0}
+    for _ in range(200):
+        f = _defined_conjunction(rng)
+        model = cooper.find_model(f, [x, y, z])
+        sat = cooper.decide_sat(_as_term(f, itertools.count()))
+        assert sat == (model is not None), f
+        if model is not None:
+            assert cooper.eval_formula(f, {v.name: value_of(t) for v, t in model.items()}), (f, model)
+        else:
+            box = itertools.product(range(-24, 25), range(-3, 4), range(-3, 4))
+            assert not any(cooper.eval_formula(f, {"x": a, "y": b, "z": c}) for a, b, c in box), f
+        kinds[sat] += 1
+    assert min(kinds.values()) > 20, kinds
+
+
 def _exists_x_by_window(f, env):
     coeffs = [
         cooper.lcoeff(a[-1], "x")

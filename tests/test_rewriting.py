@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lctrs import logic, theory
-from lctrs.analysis import ccps
+from lctrs import logic, rewriting, theory
+from lctrs.analysis import analyze, ccps
 from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse
 from lctrs.rules import ConstrainedRule, Lctrs, Signature, calc_rules
@@ -15,6 +15,7 @@ from lctrs.rewriting import (
     _candidate_values,
     breadth_first,
     constrained_oracle,
+    constrained_redexes,
     cstep,
     cstep_tilde,
     domain_terms,
@@ -28,7 +29,7 @@ from lctrs.rewriting import (
 )
 from lctrs.terms import App, INT, Var, apply_subst, int_val, positions, variables
 
-from tests.conftest import CORPUS, LINEAR_ATOM, conjuncts, equiv, linear_atom, plain_multi_successors, plain_parallel_successors
+from tests.conftest import CORPUS, LINEAR_ATOM, equiv, linear_atom, plain_multi_successors, plain_parallel_successors
 
 CFG = RewriteConfig()
 x, y, z, m, n = (Var(name, INT) for name in "xyzmn")
@@ -229,6 +230,75 @@ class _QueryLog(ConstraintSolver):
         return super().is_valid(phi)
 
 
+def _oracle_systems():
+    """Fresh copies of the corpus systems and of the generated PCP systems
+    of tests/golden, which were recorded at the default value domain."""
+    from lctrs.pcp import PCPInstance, build_rp
+    from tests.test_golden import GEN_PCP
+
+    out = [(path.stem, parse(path.read_text())) for path in sorted(CORPUS.glob("*.lctrs"))]
+    return out + [(name, build_rp(PCPInstance.parse(pairs))) for name, pairs in sorted(GEN_PCP.items())]
+
+
+def test_computed_candidates_give_the_redexes_of_the_full_list(monkeypatch):
+    """Under every critical pair of the corpus and of the generated PCP
+    systems, and every equivalent reformulation of one, the constrained
+    oracle finds the same redexes in the same order as it does without
+    guard definitions, trying every candidate."""
+    systems = _oracle_systems()
+    assert len(systems) == 11
+    assert any(rule.guard_definitions for _, system in systems for rule in system.rules)
+    pairs = {
+        name: [e for ccp in ccps(system, ConstraintSolver()) for e in equiv_extensions(ccp.pair())]
+        for name, system in systems
+    }
+
+    def all_redexes():
+        out = {}
+        for name, system in _oracle_systems():  # fresh systems: each keeps its oracles
+            solver = ConstraintSolver()
+            out[name] = [constrained_redexes(ct, system, solver, CFG) for ct in pairs[name]]
+        return out
+
+    with_definitions = all_redexes()
+    monkeypatch.setattr(ConstrainedRule, "guard_definitions", property(lambda rule: {}))
+    assert all_redexes() == with_definitions
+    assert sum(len(found) for per_pair in with_definitions.values() for found in per_pair) > 20
+
+
+def test_pcp_oracle_tries_at_most_one_candidate_per_match(monkeypatch):
+    """On pcp_101 each instances call of the constrained oracle evaluates
+    the guard for at most one candidate choice: the guard's equation
+    3*m + k = n gives the one value of m that the constraint's model admits."""
+    tried = []  # per instances call: None, or the guard evaluations once it reads the guard
+    real_evaluator, real_oracle = ConstrainedRule.guard_evaluator, rewriting._oracle
+
+    def counting_evaluator(rule):
+        vs, holds = real_evaluator.__get__(rule, ConstrainedRule)
+        tried[-1] = tried[-1] or 0
+
+        def counted(values):
+            tried[-1] += 1
+            return holds(values)
+
+        return vs, counted
+
+    def counting_oracle(rules, index, admissible, instances):
+        def counted(*args):
+            tried.append(None)
+            return instances(*args)
+
+        return real_oracle(rules, index, admissible, counted)
+
+    monkeypatch.setattr(ConstrainedRule, "guard_evaluator", property(counting_evaluator))
+    monkeypatch.setattr(rewriting, "_oracle", counting_oracle)
+    system = parse((CORPUS / "pcp_101.lctrs").read_text())
+    assert analyze(system, ConstraintSolver()).result == "MAYBE"
+    constrained = [n for n in tried if n is not None]
+    assert len(constrained) >= 40
+    assert max(constrained) == 1
+
+
 def test_cstep_calculation_with_defined_variable(single_value, solver):
     phi = theory.conj(theory.eq(z, theory.add(x, 1)), theory.gt(x, 3))
     ct = ConstrainedTerm(theory.add(x, 1), phi)
@@ -299,7 +369,7 @@ def test_equiv_extensions_cover_paper_shapes(solver, swap):
     gy = app(swap, "g", y, theory.mul(2, 2))
     exts = equiv_extensions(ConstrainedTerm(gy, theory.eq(y, 2)))
     assert any(
-        theory.eq(Var("w", INT), theory.mul(2, 2)) in conjuncts(res.constraint)
+        theory.eq(Var("w", INT), theory.mul(2, 2)) in theory.conjuncts(res.constraint)
         for res in exts
     )
     for res in exts:

@@ -1,7 +1,7 @@
 import pytest
 
 from lctrs import theory
-from lctrs.rules import ConstrainedRule, Lctrs, RuleError, Signature, is_variant, rename_apart
+from lctrs.rules import ConstrainedRule, Lctrs, RuleError, Signature, calc_rules, is_variant, rename_apart
 from lctrs.terms import App, FunSym, INT, Sort, Var
 
 U = Sort("U")
@@ -84,3 +84,29 @@ def test_literals_are_the_int_values_of_every_rule_side():
         ConstrainedRule(App(k, (xi,)), theory.bool_val(True), theory.eq(xi, 7)),
     )
     assert Lctrs(sig, rules).literals == {3, -2, -5, 7}  # true is a value of sort Bool, not counted
+
+
+def test_guard_definitions_are_linear_equations_in_one_chosen_variable():
+    """f(n) -> g(m) [...]: a top-level equation defines m when it is linear
+    in m and names no other variable the match leaves to choose; the first
+    such conjunct counts, and diff gives its a - b."""
+    fI, gI = FunSym("f", (INT,), INT, "term"), FunSym("g", (INT, INT), INT, "term")
+    n, m, k = (Var(name, INT) for name in "nmk")
+    lhs = App(fI, (n,))
+
+    def defs(guard, rhs=App(gI, (m, m))):
+        return ConstrainedRule(lhs, rhs, guard).guard_definitions
+
+    (c, vs, diff) = defs(theory.conj(theory.gt(n, 0), theory.eq(theory.add(theory.mul(3, m), 1), n)))[m]
+    assert (c, vs, diff((0, 7)), diff((2, 7))) == (3, (n,), -6, 0)
+    (c, vs, diff) = defs(theory.eq(n, theory.sub(4, theory.mul(m, 2))))[m]
+    assert (c, vs, diff((1, 2))) == (2, (n,), 0)
+    assert defs(theory.eq(theory.mul(m, m), n)) == {}  # not linear in m
+    assert defs(theory.eq(theory.sub(m, m), n)) == {}  # m's coefficient is 0
+    assert defs(theory.eq(theory.add(m, k), n), App(gI, (m, k))) == {}  # k is chosen too
+    assert defs(theory.conj(theory.eq(theory.add(m, k), n), theory.eq(k, 2)), App(gI, (m, k)))[k][0] == 1
+    assert defs(theory.neg(theory.ne(m, n))) == {}  # only a top-level equation defines
+    assert defs(theory.conj(theory.eq(m, 1), theory.eq(m, n)))[m][1] == ()  # the first one
+    (times,) = [r for r in calc_rules() if r.lhs.sym == theory.MUL]
+    (c, vs, diff) = times.guard_definitions[Var("y", INT)]
+    assert (c, [v.name for v in vs], diff((0, 3, 4))) == (1, ["x1", "x2"], -12)

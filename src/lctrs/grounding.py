@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import itertools
 
+from . import theory
 from .analysis import CCPRecord, CPCPRecord, _critical_pairs, ccps, cpcps, mk_pair
 from .logic import ConstraintSolver
 from .rewriting import (
     RedexOracle,
     RewriteConfig,
+    _oracle,
     breadth_first,
-    constraint_assignments,
     cstep,
     domain_terms,
-    plain_oracle,
     plain_successors,
     redexes,
     single_steps,
@@ -34,6 +34,7 @@ from .terms import (
     FunSym,
     LhsIndex,
     Sort,
+    Subst,
     Term,
     Var,
     apply_subst,
@@ -41,6 +42,7 @@ from .terms import (
     match,
     positions,
     term_key,
+    value_of,
     variables,
 )
 
@@ -49,7 +51,7 @@ class GroundFragment:
     def __init__(self, rules: tuple[ConstrainedRule, ...], lhs_index: LhsIndex, oracle: RedexOracle):
         self.rules = rules  # true guards, no logical variables
         self.lhs_index = lhs_index
-        self.oracle = oracle  # the plain oracle over the rules: matching
+        self.oracle = oracle  # matching the rules
         self.successors: dict[Term, tuple[Term, ...]] = {}  # see frag_successors
 
 
@@ -58,6 +60,36 @@ def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
     occurrence."""
     subterms = (sub for rule in lctrs.rules for side in (rule.lhs, rule.rhs) for _, sub in positions(side))
     return list(dict.fromkeys(s.sym for s in subterms if s.sym.kind == kind))
+
+
+def constraint_assignments(phi: Term, vs, domain, limit: int | None = None) -> list[Subst]:
+    """The assignments of domain values to the variables vs, which must
+    include every variable of phi, under which phi holds: vs in name order,
+    the assignments in product order, the first `limit` of them.  Each
+    top-level conjunct of phi is checked as soon as the variables it names
+    have values: the walk is depth-first and extends no prefix that fails
+    one.  The conjuncts checked at one level are compiled once, together."""
+    vs = sorted(vs, key=lambda v: v.name)
+    level = {v: i + 1 for i, v in enumerate(vs)}
+    parts: list[list[Term]] = [[] for _ in range(len(vs) + 1)]  # parts[i]: those whose last variable is vs[i - 1]
+    for part in theory.conjuncts(phi):
+        parts[max(map(level.__getitem__, variables(part)), default=0)].append(part)
+    checks = [theory.evaluator(theory.conj(*level_parts), vs[:i]) for i, level_parts in enumerate(parts)]
+    options = [[(t, value_of(t)) for t in domain[v.sort]] for v in vs]
+    out: list[Subst] = []
+
+    def extend(terms: tuple, env: tuple) -> bool:
+        """Every assignment extending the prefix; False once limit are found."""
+        i = len(env)
+        if not checks[i](env):
+            return True
+        if i == len(vs):
+            out.append(dict(zip(vs, terms)))
+            return len(out) != limit
+        return all(extend((*terms, t), (*env, v)) for t, v in options[i])
+
+    extend((), ())
+    return out
 
 
 def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> GroundFragment:
@@ -74,10 +106,10 @@ def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> Gr
             out.setdefault(inst.key(), inst)
     rules = tuple(rule for _, rule in sorted(out.items()))
     index = LhsIndex(rule.lhs for rule in rules)
-    return GroundFragment(rules, index, plain_oracle(lctrs, config, rules, index))
+    return GroundFragment(rules, index, _oracle(rules, index, is_value, lambda rule, sigma0, unbound: (sigma0,)))
 
 
-# --- fragment rewriting: the plain engine over the fragment's rules -----------
+# --- fragment rewriting: the engine over the fragment's rules -----------------
 
 def frag_successors(t: Term, fragment: GroundFragment) -> tuple[Term, ...]:
     """The distinct one-step successors of t, each term stepped once per

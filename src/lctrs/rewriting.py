@@ -2,17 +2,17 @@
 
 One engine serves every relation: a redex oracle finds the root redexes of a
 subterm, and single, parallel and multi-steps are built on top of it.  The
-plain oracle instantiates logical variables by values (enumerated over a
-finite domain, except calculation results which are computed exactly); over
-the rules of a ground fragment it reduces to matching.  The constrained
-oracle keeps the constraint fixed and decides each choice for the rule's
-logical variables by evaluating the compiled guard under one model of the
-constraint, asking for validity only what the model cannot decide; the
-tilde variants compose with the equivalence moves produced by
-equiv_extensions, which only ever extend a constraint by a definition
-z = f(u1..un) of a theory subterm.  Parallel and multi-step
-relations follow their inductive definitions, recording redex position sets;
-multi-step nesting is depth-bounded.
+constrained oracle keeps the constraint fixed and decides each choice for
+the rule's logical variables by evaluating the compiled guard under one
+model of the constraint, asking for validity only what the model cannot
+decide.  Plain rewriting is its instance under the constraint true: with no
+constraint variable every logical variable takes a value and the guard
+decides each choice.  Over the rules of a ground fragment, which have no
+logical variables, an oracle is plain matching.  The tilde variants compose
+with the equivalence moves produced by equiv_extensions, which only ever
+extend a constraint by a definition z = f(u1..un) of a theory subterm.
+Parallel and multi-step relations follow their inductive definitions,
+recording redex position sets; multi-step nesting is depth-bounded.
 """
 
 from __future__ import annotations
@@ -86,22 +86,6 @@ class RewriteConfig(Record):
 def domain_terms(lctrs: Lctrs, config: RewriteConfig) -> dict[Sort, tuple[Term, ...]]:
     ints = tuple(int_val(n) for n in config.int_domain(lctrs))
     return {INT: ints, BOOL: (bool_val(True), bool_val(False))}
-
-
-def constraint_assignments(phi: Term, vs, domain, limit: int | None = None) -> list[Subst]:
-    """The assignments of domain values to the variables vs, which must
-    include every variable of phi, under which phi holds: vs in name order,
-    the assignments in product order, the first `limit` of them.  phi is
-    compiled once and evaluated on the values of each combination."""
-    vs = sorted(vs, key=lambda v: v.name)
-    phi_holds = theory.evaluator(phi, vs)
-    out = []
-    for combo in itertools.product(*(domain[v.sort] for v in vs)):
-        if phi_holds(tuple(map(value_of, combo))):
-            out.append(dict(zip(vs, combo)))
-            if len(out) == limit:
-                break
-    return out
 
 
 def _freeze(sigma: Subst) -> tuple[tuple[Var, Term], ...]:
@@ -220,48 +204,7 @@ def breadth_first(start, successors, depth: int):
         frontier = nxt
 
 
-# --- plain rewriting --------------------------------------------------------
-
-def plain_oracle(lctrs: Lctrs, config: RewriteConfig, rules=None, index=None) -> RedexOracle:
-    """Root redexes of plain rewriting with `rules` and their LhsIndex, by
-    default the rules and calculation rules of lctrs, whose oracle is built
-    once per config and kept on lctrs (lctrs.oracles).
-
-    Logical variables outside the left-hand side take guard-satisfying domain
-    values, except calculation results, which are computed exactly from the
-    matched values; the guard solutions are remembered per instantiated
-    guard.  Rules without logical variables, such as those of a ground
-    fragment, reduce to matching."""
-    if rules is None:
-        if config not in lctrs.oracles:
-            lctrs.oracles[config] = plain_oracle(lctrs, config, lctrs.rc_rules, lctrs.lhs_index)
-        return lctrs.oracles[config]
-    domain = functools.cache(lambda: domain_terms(lctrs, config))  # unused by fragment rules
-    solved: dict[tuple[Term, tuple[Var, ...]], list[Subst]] = {}
-
-    def instances(rule: ConstrainedRule, sigma0: Subst, unbound) -> list[Subst]:
-        if rule.calc and unbound:
-            (y,) = unbound
-            return [{**sigma0, y: theory.interpret_term(apply_subst(sigma0, rule.lhs))}]
-        if len(unbound) > MAX_UNBOUND:
-            return []
-        guard = apply_subst(sigma0, rule.guard)
-        if (guard, unbound) not in solved:
-            # the empty product reads no domain
-            solved[guard, unbound] = constraint_assignments(guard, unbound, domain() if unbound else {})
-        return [{**sigma0, **extra} for extra in solved[guard, unbound]]
-
-    return _oracle(rules, index, is_value, instances)
-
-
-def plain_successors(
-    s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()
-) -> list[tuple[Term, StepRecord]]:
-    """Single plain steps, each with its position, rule and full substitution."""
-    return single_steps(s, redexes(s, plain_oracle(lctrs, config)))
-
-
-# --- rewriting on constrained terms ----------------------------------------
+# --- the constrained oracle -------------------------------------------------
 
 def _candidate_values(
     x: Var, rule: ConstrainedRule, sigma0: Subst, phi_vars: list[Var], domain: dict[Sort, tuple[Term, ...]]
@@ -278,13 +221,11 @@ def _candidate_values(
     return list(dict.fromkeys(cands))
 
 
-def constrained_oracle(
-    ct: ConstrainedTerm, lctrs: Lctrs, solver: ConstraintSolver, config: RewriteConfig
-) -> RedexOracle:
-    """Root redexes of the constrained-step relation under ct's constraint:
-    sigma maps logical variables into values or constraint variables, and
-    constraint => guard*sigma is valid.  Unknown solver verdicts suppress
-    the candidate.
+def _constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, config: RewriteConfig) -> RedexOracle:
+    """Root redexes of the constrained-step relation under the constraint
+    phi: sigma maps logical variables into values or constraint variables,
+    and phi => guard*sigma is valid.  Unknown solver verdicts suppress the
+    candidate.
 
     Each choice is first decided by evaluating the compiled guard under
     sigma and one model of a satisfiable constraint: false refutes it, true
@@ -293,15 +234,7 @@ def constrained_oracle(
     model, is one validity query.  A variable that a guard conjunct defines
     (ConstrainedRule.guard_definitions) has one value in the model, computed
     from the matched values, so only candidates with that value are tried;
-    the others are exactly those the model would refute.
-
-    The oracle depends on ct only through its constraint, so it is built
-    once per (config, solver, constraint) and kept on lctrs: every step
-    under one constraint shares its model and its redex table."""
-    phi = ct.constraint
-    key = (config, solver, phi)
-    if key in lctrs.oracles:
-        return lctrs.oracles[key]
+    the others are exactly those the model would refute."""
     phi_vars = variables(phi)
     phi_vars_by_name = sorted(phi_vars, key=lambda v: v.name)
     domain = functools.cache(lambda: domain_terms(lctrs, config))  # read only for unbound variables
@@ -346,9 +279,39 @@ def constrained_oracle(
                 out.append(sigma)
         return out
 
-    oracle = lctrs.oracles[key] = _oracle(lctrs.rc_rules, lctrs.lhs_index, admissible, instances)
-    return oracle
+    return _oracle(lctrs.rc_rules, lctrs.lhs_index, admissible, instances)
 
+
+def constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, config: RewriteConfig) -> RedexOracle:
+    """The constrained oracle under phi, built once per (config, solver, phi)
+    and kept on lctrs: every step under one constraint shares its model and
+    its redex table."""
+    key = (config, solver, phi)
+    if key not in lctrs.oracles:
+        lctrs.oracles[key] = _constrained_oracle(phi, lctrs, solver, config)
+    return lctrs.oracles[key]
+
+
+# --- plain rewriting --------------------------------------------------------
+
+def plain_oracle(lctrs: Lctrs, config: RewriteConfig) -> RedexOracle:
+    """Root redexes of plain rewriting with the rules and calculation rules
+    of lctrs: the constrained oracle under the constraint true, whose own
+    solver is asked only whether true is satisfiable.  Its model is empty,
+    so a logical variable outside the left-hand side takes the calculation
+    result or a domain value, and the compiled guard decides every choice.
+    Built once per config and kept on lctrs (lctrs.oracles)."""
+    if config not in lctrs.oracles:
+        lctrs.oracles[config] = _constrained_oracle(theory.bool_val(True), lctrs, ConstraintSolver(), config)
+    return lctrs.oracles[config]
+
+
+def plain_successors(s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> list[tuple[Term, StepRecord]]:
+    """Single plain steps, each with its position, rule and full substitution."""
+    return single_steps(s, redexes(s, plain_oracle(lctrs, config)))
+
+
+# --- constrained steps ------------------------------------------------------
 
 def constrained_redexes(
     ct: ConstrainedTerm,
@@ -361,7 +324,7 @@ def constrained_redexes(
     none when the constraint is not satisfiable."""
     if not solver.is_satisfiable(ct.constraint).is_sat:
         return []
-    return redexes(ct.term, constrained_oracle(ct, lctrs, solver, config), below)
+    return redexes(ct.term, constrained_oracle(ct.constraint, lctrs, solver, config), below)
 
 
 def cstep(
@@ -451,7 +414,7 @@ def multi_successors(
     phi = ct.constraint
     if not solver.is_satisfiable(phi).is_sat:
         return []
-    oracle = constrained_oracle(ct, lctrs, solver, config)
+    oracle = constrained_oracle(phi, lctrs, solver, config)
     results = multi_steps(subterm_at(ct.term, below), oracle, MULTI_NESTING)
     return [ConstrainedTerm(replace_at(ct.term, {below: r}), phi) for r in sorted(results, key=term_key)]
 

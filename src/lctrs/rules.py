@@ -253,8 +253,9 @@ class Lctrs:
 
     @cached_property
     def oracles(self) -> dict:
-        """The redex oracles of rewriting over rc_rules: plain_oracle's by
-        rewrite config, constrained_oracle's by (config, solver, constraint)."""
+        """The redex oracles of rewriting over rc_rules: constrained_oracle's
+        by (config, solver, constraint), and plain_oracle's, the constrained
+        oracle under true with a solver of its own, by config alone."""
         return {}
 
     @cached_property

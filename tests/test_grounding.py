@@ -1,9 +1,14 @@
+import itertools
+import random
+
 import pytest
 
 from lctrs import theory
+from lctrs.analysis import ccps
 from lctrs.grounding import (
     check_cp_correspondence,
     check_step_equivalence,
+    constraint_assignments,
     find_nonjoinable_peak,
     frag_successors,
     ground_fragment,
@@ -12,12 +17,13 @@ from lctrs.grounding import (
     trs_cps,
     trs_pcps,
 )
+from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse
-from lctrs.rewriting import RewriteConfig
+from lctrs.rewriting import RewriteConfig, domain_terms
 from lctrs.rules import ConstrainedRule
-from lctrs.terms import App, INT, Var, alpha_key, int_val
+from lctrs.terms import App, INT, Var, alpha_key, apply_subst, int_val, variables
 
-from tests.conftest import CORPUS, REPO, frag_multi, trs_closedness_check
+from tests.conftest import CORPUS, LINEAR_OPS, REPO, frag_multi, linear_atom, trs_closedness_check
 from tests.test_golden import GROUND_HALF_WIDTHS
 
 x = Var("x", INT)
@@ -231,3 +237,72 @@ def test_step_equivalence_systems(single_value, parity, calc_chain, var_tracking
     for system in (single_value, parity, calc_chain, var_tracking):
         report = check_step_equivalence(system, samples=40)
         assert report.ok, report
+
+
+THREE_PARTS = """(theory Ints)
+(sort U)
+(fun f (Int) U)
+(fun g (Int Int Int) U)
+(rule (f x) (g a b c) :guard (and (= (+ a (+ b c)) x) (and (> a 0) (and (> b 0) (> c 0)))))
+"""
+
+
+def test_assignments_prune_a_prefix_that_fails_a_conjunct(monkeypatch):
+    """The self-overlap of f(x) -> g(a, b, c) [a + b + c = x, a, b, c > 0]
+    has a 7-variable constraint, 9^7 combinations over the default domain.
+    Each conjunct is evaluated once its variables have values, and a prefix
+    that fails one is not extended, so far fewer evaluations find the same
+    10 assignments."""
+    system = parse(THREE_PARTS)
+    (ccp,) = ccps(system, ConstraintSolver())
+    phi = ccp.constraint
+    assert len(variables(phi)) == 7
+    evaluations = 0
+    compile_ = theory.evaluator
+
+    def counting_evaluator(part, vs):
+        run = compile_(part, vs)
+
+        def counted(env):
+            nonlocal evaluations
+            evaluations += 1
+            return run(env)
+
+        return counted
+
+    monkeypatch.setattr(theory, "evaluator", counting_evaluator)
+    found = constraint_assignments(phi, variables(phi), domain_terms(system, RewriteConfig()))
+    assert evaluations < 9**7 // 50
+    assert len(found) == 10
+    assert all(theory.holds(apply_subst(sigma, phi)) for sigma in found)
+
+
+def test_pruned_assignments_are_the_filtered_product():
+    """On random conjunctions of linear atoms (a disjunction among them now
+    and then), the assignments and their order are those of filtering the
+    whole domain product in name order by phi, with and without a limit."""
+    rng = random.Random(20)
+    pool = [Var(name, INT) for name in "uvwxy"]
+    domain = {INT: tuple(int_val(n) for n in range(-2, 3))}
+    nonempty = 0
+    for _ in range(150):
+        vs = rng.sample(pool, rng.randint(1, 4))
+
+        def atom():
+            coeffs = [rng.randint(-2, 2) for _ in vs]
+            return linear_atom(coeffs, vs, rng.choice(LINEAR_OPS), rng.randint(-3, 3))
+
+        parts = [atom() if rng.random() < 0.8 else App(theory.OR, (atom(), atom())) for _ in range(rng.randint(1, 4))]
+        phi = theory.conj(*parts)
+        by_name = sorted(vs, key=lambda v: v.name)
+        phi_holds = theory.evaluator(phi, by_name)  # the whole of phi on each combination
+        brute = [
+            dict(zip(by_name, map(int_val, combo)))
+            for combo in itertools.product(range(-2, 3), repeat=len(by_name))
+            if phi_holds(combo)
+        ]
+        assert constraint_assignments(phi, vs, domain) == brute, phi
+        limit = rng.randint(1, 5)
+        assert constraint_assignments(phi, vs, domain, limit=limit) == brute[:limit], phi
+        nonempty += bool(brute)
+    assert nonempty > 30

@@ -471,9 +471,9 @@ def test_analysis_builds_one_model_per_oracle_constraint(monkeypatch, name):
     under = set()
     real_oracle = rewriting.constrained_oracle
 
-    def recording_oracle(ct, *args):
-        under.add(ct.constraint)
-        return real_oracle(ct, *args)
+    def recording_oracle(phi, *args):
+        under.add(phi)
+        return real_oracle(phi, *args)
 
     monkeypatch.setattr(rewriting, "constrained_oracle", recording_oracle)
     solver = _RecordingSolver()
@@ -505,10 +505,10 @@ def test_one_analysis_asks_each_oracle_question_once(monkeypatch, name):
             asked[self.phi, sub] += 1
             return self.index.generalizations(sub)
 
-    def constrained(ct, *args):
-        building.append(ct.constraint)
+    def constrained(phi, *args):
+        building.append(phi)
         try:
-            return real_constrained(ct, *args)
+            return real_constrained(phi, *args)
         finally:
             building.pop()
 

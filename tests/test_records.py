@@ -83,18 +83,16 @@ def test_equal_rewrite_configs_share_one_plain_oracle():
 
 
 def test_one_constraint_shares_one_constrained_oracle():
-    """The constrained oracle depends on a constrained term only through its
-    constraint: one oracle per (config, solver, constraint) on the system."""
+    """One constrained oracle per (config, solver, constraint) on the system."""
     system = parse("(theory Ints)\n(fun h (Int) Int)\n(rule (h x) x :guard (> x 0))\n")
-    h = system.signature.term_syms["h"]
     phi = theory.gt(y, 1)
     solver, config = ConstraintSolver(), RewriteConfig(-2, 2)
-    first = constrained_oracle(ConstrainedTerm(App(h, (y,)), phi), system, solver, config)
-    assert constrained_oracle(ConstrainedTerm(App(h, (App(h, (y,)),)), phi), system, solver, config) is first
-    assert constrained_oracle(ConstrainedTerm(App(h, (y,)), phi), system, ConstraintSolver(), config) is not first
-    assert constrained_oracle(ConstrainedTerm(App(h, (y,)), phi), system, solver, RewriteConfig(-2, 2)) is first
-    assert constrained_oracle(ConstrainedTerm(App(h, (y,)), phi), system, solver, RewriteConfig(-2, 3)) is not first
-    assert constrained_oracle(ConstrainedTerm(App(h, (y,)), theory.gt(y, 2)), system, solver, config) is not first
+    first = constrained_oracle(phi, system, solver, config)
+    assert constrained_oracle(phi, system, solver, config) is first
+    assert constrained_oracle(phi, system, ConstraintSolver(), config) is not first
+    assert constrained_oracle(phi, system, solver, RewriteConfig(-2, 2)) is first
+    assert constrained_oracle(phi, system, solver, RewriteConfig(-2, 3)) is not first
+    assert constrained_oracle(theory.gt(y, 2), system, solver, config) is not first
     assert len(system.oracles) == 4
 
 

@@ -133,6 +133,20 @@ def _one_rule(lhs_args, rhs_args, guard):
     return Lctrs(sig, (ConstrainedRule(App(f, tuple(lhs_args)), App(g, tuple(rhs_args)), guard),)), f, g
 
 
+@pytest.mark.parametrize("names", ["abc", "abcd"])
+def test_more_unbound_variables_than_the_cap_give_no_redex(names, solver):
+    """f(x) -> g(a, b, ..) [a = x, b = x, ..] on f(1): with three logical
+    variables to choose both plain and constrained steps find g(1, 1, 1);
+    with four, more than rewriting.MAX_UNBOUND, neither finds a redex."""
+    assert rewriting.MAX_UNBOUND == 3
+    unbound = [Var(name, INT) for name in names]
+    system, f, g = _one_rule([x], unbound, theory.conj(*(theory.eq(v, x) for v in unbound)))
+    t = App(f, (int_val(1),))
+    wanted = [App(g, (int_val(1),) * len(names))] if len(names) <= rewriting.MAX_UNBOUND else []
+    assert [r for r, _ in plain_successors(t, system)] == wanted
+    assert [res.term for res, _ in cstep(ConstrainedTerm(t), system, solver)] == wanted
+
+
 def test_unbound_variable_named_like_a_constraint_variable(solver):
     """f(n) -> g(m) [m + 1 = n] on f(m) [m = 3]: the rule's m is chosen, the
     constraint's m is 3, so the only step is to g(2)."""
@@ -206,7 +220,7 @@ def test_oracle_accepts_exactly_the_valid_instances(arity, unbound_names, phi_at
     sigmas = [{**sigma0, **dict(zip(unbound, choice))} for choice in itertools.product(*options)]
     wanted = [sigma for sigma in sigmas if solver.is_valid(theory.imp(phi, apply_subst(sigma, guard))).is_valid]
     oracle_solver = _QueryLog()
-    found = constrained_oracle(ConstrainedTerm(App(f, tuple(cvars)), phi), system, oracle_solver, config)
+    found = constrained_oracle(phi, system, oracle_solver, config)
     assert [sigma for _rule, sigma in found(App(f, tuple(cvars)))] == wanted
     sat = oracle_solver.is_satisfiable(phi)
     if not sat.is_sat:  # no model to evaluate under: one query per choice
@@ -498,7 +512,7 @@ def test_redexes_below_a_position_are_the_redexes_there(path, solver):
     system = parse(path.read_text())
     for rec in ccps(system, solver):
         ct = rec.pair()
-        for oracle in (plain_oracle(system, CFG), constrained_oracle(ct, system, solver, CFG)):
+        for oracle in (plain_oracle(system, CFG), constrained_oracle(ct.constraint, system, solver, CFG)):
             everywhere = redexes(ct.term, oracle)
             for q, _ in positions(ct.term):
                 assert redexes(ct.term, oracle, q) == [red for red in everywhere if red[0][: len(q)] == q]

@@ -32,6 +32,7 @@ FORMS = (
     ("ground",),
     ("check", "--json"),
     ("analyze", "--values=-6..6"),
+    ("analyze", "--values=-12..12", "--json"),
 )
 
 

@@ -22,6 +22,7 @@ from .rewriting import (
     RewriteConfig,
     breadth_first,
     cstep_tilde,
+    domain_terms,
     multi_tilde,
     parallel_tilde,
 )
@@ -60,7 +61,13 @@ def mk_pair(s: Term, t: Term) -> App:
 
 
 class CCPRecord(Record):
-    __slots__ = ("left", "right", "constraint", "position", "peak_source")
+    __slots__ = ("left", "right", "constraint", "position", "peak_source", "calc_results")
+
+    def __init__(self, left, right, constraint, position, peak_source, calc_results=frozenset()):
+        """calc_results: the result variables of the pair's calculation-rule
+        copy, which take the value the calculation gives, in the domain or
+        not; the key ignores them."""
+        Record.__init__(self, left, right, constraint, position, peak_source, calc_results)
 
     @property
     def overlay(self) -> bool:
@@ -165,7 +172,7 @@ def _critical_pairs(rules, index, sat, parallel: bool = False) -> list:
             rec = CPCPRecord(left, right, phi, pset, peak)
         else:
             phi = theory.conj(theory.conj(*guards), ec)
-            rec = CCPRecord(left, right, phi, pset[0], peak)
+            rec = CCPRecord(left, right, phi, pset[0], peak, frozenset(r.rhs for r in copies if r.calc))
         seen.setdefault(rec.key(), rec)
     return [seen[key] for key in sorted(seen)]
 
@@ -444,10 +451,10 @@ def analyze(lctrs: Lctrs, solver: ConstraintSolver, config: AnalysisConfig | Non
             return Verdict("YES", "parallel-closed", ccps=pairs, cpcps=ppairs)
         reasons["parallel-closed"] = "; ".join(failed)
 
-    from .grounding import find_nonjoinable_peak, ground_fragment
+    from .grounding import find_nonjoinable_peak, ground_fragment, pair_instances
 
     fragment = ground_fragment(lctrs, config.rewrite)
-    witness = find_nonjoinable_peak(fragment)
+    witness = find_nonjoinable_peak(fragment, pair_instances(pairs, domain_terms(lctrs, config.rewrite)))
     if witness is not None:
         return Verdict(
             "NO",

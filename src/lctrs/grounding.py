@@ -12,6 +12,7 @@ fragment back to the constrained analysis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import theory
@@ -28,16 +29,18 @@ from .rewriting import (
     redexes,
     single_steps,
 )
-from .rules import ConstrainedRule, Lctrs, value_calc_instance
+from .rules import ConstrainedRule, Lctrs, _coefficient, value_calc_instance
 from .terms import (
     App,
     FunSym,
+    INT,
     LhsIndex,
     Sort,
     Subst,
     Term,
     Var,
     apply_subst,
+    int_val,
     is_value,
     match,
     positions,
@@ -62,34 +65,135 @@ def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
     return list(dict.fromkeys(s.sym for s in subterms if s.sym.kind == kind))
 
 
-def constraint_assignments(phi: Term, vs, domain, limit: int | None = None) -> list[Subst]:
+@functools.lru_cache(maxsize=64)
+def _domain_options(terms: tuple[Term, ...]) -> tuple[list[tuple[Term, int | bool]], dict, dict[Term, int]]:
+    """A sort's domain as (term, value) pairs in domain order, its terms by
+    value and their ranks in domain order, converted once per domain."""
+    options = [(t, value_of(t)) for t in terms]
+    return options, {v: t for t, v in options}, {t: i for i, (t, _) in enumerate(options)}
+
+
+def _definitions(parts: list[Term], vs: list[Var]) -> dict[Var, tuple[int, Term, int]]:
+    """For each Int variable of vs in order of first occurrence, the first
+    top-level conjunct a = b (parts[k]) not already used in which it has a
+    nonzero integer coefficient c, so that a - b is c*y + r with r free of
+    y, as (k, a - b, c)."""
+    used: set[int] = set()
+    out: dict[Var, tuple[int, Term, int]] = {}
+    for y in vs:
+        if y.sort != INT or y in out:
+            continue
+        for k, part in enumerate(parts):
+            if k in used or isinstance(part, Var) or part.sym != theory.EQ:
+                continue
+            diff = theory.sub(*part.args)
+            c = _coefficient(diff, y)
+            if c:
+                used.add(k)
+                out[y] = (k, diff, c)
+                break
+    return out
+
+
+def _dependency_order(vs: list[Var], defs: dict) -> list[Var]:
+    """vs with each defined variable right after the variables its equation
+    names, walked depth first in the order of vs.  A definition that leads
+    back to a variable still being placed is dropped from defs, so every
+    cycle leaves one of its variables free."""
+    order: list[Var] = []
+    placed: set[Var] = set()
+    visiting: set[Var] = set()
+
+    def visit(v: Var):
+        if v in placed:
+            return
+        if v in defs:
+            visiting.add(v)
+            for u in sorted(variables(defs[v][1]) - {v}, key=lambda u: u.name):
+                if u in visiting:
+                    del defs[v]  # v is enumerated instead
+                    break
+                visit(u)
+            visiting.discard(v)
+        placed.add(v)
+        order.append(v)
+
+    for v in vs:
+        visit(v)
+    return order
+
+
+def constraint_assignments(
+    phi: Term, vs, domain, limit: int | None = None, ordered: bool = True, computed=frozenset()
+) -> list[Subst]:
     """The assignments of domain values to the variables vs, which must
-    include every variable of phi, under which phi holds: vs in name order,
-    the assignments in product order, the first `limit` of them.  Each
-    top-level conjunct of phi is checked as soon as the variables it names
-    have values: the walk is depth-first and extends no prefix that fails
-    one.  The conjuncts checked at one level are compiled once, together."""
-    vs = sorted(vs, key=lambda v: v.name)
-    level = {v: i + 1 for i, v in enumerate(vs)}
-    parts: list[list[Term]] = [[] for _ in range(len(vs) + 1)]  # parts[i]: those whose last variable is vs[i - 1]
-    for part in theory.conjuncts(phi):
-        parts[max(map(level.__getitem__, variables(part)), default=0)].append(part)
-    checks = [theory.evaluator(theory.conj(*level_parts), vs[:i]) for i, level_parts in enumerate(parts)]
-    options = [[(t, value_of(t)) for t in domain[v.sort]] for v in vs]
-    out: list[Subst] = []
+    include every variable of phi, under which phi holds; the first `limit`
+    of them.  Solve, then enumerate:
+    - each Int variable, those in `computed` first and the rest in name
+      order, is defined by the first top-level equation conjunct not
+      already used in which it has a nonzero integer coefficient;
+    - a defined variable comes right after the variables its equation
+      names (a cycle leaves one of them free); the free ones take the
+      domain's values, and a defined one is computed and must lie in the
+      domain, unless it is in `computed`;
+    - every other conjunct is checked as soon as the variables it names
+      have values, and a prefix that fails one is not extended.
+    So the assignments are those of filtering the domain product by phi.
+    Ordered, they come in that product's order, vs in name order;
+    otherwise in the order found, for a caller that sorts them itself."""
+    names = sorted(vs, key=lambda v: v.name)
+    parts = theory.conjuncts(phi)
+    defs = _definitions(parts, [*sorted(computed.intersection(names), key=lambda v: v.name), *names])
+    order = _dependency_order(names, defs)
+    level = {v: i + 1 for i, v in enumerate(order)}
+    checked: list[list[Term]] = [[] for _ in range(len(order) + 1)]  # [i]: those whose last variable is order[i - 1]
+    defining = {k for k, _, _ in defs.values()}
+    for k, part in enumerate(parts):
+        if k not in defining:
+            checked[max(map(level.__getitem__, variables(part)), default=0)].append(part)
+    checks = [theory.evaluator(theory.conj(*level_parts), order[:i]) for i, level_parts in enumerate(checked)]
+    options = [_domain_options(domain[v.sort]) for v in order]
+    solved = [
+        (theory.evaluator(defs[v][1], order[: i + 1]), defs[v][2], v in computed) if v in defs else None
+        for i, v in enumerate(order)
+    ]
+    n = len(order)
+    # the prefixes of the first `settled` variables come in the wanted order
+    settled = n if not ordered else next((i for i, (u, v) in enumerate(zip(order, names)) if u != v), n)
+    out: list[tuple] = []
 
     def extend(terms: tuple, env: tuple) -> bool:
-        """Every assignment extending the prefix; False once limit are found."""
+        """Every assignment extending the prefix; False once the search may
+        stop."""
         i = len(env)
+        if i == settled and limit is not None and len(out) >= limit:
+            return False  # every assignment still to come sorts after those found
         if not checks[i](env):
             return True
-        if i == len(vs):
-            out.append(dict(zip(vs, terms)))
-            return len(out) != limit
-        return all(extend((*terms, t), (*env, v)) for t, v in options[i])
+        if i == n:
+            out.append(terms)
+            return settled < n or len(out) != limit
+        if solved[i] is None:
+            return all(extend((*terms, t), (*env, value)) for t, value in options[i][0])
+        solve, c, unchecked = solved[i]
+        r = solve((*env, 0))
+        if r % c:
+            return True
+        value = -r // c
+        t = options[i][1].get(value)
+        if t is None:
+            if not unchecked:
+                return True
+            t = int_val(value)
+        return extend((*terms, t), (*env, value))
 
     extend((), ())
-    return out
+    perm = [order.index(v) for v in names]
+    if settled < n:
+        ranks = [options[j][2] for j in perm]
+        out.sort(key=lambda terms: tuple(rank.get(terms[j], len(rank)) for rank, j in zip(ranks, perm)))
+        out = out[:limit]
+    return [{v: terms[j] for v, j in zip(names, perm)} for terms in out]
 
 
 def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> GroundFragment:
@@ -97,7 +201,7 @@ def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> Gr
     domain = domain_terms(lctrs, config)
     out: dict[str, ConstrainedRule] = {}
     for rule in lctrs.rules:
-        for tau in constraint_assignments(rule.guard, rule.lvar(), domain):
+        for tau in constraint_assignments(rule.guard, rule.lvar(), domain, ordered=False):
             inst = rule.instance(tau)
             out.setdefault(inst.key(), inst)
     for sym in _side_syms(lctrs, "theory"):
@@ -158,8 +262,31 @@ def trs_pcps(fragment: GroundFragment) -> list[CPCPRecord]:
     return _critical_pairs(fragment.rules, fragment.lhs_index, _always_sat, parallel=True)
 
 
-def find_nonjoinable_peak(fragment: GroundFragment, depth: int = 8):
-    for cp in trs_cps(fragment):
+def pair_instances(pairs: list[CCPRecord], domain) -> list[CCPRecord]:
+    """The non-trivial instances of constrained critical pairs under the
+    domain assignments that satisfy their constraints, a calculation's
+    result taking its computed value; with constraint true, one per key, in
+    key order.  By the paper's correspondence theorem these are the critical
+    pairs of the transformed system, and over the finite domain they are
+    trs_cps of the ground fragment less its trivial pairs, in trs_cps's
+    order."""
+    true = theory.bool_val(True)
+    out: dict[str, CCPRecord] = {}
+    for c in pairs:
+        for sigma in constraint_assignments(
+            c.constraint, variables(c.constraint), domain, ordered=False, computed=c.calc_results
+        ):
+            left, right = apply_subst(sigma, c.left), apply_subst(sigma, c.right)
+            if left != right:
+                rec = CCPRecord(left, right, true, c.position, apply_subst(sigma, c.peak_source))
+                out.setdefault(rec.key(), rec)
+    return [out[key] for key in sorted(out)]
+
+
+def find_nonjoinable_peak(fragment: GroundFragment, peaks, depth: int = 8):
+    """The first of the peaks (critical pairs of the fragment) whose two
+    sides reach disjoint normal forms within depth steps, or None."""
+    for cp in peaks:
         status, _ = joinable(fragment, cp.left, cp.right, depth)
         if status == "disjoint_normal_forms":
             return cp.left, cp.right
@@ -193,7 +320,7 @@ def _instance_matches(source, pair, domain) -> bool:
         return False
     # extend over constraint variables not bound by the match
     phi = apply_subst(gamma, source.constraint)
-    return bool(constraint_assignments(phi, variables(phi), domain, limit=1))
+    return bool(constraint_assignments(phi, variables(phi), domain, limit=1, ordered=False))
 
 
 def check_cp_correspondence(

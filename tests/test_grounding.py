@@ -13,18 +13,20 @@ from lctrs.grounding import (
     frag_successors,
     ground_fragment,
     joinable,
+    pair_instances,
     reachable,
     trs_cps,
     trs_pcps,
 )
 from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse
+from lctrs.pcp import PCPInstance, build_rp
 from lctrs.rewriting import RewriteConfig, domain_terms
 from lctrs.rules import ConstrainedRule
 from lctrs.terms import App, INT, Var, alpha_key, apply_subst, int_val, variables
 
 from tests.conftest import CORPUS, LINEAR_OPS, REPO, frag_multi, linear_atom, trs_closedness_check
-from tests.test_golden import GROUND_HALF_WIDTHS
+from tests.test_golden import GEN_PCP, GROUND_HALF_WIDTHS
 
 x = Var("x", INT)
 
@@ -118,7 +120,7 @@ def test_joinable_disjoint_normal_forms(solver):
     bad = Lctrs(sig, (ConstrainedRule(App(a), App(b)), ConstrainedRule(App(a), App(c))))
     frag = ground_fragment(bad)
     assert joinable(frag, App(b), App(c))[0] == "disjoint_normal_forms"
-    assert find_nonjoinable_peak(frag) is not None
+    assert find_nonjoinable_peak(frag, trs_cps(frag)) is not None
 
 
 def test_reachable_closure_flag_at_the_bound():
@@ -161,7 +163,7 @@ def test_the_no_search_steps_each_term_once(monkeypatch):
         return single_steps(t, found)
 
     monkeypatch.setattr(grounding, "single_steps", counted)
-    assert find_nonjoinable_peak(frag) is None
+    assert find_nonjoinable_peak(frag, trs_cps(frag)) is None
     assert len(trs_cps(frag)) == 10 and len(stepped) > 1000
     assert max(stepped.values()) == 1
 
@@ -306,3 +308,131 @@ def test_pruned_assignments_are_the_filtered_product():
         assert constraint_assignments(phi, vs, domain, limit=limit) == brute[:limit], phi
         nonempty += bool(brute)
     assert nonempty > 30
+
+
+def _bindings(sigma):
+    return sorted((v.name, value.sym.name) for v, value in sigma.items())
+
+
+def test_unordered_assignments_are_the_same_ones():
+    """Unordered, the assignments are those of the ordered search in the
+    order found, and a limit keeps that many of them."""
+    rng = random.Random(21)
+    pool = [Var(name, INT) for name in "uvwxy"]
+    domain = {INT: tuple(int_val(n) for n in range(-2, 3))}
+    for _ in range(100):
+        vs = rng.sample(pool, rng.randint(1, 4))
+        parts = [
+            linear_atom([rng.randint(-2, 2) for _ in vs], vs, rng.choice(LINEAR_OPS), rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 3))
+        ]
+        phi = theory.conj(*parts)
+        ordered = constraint_assignments(phi, vs, domain)
+        found = constraint_assignments(phi, vs, domain, ordered=False)
+        assert sorted(map(_bindings, found)) == sorted(map(_bindings, ordered)), phi
+        limit = rng.randint(1, 3)
+        assert constraint_assignments(phi, vs, domain, limit=limit, ordered=False) == found[:limit], phi
+
+
+# --- the NO search's peaks: instances of the constrained critical pairs -------
+
+CALC_RESULT = """(theory Ints)
+(sort U)
+(fun f (Int) U)
+(fun a () U)
+(fun b () U)
+(rule (f (+ x 1)) a)
+(rule (f y) b :guard (> y 2))
+"""
+
+
+def _theorem_cases():
+    for path in sorted(CORPUS.glob("*.lctrs")) + sorted((REPO / "perfbench" / "inputs").glob("*/*.lctrs")):
+        half = GROUND_HALF_WIDTHS.get(path.stem)
+        widths = (half, 2 * half) if path.parent.name == "ground" else (4,)
+        for width in widths:
+            yield f"{path.parent.name}/{path.stem}@{width}", (lambda p=path: parse(p.read_text())), width
+    for name, pairs in sorted(GEN_PCP.items()):
+        yield name, (lambda pairs=pairs: build_rp(PCPInstance.parse(pairs))), 4
+    yield "calc_result", (lambda: parse(CALC_RESULT)), 4
+
+
+THEOREM_CASES = list(_theorem_cases())
+
+
+@pytest.mark.parametrize("name, system, width", THEOREM_CASES, ids=[name for name, *_ in THEOREM_CASES])
+def test_peaks_are_the_fragment_critical_pairs(name, system, width):
+    """The paper's correspondence theorem over the finite domain: the
+    non-trivial domain instances of the constrained critical pairs are the
+    fragment's critical pairs less its trivial ones, in the same order."""
+    lctrs, config = system(), RewriteConfig(lo=-width, hi=width)
+    peaks = pair_instances(ccps(lctrs, ConstraintSolver()), domain_terms(lctrs, config))
+    fragment_pairs = [cp for cp in trs_cps(ground_fragment(lctrs, config)) if cp.left != cp.right]
+    assert [p.key() for p in peaks] == [cp.key() for cp in fragment_pairs]
+    assert all(p.left != p.right and p.constraint == theory.bool_val(True) for p in peaks)
+
+
+def test_a_calculation_result_outside_the_domain_is_a_peak():
+    """f(x + 1) -> a overlapped by the calculation x1 + x2 -> y gives
+    f(y) ~ a [y = x + 1].  At x = 4 the result 5 lies outside -4..4, yet
+    the fragment's calculation instance 4 + 1 -> 5 makes f(5) ~ a one of
+    its critical pairs, so the result variable takes its computed value."""
+    system = parse(CALC_RESULT)
+    (ccp,) = ccps(system, ConstraintSolver())
+    (y,) = ccp.calc_results
+    assert ccp.left == app(system, "f", y)
+    frag = ground_fragment(system)
+    assert ConstrainedRule(theory.add(4, 1), int_val(5), calc=True).key() in rule_keys(frag)
+    five = (app(system, "f", int_val(5)), app(system, "a"))
+    peaks = pair_instances([ccp], domain_terms(system, RewriteConfig()))
+    assert five in [(p.left, p.right) for p in peaks]
+    assert five in [(cp.left, cp.right) for cp in trs_cps(frag)]
+
+
+FOUR_PARTS = """(theory Ints)
+(sort U)
+(fun f (Int) U)
+(fun g (Int Int Int Int) U)
+(rule (f x) (g a b c d) :guard (and (= (+ a (+ b (+ c d))) x) (and (> a 0) (and (> b 0) (and (> c 0) (> d 0))))))
+"""
+
+
+def _count_evaluations(monkeypatch) -> list[int]:
+    """Counts, in its one cell, every evaluation of a compiled constraint."""
+    count = [0]
+    compile_ = theory.evaluator
+
+    def counting_evaluator(part, vs):
+        run = compile_(part, vs)
+
+        def counted(env):
+            count[0] += 1
+            return run(env)
+
+        return counted
+
+    monkeypatch.setattr(theory, "evaluator", counting_evaluator)
+    return count
+
+
+def test_peaks_solve_the_equations_of_a_wide_pair(monkeypatch):
+    """The self-overlap of f(x) -> g(a, b, c, d) [a + b + c + d = x, a, b,
+    c, d > 0] has 9 variables.  a and a' are computed from their equations
+    right after the variables those name, so building the peaks takes fewer
+    evaluations than the 4^6 positive choices of b, c, d, b', c', d' alone."""
+    system = parse(FOUR_PARTS)
+    (ccp,) = ccps(system, ConstraintSolver())
+    assert len(variables(ccp.constraint)) == 9
+    count = _count_evaluations(monkeypatch)
+    assert pair_instances([ccp], domain_terms(system, RewriteConfig())) == []  # g(1, 1, 1, 1) on both sides
+    assert 0 < count[0] < 4**6
+
+
+def test_check_samples_a_wide_pair_in_few_steps(monkeypatch):
+    """check's correspondence sampling of the same pair, which extended
+    792 570 prefixes when each variable was enumerated in name order,
+    now evaluates at most a hundredth of that many constraints in all."""
+    system = parse(FOUR_PARTS)
+    count = _count_evaluations(monkeypatch)
+    check_cp_correspondence(system, ConstraintSolver())
+    assert 0 < count[0] <= 792_570 // 100

@@ -124,26 +124,26 @@ def _dependency_order(vs: list[Var], defs: dict) -> list[Var]:
 
 
 def constraint_assignments(
-    phi: Term, vs, domain, limit: int | None = None, ordered: bool = True, computed=frozenset()
+    phi: Term, vs, domain, limit: int | None = None, ordered: bool = True, calc_results=frozenset()
 ) -> list[Subst]:
     """The assignments of domain values to the variables vs, which must
     include every variable of phi, under which phi holds; the first `limit`
     of them.  Solve, then enumerate:
-    - each Int variable, those in `computed` first and the rest in name
-      order, is defined by the first top-level equation conjunct not
+    - each Int variable, those in `calc_results` first and the rest in
+      name order, is defined by the first top-level equation conjunct not
       already used in which it has a nonzero integer coefficient;
     - a defined variable comes right after the variables its equation
       names (a cycle leaves one of them free); the free ones take the
       domain's values, and a defined one is computed and must lie in the
-      domain, unless it is in `computed`;
+      domain, unless it is in `calc_results`;
     - every other conjunct is checked as soon as the variables it names
       have values, and a prefix that fails one is not extended.
-    So the assignments are those of filtering the domain product by phi.
-    Ordered, they come in that product's order, vs in name order;
+    So, calculation results aside, the assignments are those of filtering
+    the domain product by phi.  Ordered, they come in that product's order, vs in name order;
     otherwise in the order found, for a caller that sorts them itself."""
     names = sorted(vs, key=lambda v: v.name)
     parts = theory.conjuncts(phi)
-    defs = _definitions(parts, [*sorted(computed.intersection(names), key=lambda v: v.name), *names])
+    defs = _definitions(parts, [*sorted(calc_results.intersection(names), key=lambda v: v.name), *names])
     order = _dependency_order(names, defs)
     level = {v: i + 1 for i, v in enumerate(order)}
     checked: list[list[Term]] = [[] for _ in range(len(order) + 1)]  # [i]: those whose last variable is order[i - 1]
@@ -154,7 +154,7 @@ def constraint_assignments(
     checks = [theory.evaluator(theory.conj(*level_parts), order[:i]) for i, level_parts in enumerate(checked)]
     options = [_domain_options(domain[v.sort]) for v in order]
     solved = [
-        (theory.evaluator(defs[v][1], order[: i + 1]), defs[v][2], v in computed) if v in defs else None
+        (theory.evaluator(defs[v][1], order[: i + 1]), defs[v][2], v in calc_results) if v in defs else None
         for i, v in enumerate(order)
     ]
     n = len(order)
@@ -274,7 +274,7 @@ def pair_instances(pairs: list[CCPRecord], domain) -> list[CCPRecord]:
     out: dict[str, CCPRecord] = {}
     for c in pairs:
         for sigma in constraint_assignments(
-            c.constraint, variables(c.constraint), domain, ordered=False, computed=c.calc_results
+            c.constraint, variables(c.constraint), domain, ordered=False, calc_results=c.calc_results
         ):
             left, right = apply_subst(sigma, c.left), apply_subst(sigma, c.right)
             if left != right:

@@ -349,23 +349,22 @@ CALC_RESULT = """(theory Ints)
 def _theorem_cases():
     for path in sorted(CORPUS.glob("*.lctrs")) + sorted((REPO / "perfbench" / "inputs").glob("*/*.lctrs")):
         half = GROUND_HALF_WIDTHS.get(path.stem)
-        widths = (half, 2 * half) if path.parent.name == "ground" else (4,)
-        for width in widths:
-            yield f"{path.parent.name}/{path.stem}@{width}", (lambda p=path: parse(p.read_text())), width
+        for width in (half, 2 * half) if path.parent.name == "ground" else (4,):
+            yield f"{path.parent.name}/{path.stem}@{width}", parse(path.read_text()), width
     for name, pairs in sorted(GEN_PCP.items()):
-        yield name, (lambda pairs=pairs: build_rp(PCPInstance.parse(pairs))), 4
-    yield "calc_result", (lambda: parse(CALC_RESULT)), 4
+        yield name, build_rp(PCPInstance.parse(pairs)), 4
+    yield "calc_result", parse(CALC_RESULT), 4
 
 
 THEOREM_CASES = list(_theorem_cases())
 
 
-@pytest.mark.parametrize("name, system, width", THEOREM_CASES, ids=[name for name, *_ in THEOREM_CASES])
-def test_peaks_are_the_fragment_critical_pairs(name, system, width):
+@pytest.mark.parametrize("name, lctrs, width", THEOREM_CASES, ids=[name for name, *_ in THEOREM_CASES])
+def test_peaks_are_the_fragment_critical_pairs(name, lctrs, width):
     """The paper's correspondence theorem over the finite domain: the
     non-trivial domain instances of the constrained critical pairs are the
     fragment's critical pairs less its trivial ones, in the same order."""
-    lctrs, config = system(), RewriteConfig(lo=-width, hi=width)
+    config = RewriteConfig(lo=-width, hi=width)
     peaks = pair_instances(ccps(lctrs, ConstraintSolver()), domain_terms(lctrs, config))
     fragment_pairs = [cp for cp in trs_cps(ground_fragment(lctrs, config)) if cp.left != cp.right]
     assert [p.key() for p in peaks] == [cp.key() for cp in fragment_pairs]

@@ -28,6 +28,8 @@ FORMS = (
     ("analyze",),
     ("analyze", "--json"),
     ("ccp",),
+    ("ccp", "--json"),
+    ("cpcp",),
     ("cpcp", "--json"),
     ("ground",),
     ("check", "--json"),

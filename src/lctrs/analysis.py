@@ -5,8 +5,13 @@ rule set (rules plus calculation rules); pairs of calculation rules are
 skipped since their self-overlays pin both results to the same value.  The
 overlap sites come from the rule set's LhsIndex, which keeps only the inner
 rules that may unify at each function position of an outer left-hand side
-and leaves the enumeration order as it is.  The same enumerator overlaps the
-rules of a ground fragment.  For closedness searches the two sides are
+and leaves the enumeration order as it is.  Each overlap of one inner rule
+at one position is unified once per rule set (single_overlaps, kept as
+Lctrs.overlaps): the critical pairs are the overlaps whose guards are
+satisfiable, and a parallel critical pair at one position is the same overlap
+renamed, so the parallel enumeration unifies only sets of two or more
+positions.  The same enumerator overlaps the rules of a ground fragment
+(GroundFragment.overlaps).  For closedness searches the two sides are
 packed into a binary pair constructor so the >=1 / >=2 position filters are
 ordinary subterm filters.
 """
@@ -14,6 +19,7 @@ ordinary subterm filters.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from . import theory
 from .logic import ConstraintSolver
@@ -35,6 +41,7 @@ from .terms import (
     Position,
     Record,
     Sort,
+    Subst,
     Term,
     Var,
     alpha_key,
@@ -42,6 +49,7 @@ from .terms import (
     is_value,
     parallel_subsets,
     positions,
+    rename_away,
     replace_at,
     sort_of,
     subterm_at,
@@ -96,91 +104,166 @@ class CPCPRecord(Record):
         return f"{self.left!r} ~ {self.right!r} [{self.constraint!r}] P={self.pset}"
 
 
-def _single_overlaps(rules, index):
-    """(outer copy, [inner copy], (position,)) for every inner rule that the
-    index of the rules retrieves as unifiable at a function position of the
-    outer left-hand side, inner-major like the product of the rules; the
-    inner copy keeps its variable names."""
+class Overlap(Record):
+    """Inner rule i overlapping the left-hand side of outer rule j at
+    position p: the copies rename_apart([inner, outer]) gives, the unifier,
+    each copy's guard under it, inner copy first, and the result variables
+    of a calculation-rule copy.  Each copy's ec(), the peak and its two
+    sides are read on demand; most overlaps of a rule set never need them,
+    their guards being unsatisfiable."""
+
+    __slots__ = ("inner", "outer", "position", "copies", "sigma", "guards", "calc_results", "__dict__")
+
+    @property
+    def ecs(self) -> tuple[Term, Term]:
+        return tuple(r.ec() for r in self.copies)  # the unifier binds none of their variables
+
+    @cached_property
+    def sides(self) -> tuple[Term, Term, Term]:
+        """The peak, left (inner) and right (outer)."""
+        return _sides(self.sigma, self.copies[1], self.copies[:1], (self.position,))
+
+
+def _unifier(rho, inners, pset):
+    """The unifier of the inner copies with the subterms of the outer copy
+    rho's left-hand side at the positions; None when there is none, when it
+    binds a logical variable to a proper term, or for the root self-overlay
+    of a rule whose right side has no variable of its own."""
+    sigma = unify([(inner.lhs, subterm_at(rho.lhs, p)) for inner, p in zip(inners, pset)])
+    if sigma is None:
+        return None
+    lvars = rho.lvar().union(*(r.lvar() for r in inners))
+    if not all(is_value(sigma.get(x, x)) or isinstance(sigma.get(x, x), Var) for x in lvars):
+        return None  # a logical variable bound to a proper term
+    if pset == (EPSILON,) and is_variant(inners[0], rho):
+        lhs_vars, rhs_vars, _guard_vars = rho._side_vars
+        if rhs_vars <= lhs_vars:
+            return None
+    return sigma
+
+
+def _sides(sigma, rho, inners, pset) -> tuple[Term, Term, Term]:
+    """The peak of an overlap under its unifier, its left (inner) and right
+    (outer) side."""
+    peak = apply_subst(sigma, rho.lhs)
+    left = replace_at(peak, {p: apply_subst(sigma, inner.rhs) for inner, p in zip(inners, pset)})
+    return peak, left, apply_subst(sigma, rho.rhs)
+
+
+def single_overlaps(rules, index) -> list[Overlap]:
+    """The overlaps of every inner rule that the index of the rules
+    retrieves as unifiable at a function position of an outer left-hand
+    side, inner-major like the product of the rules.  They do not depend on
+    a solver, so each rule set keeps its own (Lctrs.overlaps,
+    GroundFragment.overlaps) for both enumerations."""
     sites: dict[int, dict[int, list[Position]]] = {}  # inner -> outer -> positions
     for j, outer in enumerate(rules):
         for p, sub in positions(outer.lhs):
             for i in index.unifiable(sub):
                 sites.setdefault(i, {}).setdefault(j, []).append(p)
+    out = []
     for i in sorted(sites):
-        inner = rules[i]
         for j, ps in sites[i].items():
-            outer = rules[j]
-            if inner.calc and outer.calc:
+            if rules[i].calc and rules[j].calc:
                 continue  # value-pinned self-overlays, trivial by construction
-            rho1, rho2 = rename_apart([inner, outer])
+            copies = tuple(rename_apart([rules[i], rules[j]]))
+            calc_results = frozenset(r.rhs for r in copies if r.calc)
             for p in ps:
-                yield rho2, [rho1], (p,)
+                sigma = _unifier(copies[1], copies[:1], (p,))
+                if sigma is not None:
+                    guards = tuple(apply_subst(sigma, r.guard) for r in copies)
+                    out.append(Overlap(i, j, p, copies, sigma, guards, calc_results))
+    return out
 
 
-def _parallel_overlaps(rules, index):
-    """(outer copy, inner copies, positions) for every set of parallel
-    function positions of an outer left-hand side where the index retrieves
-    some inner rule as unifiable, up to terms.PARALLEL_SET_CAP sets per rule,
-    and every choice of those inner rules; the outer copy keeps its variable
-    names.  The copies depend only on the rule tuple, so each tuple is
-    renamed once."""
-    for outer in rules:
-        hits = {p: index.unifiable(sub) for p, sub in positions(outer.lhs)}
-        copies: dict[tuple[int, ...], list] = {}
-        for pset in parallel_subsets([p for p, found in hits.items() if found])[1:]:
-            for inner_choice in itertools.product(*(hits[p] for p in pset)):
-                if outer.calc and all(rules[i].calc for i in inner_choice):
-                    continue
-                if inner_choice not in copies:
-                    copies[inner_choice] = rename_apart([outer, *(rules[i] for i in inner_choice)])
-                rho, *inners = copies[inner_choice]
-                yield rho, inners, tuple(pset)
-
-
-def _critical_pairs(rules, index, sat, parallel: bool = False) -> list:
-    """Critical pairs (parallel ones when asked, up to terms.PARALLEL_SET_CAP
-    position sets per rule) of the rules and their LhsIndex, deduplicated up
-    to variable renaming, the first record of each key kept.
-
-    sat answers "sat", "unsat" or "unknown" for the instantiated guards;
-    unsat overlaps are dropped.  Single pairs carry the constraint
-    (inner & outer guards) & EC, parallel ones outer guard & EC & inner
-    guards."""
+def _deduplicated(records) -> list:
+    """The records up to variable renaming, the first of each key kept, in
+    key order."""
     seen: dict[str, CCPRecord | CPCPRecord] = {}
-    overlaps = _parallel_overlaps(rules, index) if parallel else _single_overlaps(rules, index)
-    for rho, inners, pset in overlaps:
-        sigma = unify([(inner.lhs, subterm_at(rho.lhs, p)) for inner, p in zip(inners, pset)])
-        if sigma is None:
-            continue
-        lvars = rho.lvar().union(*(r.lvar() for r in inners))
-        if not all(is_value(sigma.get(x, x)) or isinstance(sigma.get(x, x), Var) for x in lvars):
-            continue  # a logical variable bound to a proper term
-        if pset == (EPSILON,) and is_variant(inners[0], rho):
-            lhs_vars, rhs_vars, _guard_vars = rho._side_vars
-            if rhs_vars <= lhs_vars:
-                continue
-        copies = [rho, *inners] if parallel else [*inners, rho]
-        guards = [apply_subst(sigma, r.guard) for r in copies]
-        if sat(theory.conj(*guards)) == "unsat":
-            continue
-        ec = apply_subst(sigma, theory.conj(*(r.ec() for r in copies)))
-        peak = apply_subst(sigma, rho.lhs)
-        left = replace_at(peak, {p: apply_subst(sigma, inner.rhs) for inner, p in zip(inners, pset)})
-        right = apply_subst(sigma, rho.rhs)
-        if parallel:
-            phi = theory.conj(guards[0], ec, *guards[1:])
-            rec = CPCPRecord(left, right, phi, pset, peak)
-        else:
-            phi = theory.conj(theory.conj(*guards), ec)
-            rec = CCPRecord(left, right, phi, pset[0], peak, frozenset(r.rhs for r in copies if r.calc))
+    for rec in records:
         seen.setdefault(rec.key(), rec)
     return [seen[key] for key in sorted(seen)]
+
+
+def _critical_pairs(overlaps: list[Overlap], sat) -> list[CCPRecord]:
+    """The critical pairs of the overlaps, deduplicated, with constraint
+    (inner & outer guards) & EC.  sat answers "sat", "unsat" or "unknown"
+    for the instantiated guards; unsat overlaps are dropped."""
+
+    def records():
+        for o in overlaps:
+            if sat(theory.conj(*o.guards)) != "unsat":
+                peak, left, right = o.sides
+                phi = theory.conj(theory.conj(*o.guards), theory.conj(*o.ecs))
+                yield CCPRecord(left, right, phi, o.position, peak, o.calc_results)
+
+    return _deduplicated(records())
+
+
+def _copy_renaming(inner, outer) -> Subst:
+    """The renaming from the copies rename_apart([inner, outer]) gives, where
+    the inner rule keeps its names, to those of rename_apart([outer, inner]),
+    where the outer rule keeps them."""
+    ren = rename_away(inner.variables(), outer.variables())
+    ren.update({u: v for v, u in rename_away(outer.variables(), inner.variables()).items()})
+    return ren
+
+
+def _parallel_critical_pairs(rules, index, overlaps: list[Overlap], sat) -> list[CPCPRecord]:
+    """The parallel critical pairs of the rules, deduplicated, with
+    constraint outer guard & EC & inner guards: for every set of parallel
+    function positions of an outer left-hand side where the index retrieves
+    some inner rule as unifiable, up to terms.PARALLEL_SET_CAP sets per
+    rule, and every choice of those inner rules.
+
+    A one-position set is the overlap at that position, renamed to copies
+    where the outer rule keeps its names, and its guards are asked of sat
+    as _critical_pairs asks them.  Only larger sets are unified here, on
+    copies renamed once per rule tuple."""
+    single = {(o.inner, o.outer, o.position): o for o in overlaps}
+
+    def records():
+        for j, outer in enumerate(rules):
+            hits = {p: index.unifiable(sub) for p, sub in positions(outer.lhs)}
+            renamings: dict[int, Subst] = {}
+            copies: dict[tuple[int, ...], list] = {}
+            for pset in parallel_subsets([p for p, hit in hits.items() if hit])[1:]:
+                for inner_choice in itertools.product(*(hits[p] for p in pset)):
+                    if outer.calc and all(rules[i].calc for i in inner_choice):
+                        continue
+                    if len(pset) == 1:
+                        (i,) = inner_choice
+                        o = single.get((i, j, pset[0]))
+                        if o is None or sat(theory.conj(*o.guards)) == "unsat":
+                            continue
+                        if i not in renamings:
+                            renamings[i] = _copy_renaming(rules[i], outer)
+                        ren = renamings[i]
+                        (g_inner, g_outer), (ec_inner, ec_outer) = o.guards, o.ecs
+                        phi = theory.conj(g_outer, theory.conj(ec_outer, ec_inner), g_inner)
+                        peak, left, right, phi = (apply_subst(ren, t) for t in (*o.sides, phi))
+                        yield CPCPRecord(left, right, phi, (o.position,), peak)
+                        continue
+                    if inner_choice not in copies:
+                        copies[inner_choice] = rename_apart([outer, *(rules[i] for i in inner_choice)])
+                    rho, *inners = copies[inner_choice]
+                    sigma = _unifier(rho, inners, pset)
+                    if sigma is None:
+                        continue
+                    guards = [apply_subst(sigma, r.guard) for r in (rho, *inners)]
+                    if sat(theory.conj(*guards)) == "unsat":
+                        continue
+                    peak, left, right = _sides(sigma, rho, inners, pset)
+                    phi = theory.conj(guards[0], theory.conj(*(r.ec() for r in (rho, *inners))), *guards[1:])
+                    yield CPCPRecord(left, right, phi, tuple(pset), peak)
+
+    return _deduplicated(records())
 
 
 def ccps(lctrs: Lctrs, solver: ConstraintSolver) -> list[CCPRecord]:
     """All constrained critical pairs, both orientations, deduplicated only
     up to variable renaming."""
-    return _critical_pairs(lctrs.rc_rules, lctrs.lhs_index, lambda phi: solver.is_satisfiable(phi).status)
+    return _critical_pairs(lctrs.overlaps, lambda phi: solver.is_satisfiable(phi).status)
 
 
 def cpcps(lctrs: Lctrs, solver: ConstraintSolver) -> list[CPCPRecord]:
@@ -188,7 +271,7 @@ def cpcps(lctrs: Lctrs, solver: ConstraintSolver) -> list[CPCPRecord]:
     sets of overlapped positions than terms.PARALLEL_SET_CAP raises
     ParallelSetCap."""
     sat = lambda phi: solver.is_satisfiable(phi).status  # noqa: E731
-    return _critical_pairs(lctrs.rc_rules, lctrs.lhs_index, sat, parallel=True)
+    return _parallel_critical_pairs(lctrs.rc_rules, lctrs.lhs_index, lctrs.overlaps, sat)
 
 
 # --- triviality ---------------------------------------------------------------

@@ -16,7 +16,16 @@ import functools
 import itertools
 
 from . import theory
-from .analysis import CCPRecord, CPCPRecord, _critical_pairs, ccps, cpcps, mk_pair
+from .analysis import (
+    CCPRecord,
+    CPCPRecord,
+    _critical_pairs,
+    _parallel_critical_pairs,
+    ccps,
+    cpcps,
+    mk_pair,
+    single_overlaps,
+)
 from .logic import ConstraintSolver
 from .rewriting import (
     RedexOracle,
@@ -56,6 +65,11 @@ class GroundFragment:
         self.lhs_index = lhs_index
         self.oracle = oracle  # matching the rules
         self.successors: dict[Term, tuple[Term, ...]] = {}  # see frag_successors
+
+    @functools.cached_property
+    def overlaps(self) -> list:
+        """The unified overlaps of the rules, which trs_cps and trs_pcps read."""
+        return single_overlaps(self.rules, self.lhs_index)
 
 
 def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
@@ -254,12 +268,12 @@ def _always_sat(guards: Term) -> str:
 
 def trs_cps(fragment: GroundFragment) -> list[CCPRecord]:
     """Critical pairs of the fragment, with true constraints."""
-    return _critical_pairs(fragment.rules, fragment.lhs_index, _always_sat)
+    return _critical_pairs(fragment.overlaps, _always_sat)
 
 
 def trs_pcps(fragment: GroundFragment) -> list[CPCPRecord]:
     """Parallel critical pairs of the fragment, with true constraints."""
-    return _critical_pairs(fragment.rules, fragment.lhs_index, _always_sat, parallel=True)
+    return _parallel_critical_pairs(fragment.rules, fragment.lhs_index, fragment.overlaps, _always_sat)
 
 
 def pair_instances(pairs: list[CCPRecord], domain) -> list[CCPRecord]:

@@ -252,6 +252,14 @@ class Lctrs:
         return LhsIndex(rule.lhs for rule in self.rc_rules)
 
     @cached_property
+    def overlaps(self) -> list:
+        """The unified overlaps of rc_rules (analysis.single_overlaps), which
+        both critical-pair enumerations read."""
+        from .analysis import single_overlaps
+
+        return single_overlaps(self.rc_rules, self.lhs_index)
+
+    @cached_property
     def oracles(self) -> dict:
         """The redex oracles of rewriting over rc_rules: constrained_oracle's
         by (config, solver, constraint), and plain_oracle's, the constrained

@@ -14,12 +14,17 @@ from lctrs.analysis import (
     parallel_closed_2,
     tvar,
 )
-from lctrs.parser import parse
+from lctrs.logic import ConstraintSolver
+from lctrs.parser import parse, print_system
+from lctrs.pcp import PCPInstance, build_rp
 from lctrs.rewriting import ConstrainedTerm, plain_successors
 from lctrs.rules import ConstrainedRule, Lctrs, Signature
 from lctrs.terms import App, INT, ParallelSetCap, Var, apply_subst, int_val, variables
 from lctrs.grounding import constraint_assignments
 from lctrs.rewriting import domain_terms, RewriteConfig
+
+from tests.conftest import CORPUS
+from tests.test_golden import GEN_PCP
 
 x, y, z = Var("x", INT), Var("y", INT), Var("z", INT)
 
@@ -387,17 +392,21 @@ def test_parallel_pairs_count_only_positions_a_rule_overlaps(solver):
     assert [repr(p) for p in cpcps(system, solver)] == ["a ~ b [true] P=((),)", "b ~ a [true] P=((),)"]
 
 
+F_OF_G = (
+    "(sort S)\n(fun a () S)\n(fun b () S)\n(fun g (S) S)\n(fun f (S S) S)\n"
+    "(rule (f (g x) (g y)) b)\n(rule (g z) a)\n"
+)
+
+
 def test_parallel_overlaps_rename_each_rule_tuple_once(monkeypatch, solver):
-    """g(z) -> a overlaps f(g(x), g(y)) -> b at 1, at 2 and at both; the
-    copies depend only on the rule tuple, so (f-rule, g-rule) is renamed
-    once for its two position sets."""
+    """g(z) -> a overlaps f(g(x), g(y)) -> b at 1, at 2 and at both.  The
+    single-overlap pass renames each (inner, outer) tuple once, whatever
+    its number of positions; the parallel pass takes the one-position sets
+    from it and renames only the tuple of the two-position set."""
     from lctrs import analysis
 
-    system = parse(
-        "(sort S)\n(fun a () S)\n(fun b () S)\n(fun g (S) S)\n(fun f (S S) S)\n"
-        "(rule (f (g x) (g y)) b)\n(rule (g z) a)\n"
-    )
-    want = [repr(p) for p in cpcps(system, solver)]
+    system = parse(F_OF_G)
+    f_rule, g_rule = system.rules
     renamed = []
     real = analysis.rename_apart
 
@@ -406,8 +415,93 @@ def test_parallel_overlaps_rename_each_rule_tuple_once(monkeypatch, solver):
         return real(rules)
 
     monkeypatch.setattr(analysis, "rename_apart", counted)
+    want = [repr(p) for p in cpcps(system, solver)]
+    assert len(want) == 3 and len(renamed) == len(set(renamed))
+    assert renamed == [(f_rule, f_rule), (g_rule, f_rule), (g_rule, g_rule), (f_rule, g_rule, g_rule)]
+    renamed.clear()
     assert [repr(p) for p in cpcps(system, solver)] == want
-    assert len(want) == 3 and len(renamed) == len(set(renamed)) == 4
+    assert renamed == [(f_rule, g_rule, g_rule)]
+
+
+def _unify_calls(monkeypatch) -> list:
+    """Records, in the list it returns, every unification analysis asks."""
+    from lctrs import analysis
+
+    calls = []
+    real = analysis.unify
+
+    def counted(equations):
+        calls.append(equations)
+        return real(equations)
+
+    monkeypatch.setattr(analysis, "unify", counted)
+    return calls
+
+
+def _gen_pcp_systems():
+    return {name: build_rp(PCPInstance.parse(pairs)) for name, pairs in sorted(GEN_PCP.items())}
+
+
+@pytest.mark.parametrize("name", ["gen_pcp_1", "gen_pcp_2", "gen_pcp_3", "gen_pcp_4", "f_of_g"])
+def test_cpcps_after_ccps_unifies_only_sets_of_two_positions_or_more(monkeypatch, solver, name):
+    """Every one-position parallel pair is the critical pair at that
+    position, so after ccps, cpcps unifies nothing on the PCP systems and
+    only the {1, 2} set of f(g(x), g(y))."""
+    system = parse(F_OF_G) if name == "f_of_g" else _gen_pcp_systems()[name]
+    ccps(system, solver)
+    calls = _unify_calls(monkeypatch)
+    pairs = cpcps(system, solver)
+    assert pairs and len(calls) == (1 if name == "f_of_g" else 0)
+    assert sum(len(p.pset) > 1 for p in pairs) == len(calls)
+
+
+def _bundled_sources() -> dict[str, str]:
+    sources = {path.stem: path.read_text() for path in sorted(CORPUS.glob("*.lctrs"))}
+    sources.update({name: print_system(system) for name, system in _gen_pcp_systems().items()})
+    return {**sources, "f_of_g": F_OF_G, "wide_g": wide_g(3)}
+
+
+BUNDLED = _bundled_sources()
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_cpcps_do_not_depend_on_an_earlier_ccps(solver, name):
+    """cpcps gives the same records on a fresh system as after ccps filled
+    its overlaps, with the solver's memo warm or cold."""
+    source = BUNDLED[name]
+    cold = cpcps(parse(source), ConstraintSolver())
+    warm = parse(source)
+    ccps(warm, solver)
+    assert cpcps(warm, solver) == cold  # equal records: sides, constraint, pset and peak
+
+
+# --- known wrong answers (ROADMAP items 1 and 3) --------------------------------
+
+UNSOUND_NO_GUARD = ":guard (= y (+ x (+ 2 3)))"
+UNSOUND_NO = """(theory Ints)
+(sort U)
+(fun a () U)
+(fun g (Int) U)
+(fun h (Int) U)
+(fun c () U)
+(rule a (g 0))
+(rule a (h 0))
+(rule (g x) c :guard (= y (+ x (+ 2 3))))
+(rule (h x) c)
+"""
+INEQ = UNSOUND_NO.replace(UNSOUND_NO_GUARD, ":guard (and (> y (+ x 4)) (< y (+ x 6)))")
+CYCLIC = UNSOUND_NO + "(rule (g x) (g x))\n"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: y = 5 lies outside the fragment's domain, so g(0) -> c is missing and the NO is wrong",
+)
+@pytest.mark.parametrize("source", [INEQ, CYCLIC], ids=["ineq", "cyclic"])
+def test_confluent_systems_with_a_guard_value_outside_the_domain_never_answer_no(solver, source):
+    """Both systems are confluent (a -> g(0) -> c with y = 5, a -> h(0) -> c);
+    ineq bounds y by inequalities, cyclic adds the self-loop g(x) -> g(x)."""
+    assert analyze(parse(source), solver).result != "NO"
 
 
 def test_verdict_carries_the_pairs_it_computed(calc_chain, parity, solver):

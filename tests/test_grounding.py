@@ -396,6 +396,18 @@ FOUR_PARTS = """(theory Ints)
 """
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 10 (oracle half): plain steps give a rule with more than MAX_UNBOUND unbound "
+    "variables no redex, while ground_fragment instantiates it in full",
+)
+def test_check_finds_the_four_part_steps_on_both_sides():
+    """f(4) -> g(1, 1, 1, 1) is a fragment step; the oracle finds it too once
+    it counts only the variables no equation defines against MAX_UNBOUND."""
+    report = check_step_equivalence(parse(FOUR_PARTS))
+    assert report.ok, report
+
+
 def _count_evaluations(monkeypatch) -> list[int]:
     """Counts, in its one cell, every evaluation of a compiled constraint."""
     count = [0]

@@ -107,20 +107,15 @@ class CPCPRecord(Record):
 class Overlap(Record):
     """Inner rule i overlapping the left-hand side of outer rule j at
     position p: the copies rename_apart([inner, outer]) gives, the unifier,
-    each copy's guard under it, inner copy first, and the result variables
-    of a calculation-rule copy.  Each copy's ec(), the peak and its two
-    sides are read on demand; most overlaps of a rule set never need them,
-    their guards being unsatisfiable."""
+    and each copy's guard under it, inner copy first.  The peak and its two
+    sides are computed on first read; most overlaps of a rule set never need
+    them, their guards being unsatisfiable."""
 
-    __slots__ = ("inner", "outer", "position", "copies", "sigma", "guards", "calc_results", "__dict__")
-
-    @property
-    def ecs(self) -> tuple[Term, Term]:
-        return tuple(r.ec() for r in self.copies)  # the unifier binds none of their variables
+    __slots__ = ("inner", "outer", "position", "copies", "sigma", "guards", "__dict__")
 
     @cached_property
     def sides(self) -> tuple[Term, Term, Term]:
-        """The peak, left (inner) and right (outer)."""
+        """The peak, its left (inner) and right (outer) side."""
         return _sides(self.sigma, self.copies[1], self.copies[:1], (self.position,))
 
 
@@ -167,12 +162,10 @@ def single_overlaps(rules, index) -> list[Overlap]:
             if rules[i].calc and rules[j].calc:
                 continue  # value-pinned self-overlays, trivial by construction
             copies = tuple(rename_apart([rules[i], rules[j]]))
-            calc_results = frozenset(r.rhs for r in copies if r.calc)
             for p in ps:
                 sigma = _unifier(copies[1], copies[:1], (p,))
                 if sigma is not None:
-                    guards = tuple(apply_subst(sigma, r.guard) for r in copies)
-                    out.append(Overlap(i, j, p, copies, sigma, guards, calc_results))
+                    out.append(Overlap(i, j, p, copies, sigma, tuple(apply_subst(sigma, r.guard) for r in copies)))
     return out
 
 
@@ -194,8 +187,9 @@ def _critical_pairs(overlaps: list[Overlap], sat) -> list[CCPRecord]:
         for o in overlaps:
             if sat(theory.conj(*o.guards)) != "unsat":
                 peak, left, right = o.sides
-                phi = theory.conj(theory.conj(*o.guards), theory.conj(*o.ecs))
-                yield CCPRecord(left, right, phi, o.position, peak, o.calc_results)
+                # the unifier binds left-hand-side variables only, and ec() has none
+                phi = theory.conj(theory.conj(*o.guards), theory.conj(*(r.ec() for r in o.copies)))
+                yield CCPRecord(left, right, phi, o.position, peak, frozenset(r.rhs for r in o.copies if r.calc))
 
     return _deduplicated(records())
 
@@ -225,21 +219,17 @@ def _parallel_critical_pairs(rules, index, overlaps: list[Overlap], sat) -> list
     def records():
         for j, outer in enumerate(rules):
             hits = {p: index.unifiable(sub) for p, sub in positions(outer.lhs)}
-            renamings: dict[int, Subst] = {}
             copies: dict[tuple[int, ...], list] = {}
             for pset in parallel_subsets([p for p, hit in hits.items() if hit])[1:]:
                 for inner_choice in itertools.product(*(hits[p] for p in pset)):
                     if outer.calc and all(rules[i].calc for i in inner_choice):
                         continue
                     if len(pset) == 1:
-                        (i,) = inner_choice
-                        o = single.get((i, j, pset[0]))
+                        o = single.get((inner_choice[0], j, pset[0]))
                         if o is None or sat(theory.conj(*o.guards)) == "unsat":
                             continue
-                        if i not in renamings:
-                            renamings[i] = _copy_renaming(rules[i], outer)
-                        ren = renamings[i]
-                        (g_inner, g_outer), (ec_inner, ec_outer) = o.guards, o.ecs
+                        ren = _copy_renaming(rules[inner_choice[0]], outer)
+                        (g_inner, g_outer), (ec_inner, ec_outer) = o.guards, (r.ec() for r in o.copies)
                         phi = theory.conj(g_outer, theory.conj(ec_outer, ec_inner), g_inner)
                         peak, left, right, phi = (apply_subst(ren, t) for t in (*o.sides, phi))
                         yield CPCPRecord(left, right, phi, (o.position,), peak)

@@ -438,30 +438,22 @@ def _unify_calls(monkeypatch) -> list:
     return calls
 
 
-def _gen_pcp_systems():
-    return {name: build_rp(PCPInstance.parse(pairs)) for name, pairs in sorted(GEN_PCP.items())}
+BUNDLED = {path.stem: path.read_text() for path in sorted(CORPUS.glob("*.lctrs"))}
+BUNDLED.update({name: print_system(build_rp(PCPInstance.parse(pairs))) for name, pairs in GEN_PCP.items()})
+BUNDLED.update(f_of_g=F_OF_G, wide_g=wide_g(3))
 
 
-@pytest.mark.parametrize("name", ["gen_pcp_1", "gen_pcp_2", "gen_pcp_3", "gen_pcp_4", "f_of_g"])
+@pytest.mark.parametrize("name", [*sorted(GEN_PCP), "f_of_g"])
 def test_cpcps_after_ccps_unifies_only_sets_of_two_positions_or_more(monkeypatch, solver, name):
     """Every one-position parallel pair is the critical pair at that
     position, so after ccps, cpcps unifies nothing on the PCP systems and
     only the {1, 2} set of f(g(x), g(y))."""
-    system = parse(F_OF_G) if name == "f_of_g" else _gen_pcp_systems()[name]
+    system = parse(BUNDLED[name])
     ccps(system, solver)
     calls = _unify_calls(monkeypatch)
     pairs = cpcps(system, solver)
     assert pairs and len(calls) == (1 if name == "f_of_g" else 0)
     assert sum(len(p.pset) > 1 for p in pairs) == len(calls)
-
-
-def _bundled_sources() -> dict[str, str]:
-    sources = {path.stem: path.read_text() for path in sorted(CORPUS.glob("*.lctrs"))}
-    sources.update({name: print_system(system) for name, system in _gen_pcp_systems().items()})
-    return {**sources, "f_of_g": F_OF_G, "wide_g": wide_g(3)}
-
-
-BUNDLED = _bundled_sources()
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
@@ -477,7 +469,6 @@ def test_cpcps_do_not_depend_on_an_earlier_ccps(solver, name):
 
 # --- known wrong answers (ROADMAP items 1 and 3) --------------------------------
 
-UNSOUND_NO_GUARD = ":guard (= y (+ x (+ 2 3)))"
 UNSOUND_NO = """(theory Ints)
 (sort U)
 (fun a () U)
@@ -489,7 +480,7 @@ UNSOUND_NO = """(theory Ints)
 (rule (g x) c :guard (= y (+ x (+ 2 3))))
 (rule (h x) c)
 """
-INEQ = UNSOUND_NO.replace(UNSOUND_NO_GUARD, ":guard (and (> y (+ x 4)) (< y (+ x 6)))")
+INEQ = UNSOUND_NO.replace(":guard (= y (+ x (+ 2 3)))", ":guard (and (> y (+ x 4)) (< y (+ x 6)))")
 CYCLIC = UNSOUND_NO + "(rule (g x) (g x))\n"
 
 

@@ -145,16 +145,24 @@ def _sides(sigma, rho, inners, pset) -> tuple[Term, Term, Term]:
     return peak, left, apply_subst(sigma, rho.rhs)
 
 
-def single_overlaps(rules, index) -> list[Overlap]:
+class Overlaps(Record):
+    """A rule set's one-position overlaps, and per outer rule the inner rules
+    retrieved as unifiable at each function position of its left-hand side."""
+
+    __slots__ = ("single", "hits")
+
+
+def single_overlaps(rules, index) -> Overlaps:
     """The overlaps of every inner rule that the index of the rules
     retrieves as unifiable at a function position of an outer left-hand
-    side, inner-major like the product of the rules.  They do not depend on
-    a solver, so each rule set keeps its own (Lctrs.overlaps,
-    GroundFragment.overlaps) for both enumerations."""
+    side, inner-major like the product of the rules, with the retrievals.
+    They do not depend on a solver, so each rule set keeps its own
+    (Lctrs.overlaps, GroundFragment.overlaps) for both enumerations."""
+    hits = [{p: index.unifiable(sub) for p, sub in positions(outer.lhs)} for outer in rules]
     sites: dict[int, dict[int, list[Position]]] = {}  # inner -> outer -> positions
-    for j, outer in enumerate(rules):
-        for p, sub in positions(outer.lhs):
-            for i in index.unifiable(sub):
+    for j, at in enumerate(hits):
+        for p, found in at.items():
+            for i in found:
                 sites.setdefault(i, {}).setdefault(j, []).append(p)
     out = []
     for i in sorted(sites):
@@ -166,7 +174,7 @@ def single_overlaps(rules, index) -> list[Overlap]:
                 sigma = _unifier(copies[1], copies[:1], (p,))
                 if sigma is not None:
                     out.append(Overlap(i, j, p, copies, sigma, tuple(apply_subst(sigma, r.guard) for r in copies)))
-    return out
+    return Overlaps(out, hits)
 
 
 def _deduplicated(records) -> list:
@@ -178,13 +186,13 @@ def _deduplicated(records) -> list:
     return [seen[key] for key in sorted(seen)]
 
 
-def _critical_pairs(overlaps: list[Overlap], sat) -> list[CCPRecord]:
+def _critical_pairs(overlaps: Overlaps, sat) -> list[CCPRecord]:
     """The critical pairs of the overlaps, deduplicated, with constraint
     (inner & outer guards) & EC.  sat answers "sat", "unsat" or "unknown"
     for the instantiated guards; unsat overlaps are dropped."""
 
     def records():
-        for o in overlaps:
+        for o in overlaps.single:
             if sat(theory.conj(*o.guards)) != "unsat":
                 peak, left, right = o.sides
                 # the unifier binds left-hand-side variables only, and ec() has none
@@ -203,22 +211,22 @@ def _copy_renaming(inner, outer) -> Subst:
     return ren
 
 
-def _parallel_critical_pairs(rules, index, overlaps: list[Overlap], sat) -> list[CPCPRecord]:
+def _parallel_critical_pairs(rules, overlaps: Overlaps, sat) -> list[CPCPRecord]:
     """The parallel critical pairs of the rules, deduplicated, with
     constraint outer guard & EC & inner guards: for every set of parallel
-    function positions of an outer left-hand side where the index retrieves
-    some inner rule as unifiable, up to terms.PARALLEL_SET_CAP sets per
-    rule, and every choice of those inner rules.
+    function positions of an outer left-hand side where the index retrieved
+    some inner rule as unifiable (overlaps.hits), up to
+    terms.PARALLEL_SET_CAP sets per rule, and every choice of those inner
+    rules.
 
     A one-position set is the overlap at that position, renamed to copies
     where the outer rule keeps its names, and its guards are asked of sat
     as _critical_pairs asks them.  Only larger sets are unified here, on
     copies renamed once per rule tuple."""
-    single = {(o.inner, o.outer, o.position): o for o in overlaps}
+    single = {(o.inner, o.outer, o.position): o for o in overlaps.single}
 
     def records():
-        for j, outer in enumerate(rules):
-            hits = {p: index.unifiable(sub) for p, sub in positions(outer.lhs)}
+        for j, (outer, hits) in enumerate(zip(rules, overlaps.hits)):
             copies: dict[tuple[int, ...], list] = {}
             for pset in parallel_subsets([p for p, hit in hits.items() if hit])[1:]:
                 for inner_choice in itertools.product(*(hits[p] for p in pset)):
@@ -261,7 +269,7 @@ def cpcps(lctrs: Lctrs, solver: ConstraintSolver) -> list[CPCPRecord]:
     sets of overlapped positions than terms.PARALLEL_SET_CAP raises
     ParallelSetCap."""
     sat = lambda phi: solver.is_satisfiable(phi).status  # noqa: E731
-    return _parallel_critical_pairs(lctrs.rc_rules, lctrs.lhs_index, lctrs.overlaps, sat)
+    return _parallel_critical_pairs(lctrs.rc_rules, lctrs.overlaps, sat)
 
 
 # --- triviality ---------------------------------------------------------------

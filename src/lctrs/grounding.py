@@ -19,6 +19,7 @@ from . import theory
 from .analysis import (
     CCPRecord,
     CPCPRecord,
+    Overlaps,
     _critical_pairs,
     _parallel_critical_pairs,
     ccps,
@@ -38,23 +39,20 @@ from .rewriting import (
     redexes,
     single_steps,
 )
-from .rules import ConstrainedRule, Lctrs, _coefficient, value_calc_instance
+from .rules import Assignments, ConstrainedRule, Lctrs, value_calc_instance, value_options
 from .terms import (
     App,
     FunSym,
-    INT,
     LhsIndex,
     Sort,
     Subst,
     Term,
     Var,
     apply_subst,
-    int_val,
     is_value,
     match,
     positions,
     term_key,
-    value_of,
     variables,
 )
 
@@ -67,7 +65,7 @@ class GroundFragment:
         self.successors: dict[Term, tuple[Term, ...]] = {}  # see frag_successors
 
     @functools.cached_property
-    def overlaps(self) -> list:
+    def overlaps(self) -> Overlaps:
         """The unified overlaps of the rules, which trs_cps and trs_pcps read."""
         return single_overlaps(self.rules, self.lhs_index)
 
@@ -79,135 +77,18 @@ def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
     return list(dict.fromkeys(s.sym for s in subterms if s.sym.kind == kind))
 
 
-@functools.lru_cache(maxsize=64)
-def _domain_options(terms: tuple[Term, ...]) -> tuple[list[tuple[Term, int | bool]], dict, dict[Term, int]]:
-    """A sort's domain as (term, value) pairs in domain order, its terms by
-    value and their ranks in domain order, converted once per domain."""
-    options = [(t, value_of(t)) for t in terms]
-    return options, {v: t for t, v in options}, {t: i for i, (t, _) in enumerate(options)}
-
-
-def _definitions(parts: list[Term], vs: list[Var]) -> dict[Var, tuple[int, Term, int]]:
-    """For each Int variable of vs in order of first occurrence, the first
-    top-level conjunct a = b (parts[k]) not already used in which it has a
-    nonzero integer coefficient c, so that a - b is c*y + r with r free of
-    y, as (k, a - b, c)."""
-    used: set[int] = set()
-    out: dict[Var, tuple[int, Term, int]] = {}
-    for y in vs:
-        if y.sort != INT or y in out:
-            continue
-        for k, part in enumerate(parts):
-            if k in used or isinstance(part, Var) or part.sym != theory.EQ:
-                continue
-            diff = theory.sub(*part.args)
-            c = _coefficient(diff, y)
-            if c:
-                used.add(k)
-                out[y] = (k, diff, c)
-                break
-    return out
-
-
-def _dependency_order(vs: list[Var], defs: dict) -> list[Var]:
-    """vs with each defined variable right after the variables its equation
-    names, walked depth first in the order of vs.  A definition that leads
-    back to a variable still being placed is dropped from defs, so every
-    cycle leaves one of its variables free."""
-    order: list[Var] = []
-    placed: set[Var] = set()
-    visiting: set[Var] = set()
-
-    def visit(v: Var):
-        if v in placed:
-            return
-        if v in defs:
-            visiting.add(v)
-            for u in sorted(variables(defs[v][1]) - {v}, key=lambda u: u.name):
-                if u in visiting:
-                    del defs[v]  # v is enumerated instead
-                    break
-                visit(u)
-            visiting.discard(v)
-        placed.add(v)
-        order.append(v)
-
-    for v in vs:
-        visit(v)
-    return order
-
-
 def constraint_assignments(
     phi: Term, vs, domain, limit: int | None = None, ordered: bool = True, calc_results=frozenset()
 ) -> list[Subst]:
     """The assignments of domain values to the variables vs, which must
     include every variable of phi, under which phi holds; the first `limit`
-    of them.  Solve, then enumerate:
-    - each Int variable, those in `calc_results` first and the rest in
-      name order, is defined by the first top-level equation conjunct not
-      already used in which it has a nonzero integer coefficient;
-    - a defined variable comes right after the variables its equation
-      names (a cycle leaves one of them free); the free ones take the
-      domain's values, and a defined one is computed and must lie in the
-      domain, unless it is in `calc_results`;
-    - every other conjunct is checked as soon as the variables it names
-      have values, and a prefix that fails one is not extended.
-    So, calculation results aside, the assignments are those of filtering
-    the domain product by phi.  Ordered, they come in that product's order, vs in name order;
-    otherwise in the order found, for a caller that sorts them itself."""
-    names = sorted(vs, key=lambda v: v.name)
-    parts = theory.conjuncts(phi)
-    defs = _definitions(parts, [*sorted(calc_results.intersection(names), key=lambda v: v.name), *names])
-    order = _dependency_order(names, defs)
-    level = {v: i + 1 for i, v in enumerate(order)}
-    checked: list[list[Term]] = [[] for _ in range(len(order) + 1)]  # [i]: those whose last variable is order[i - 1]
-    defining = {k for k, _, _ in defs.values()}
-    for k, part in enumerate(parts):
-        if k not in defining:
-            checked[max(map(level.__getitem__, variables(part)), default=0)].append(part)
-    checks = [theory.evaluator(theory.conj(*level_parts), order[:i]) for i, level_parts in enumerate(checked)]
-    options = [_domain_options(domain[v.sort]) for v in order]
-    solved = [
-        (theory.evaluator(defs[v][1], order[: i + 1]), defs[v][2], v in calc_results) if v in defs else None
-        for i, v in enumerate(order)
-    ]
-    n = len(order)
-    # the prefixes of the first `settled` variables come in the wanted order
-    settled = n if not ordered else next((i for i, (u, v) in enumerate(zip(order, names)) if u != v), n)
-    out: list[tuple] = []
-
-    def extend(terms: tuple, env: tuple) -> bool:
-        """Every assignment extending the prefix; False once the search may
-        stop."""
-        i = len(env)
-        if i == settled and limit is not None and len(out) >= limit:
-            return False  # every assignment still to come sorts after those found
-        if not checks[i](env):
-            return True
-        if i == n:
-            out.append(terms)
-            return settled < n or len(out) != limit
-        if solved[i] is None:
-            return all(extend((*terms, t), (*env, value)) for t, value in options[i][0])
-        solve, c, unchecked = solved[i]
-        r = solve((*env, 0))
-        if r % c:
-            return True
-        value = -r // c
-        t = options[i][1].get(value)
-        if t is None:
-            if not unchecked:
-                return True
-            t = int_val(value)
-        return extend((*terms, t), (*env, value))
-
-    extend((), ())
-    perm = [order.index(v) for v in names]
-    if settled < n:
-        ranks = [options[j][2] for j in perm]
-        out.sort(key=lambda terms: tuple(rank.get(terms[j], len(rank)) for rank, j in zip(ranks, perm)))
-        out = out[:limit]
-    return [{v: terms[j] for v, j in zip(names, perm)} for terms in out]
+    of them, by the solve-then-enumerate procedure (rules.Assignments).  A
+    defined variable's computed value must lie in the domain, unless it is
+    in `calc_results`.  Ordered, they come in the order of the domain
+    product, vs in name order; otherwise in the order found."""
+    solve = Assignments(phi, vs, calc_results=calc_results)
+    found = solve([value_options(domain[v.sort]) for v in solve.names], (), limit, ordered)
+    return [dict(zip(solve.names, terms)) for terms in found]
 
 
 def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> GroundFragment:
@@ -224,7 +105,7 @@ def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> Gr
             out.setdefault(inst.key(), inst)
     rules = tuple(rule for _, rule in sorted(out.items()))
     index = LhsIndex(rule.lhs for rule in rules)
-    return GroundFragment(rules, index, _oracle(rules, index, is_value, lambda rule, sigma0, unbound: (sigma0,)))
+    return GroundFragment(rules, index, _oracle(rules, index, is_value, lambda rule, sigma0: (sigma0,)))
 
 
 # --- fragment rewriting: the engine over the fragment's rules -----------------
@@ -273,7 +154,7 @@ def trs_cps(fragment: GroundFragment) -> list[CCPRecord]:
 
 def trs_pcps(fragment: GroundFragment) -> list[CPCPRecord]:
     """Parallel critical pairs of the fragment, with true constraints."""
-    return _parallel_critical_pairs(fragment.rules, fragment.lhs_index, fragment.overlaps, _always_sat)
+    return _parallel_critical_pairs(fragment.rules, fragment.overlaps, _always_sat)
 
 
 def pair_instances(pairs: list[CCPRecord], domain) -> list[CCPRecord]:

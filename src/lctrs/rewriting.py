@@ -23,7 +23,7 @@ from collections.abc import Callable
 
 from . import theory
 from .logic import ConstraintSolver
-from .rules import ConstrainedRule, Lctrs
+from .rules import ConstrainedRule, Lctrs, options, value_options
 from .terms import (
     App,
     BOOL,
@@ -70,7 +70,7 @@ class StepRecord(Record):
 
 
 MULTI_NESTING = 3  # levels of nested rule application in a multi-step
-MAX_UNBOUND = 3  # a rule with more logical variables to choose gives no instances
+MAX_UNBOUND = 3  # a rule with more free logical variables to choose gives no instances
 
 
 class RewriteConfig(Record):
@@ -104,9 +104,8 @@ def _oracle(rules, index, admissible, instances) -> RedexOracle:
     Matching treats the subject as rigid and the substitutions cover every
     rule variable, so rule and subject variables never need to be apart.
     Every logical variable of a left-hand side must match an admissible term
-    (match drops the bindings x -> x), and instances(rule, sigma0, unbound)
-    lists the full substitutions that complete a match, given the rule's
-    other logical variables in name order.  The redexes of each subterm are
+    (match drops the bindings x -> x), and instances(rule, sigma0) lists the
+    full substitutions that complete a match.  The redexes of each subterm are
     found once and kept (terms are hash-consed, so the table is keyed by
     identity); callers must not mutate the substitutions."""
     table: dict[Term, tuple[tuple[ConstrainedRule, Subst], ...]] = {}
@@ -119,9 +118,8 @@ def _oracle(rules, index, admissible, instances) -> RedexOracle:
                 sigma0 = match(rule.lhs, sub)
                 if sigma0 is None:
                     continue
-                matched, unbound = rule.lvar_split
-                if all(admissible(sigma0.get(x, x)) for x in matched):
-                    out.extend((rule, sigma) for sigma in instances(rule, sigma0, unbound))
+                if all(admissible(sigma0.get(x, x)) for x in rule.lvar_split[0]):
+                    out.extend((rule, sigma) for sigma in instances(rule, sigma0))
             found = table[sub] = tuple(out)
         return found
 
@@ -206,35 +204,20 @@ def breadth_first(start, successors, depth: int):
 
 # --- the constrained oracle -------------------------------------------------
 
-def _candidate_values(
-    x: Var, rule: ConstrainedRule, sigma0: Subst, phi_vars: list[Var], domain: dict[Sort, tuple[Term, ...]]
-) -> list[Term]:
-    """Instantiation candidates for an unbound logical variable: constraint
-    variables (phi_vars, in name order) of the right sort, the exact
-    calculation result when available, and domain values."""
-    cands: list[Term] = [v for v in phi_vars if v.sort == x.sort]
-    if rule.calc:
-        args = apply_subst(sigma0, rule.lhs)
-        if not variables(args):
-            cands.append(theory.interpret_term(args))
-    cands.extend(domain[x.sort])
-    return list(dict.fromkeys(cands))
-
-
 def _constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, config: RewriteConfig) -> RedexOracle:
     """Root redexes of the constrained-step relation under the constraint
     phi: sigma maps logical variables into values or constraint variables,
     and phi => guard*sigma is valid.  Unknown solver verdicts suppress the
-    candidate.
-
-    Each choice is first decided by evaluating the compiled guard under
-    sigma and one model of a satisfiable constraint: false refutes it, true
-    with every guard variable at a value accepts it.  Only a choice that the
-    model cannot decide, and every choice under a constraint without a
-    model, is one validity query.  A variable that a guard conjunct defines
-    (ConstrainedRule.guard_definitions) has one value in the model, computed
-    from the matched values, so only candidates with that value are tried;
-    the others are exactly those the model would refute."""
+    candidate.  The candidates for a variable the match leaves to choose are
+    the constraint variables of its sort (in name order), the exact
+    calculation result when the arguments are values, and the domain values;
+    a rule with more than MAX_UNBOUND of them free after solving gives no
+    instance.  Under one model of a satisfiable phi, the rule's own
+    ConstrainedRule.assignments chooses them, every term counting as its
+    model value: a defined variable takes the candidates with the computed
+    value, and the choices the model refutes are dropped.  A choice with
+    every guard variable at a value is accepted; any other, and every
+    choice under a constraint without a model, is one validity query."""
     phi_vars = variables(phi)
     phi_vars_by_name = sorted(phi_vars, key=lambda v: v.name)
     domain = functools.cache(lambda: domain_terms(lctrs, config))  # read only for unbound variables
@@ -248,34 +231,34 @@ def _constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, confi
         verdict = solver.is_satisfiable(phi)
         return verdict.assignment if verdict.is_sat else None
 
-    def instances(rule: ConstrainedRule, sigma0: Subst, unbound: tuple[Var, ...]) -> list[Subst]:
-        if len(unbound) > MAX_UNBOUND:
-            return []
-        options = [_candidate_values(x, rule, sigma0, phi_vars_by_name, domain()) for x in unbound]
-        gvars, guard_holds = rule.guard_evaluator
+    @functools.cache
+    def candidates(sort: Sort, calc: Term | None) -> tuple:
+        """The options of a variable of the sort: the constraint variables with
+        their model values (None without a model), the calculation result calc
+        if any, and the domain values."""
         model = sat_model()
-        if model is not None:
-            # a guard conjunct that defines x admits one model value of x:
-            # every other candidate would fail guard_holds below
-            in_model = lambda t: value_of(model.get(t, t))  # noqa: E731
-            for i, x in enumerate(unbound):
-                if x in rule.guard_definitions:
-                    c, vs, diff = rule.guard_definitions[x]
-                    r = diff((0, *(in_model(sigma0.get(v, v)) for v in vs)))
-                    if r % c:
-                        return []
-                    options[i] = [t for t in options[i] if in_model(t) == -r // c]
+        own = [(v, None if model is None else value_of(model[v])) for v in phi_vars_by_name if v.sort == sort]
+        if calc is not None:
+            own.append((calc, value_of(calc)))
+        return options([*own, *(pair for pair in value_options(domain()[sort])[0] if pair[0] != calc)])
+
+    def instances(rule: ConstrainedRule, sigma0: Subst) -> list[Subst]:
+        solve = rule.assignments
+        if solve.free > MAX_UNBOUND:
+            return []
+        model = sat_model()
+        args = apply_subst(sigma0, rule.lhs) if rule.calc else None
+        calc = None if args is None or variables(args) else theory.interpret_term(args)
+        opts = [candidates(x.sort, calc) for x in solve.names]
+        if model is None:
+            found = itertools.product(*([t for t, _ in pairs] for pairs, _, _ in opts))
+        else:
+            found = solve(opts, [value_of(model.get(t, t)) for t in (sigma0.get(x, x) for x in solve.inputs)])
         out = []
-        for choice in itertools.product(*options):
-            sigma = {**sigma0, **dict(zip(unbound, choice))}
-            if model is not None:
-                args = [sigma.get(x, x) for x in gvars]  # sigma first: rule variables never reach the model
-                if not guard_holds(tuple(value_of(model.get(a, a)) for a in args)):
-                    continue  # a counter-model of phi => guard*sigma
-                if all(map(is_value, args)):
-                    out.append(sigma)  # phi => true
-                    continue
-            if solver.is_valid(theory.imp(phi, apply_subst(sigma, rule.guard))).is_valid:
+        for choice in found:
+            sigma = {**sigma0, **dict(zip(solve.names, choice))}
+            decided = model is not None and all(is_value(sigma.get(x, x)) for x in solve.phi_vars)  # phi => true
+            if decided or solver.is_valid(theory.imp(phi, apply_subst(sigma, rule.guard))).is_valid:
                 out.append(sigma)
         return out
 

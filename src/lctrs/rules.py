@@ -10,8 +10,7 @@ signature and marked with calc=True.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import theory
 from .terms import (
@@ -27,10 +26,12 @@ from .terms import (
     Var,
     alpha_key,
     apply_subst,
+    int_val,
     is_value,
     positions,
     rename_away,
     sort_of,
+    value_of,
     variables,
 )
 
@@ -62,37 +63,12 @@ class ConstrainedRule(Record):
         return frozenset(variables(self.lhs)), frozenset(variables(self.rhs)), frozenset(variables(self.guard))
 
     @cached_property
-    def guard_evaluator(self) -> tuple[tuple[Var, ...], Callable[[tuple], int | bool]]:
-        """The guard's variables in name order and the guard compiled as a
-        function of their values; compiled on first use."""
-        vs = tuple(sorted(self._side_vars[2], key=lambda v: v.name))
-        return vs, theory.evaluator(self.guard, vs)
-
-    @cached_property
-    def guard_definitions(self) -> dict[Var, tuple[int, tuple[Var, ...], Callable[[tuple], int]]]:
-        """For each Int variable y of the guard that an instance has to
-        choose (lvar_split), the first top-level guard conjunct a = b that is
-        linear in y and mentions no other such variable, as (c, vs, diff):
-        a - b is c*y + r with a nonzero integer c and r free of y, vs are the
-        conjunct's other variables in name order, and diff computes a - b
-        from the values of (y, *vs).  Given values for vs, the conjunct
-        holds for y = -r/c alone, and for no y when that is not an integer."""
-        unbound = frozenset(self.lvar_split[1])
-        out = {}
-        for part in theory.conjuncts(self.guard):
-            if isinstance(part, Var) or part.sym != theory.EQ:
-                continue
-            vs = variables(part)
-            free = vs & unbound
-            if len(free) != 1 or free <= out.keys():
-                continue
-            (y,) = free
-            diff = theory.sub(*part.args)
-            c = _coefficient(diff, y)
-            if c:
-                others = tuple(sorted(vs - free, key=lambda v: v.name))
-                out[y] = (c, others, theory.evaluator(diff, (y, *others)))
-        return out
+    def assignments(self) -> "Assignments":
+        """The guard's solve-then-enumerate procedure for the logical
+        variables an instance has to choose, given the values of those a
+        left-hand-side match binds (lvar_split); compiled on first use."""
+        matched, unbound = self.lvar_split
+        return Assignments(self.guard, unbound, sorted(matched, key=lambda v: v.name))
 
     def variables(self) -> frozenset[Var]:
         lhs, rhs, guard = self._side_vars
@@ -179,6 +155,157 @@ def _coefficient(t: Term, y: Var) -> int | None:
     return None
 
 
+def options(pairs) -> tuple:
+    """A variable's options: distinct (term, value) pairs in the order they
+    are tried, the terms of each value, and each term's rank in that order."""
+    by_value: dict[int | bool, tuple[Term, ...]] = {}
+    for t, value in pairs:
+        by_value[value] = (*by_value.get(value, ()), t)
+    return tuple(pairs), by_value, {t: i for i, (t, _) in enumerate(pairs)}
+
+
+@lru_cache(maxsize=64)
+def value_options(terms: tuple[Term, ...]) -> tuple:
+    """Values as options, each with its own value; converted once per tuple."""
+    return options([(t, value_of(t)) for t in terms])
+
+
+def _definitions(parts: list[Term], vs: list[Var]) -> dict[Var, tuple[int, Term, int]]:
+    """For each Int variable of vs in order of first occurrence, the first
+    top-level conjunct a = b (parts[k]) not already used in which it has a
+    nonzero integer coefficient c, so that a - b is c*y + r with r free of
+    y, as (k, a - b, c)."""
+    used: set[int] = set()
+    out: dict[Var, tuple[int, Term, int]] = {}
+    for y in vs:
+        if y.sort != INT or y in out:
+            continue
+        for k, part in enumerate(parts):
+            if k in used or isinstance(part, Var) or part.sym != theory.EQ:
+                continue
+            diff = theory.sub(*part.args)
+            c = _coefficient(diff, y)
+            if c:
+                used.add(k)
+                out[y] = (k, diff, c)
+                break
+    return out
+
+
+def _dependency_order(vs: list[Var], defs: dict) -> list[Var]:
+    """vs with each defined variable right after the variables of vs its
+    equation names, walked depth first in the order of vs.  A definition
+    that leads back to a variable still being placed is dropped from defs,
+    so every cycle leaves one of its variables free."""
+    order: list[Var] = []
+    placed: set[Var] = set()
+    visiting: set[Var] = set()
+
+    def visit(v: Var):
+        if v in placed:
+            return
+        if v in defs:
+            visiting.add(v)
+            for u in sorted(variables(defs[v][1]).intersection(vs) - {v}, key=lambda u: u.name):
+                if u in visiting:
+                    del defs[v]  # v is enumerated instead
+                    break
+                visit(u)
+            visiting.discard(v)
+        placed.add(v)
+        order.append(v)
+
+    for v in vs:
+        visit(v)
+    return order
+
+
+class Assignments:
+    """Solve, then enumerate: the one procedure that gives logical variables
+    values, those of vs in the constraint phi, given values for the
+    variables `inputs` (vs and inputs cover phi's variables).  Each Int
+    variable of vs, those in calc_results first and the rest in name order,
+    is defined by the first unused top-level equation in which it has a
+    nonzero integer coefficient, and placed right after the variables of vs
+    that equation names; a cycle leaves one of them free, and `free` counts
+    the variables no equation defines.  Every other conjunct is checked as
+    soon as the variables it names have values.  A call walks depth first:
+    a free variable takes each of its options, a defined one every option
+    with its computed value (a calculation result one of its own outside
+    them), and no prefix that fails a check is extended.  So, calculation
+    results aside, the assignments are the product of the options filtered
+    by phi.  grounding.constraint_assignments calls it over the domain; the
+    redex oracle calls each rule's own (ConstrainedRule.assignments) with
+    the values of one model of its constraint."""
+
+    def __init__(self, phi: Term, vs, inputs=(), calc_results=frozenset()):
+        self.names = sorted(vs, key=lambda v: v.name)
+        self.phi, self.inputs = phi, tuple(inputs)
+        parts = theory.conjuncts(phi)
+        defs = _definitions(parts, [*sorted(calc_results.intersection(self.names), key=lambda v: v.name), *self.names])
+        order = self.order = _dependency_order(self.names, defs)
+        self.free = sum(v not in defs for v in order)
+        level = {v: i for i, v in enumerate(order, start=1)}
+        checked = [[] for _ in range(len(order) + 1)]  # [i]: the parts whose last variable is order[i - 1]
+        defining = {k for k, _, _ in defs.values()}
+        for k, part in enumerate(parts):
+            if k not in defining:
+                checked[max((level.get(v, 0) for v in variables(part)), default=0)].append(part)
+        env, start = [*self.inputs, *order], len(self.inputs)  # the values a walk holds: inputs, then order
+        self.checks = [theory.evaluator(theory.conj(*ps), env[: start + i]) for i, ps in enumerate(checked)]
+        self.solved = [
+            (theory.evaluator(defs[v][1], env[: start + i + 1]), defs[v][2], v in calc_results) if v in defs else None
+            for i, v in enumerate(order)
+        ]
+
+    @cached_property
+    def phi_vars(self) -> set[Var]:
+        """The variables of phi, read only by the redex oracle."""
+        return variables(self.phi)
+
+    def __call__(self, options: list[tuple], values=(), limit: int | None = None, ordered: bool = True) -> list[tuple]:
+        """The assignments of options to vs, under the values of the inputs
+        in order, as tuples of terms for vs in name order; the first `limit`
+        of them.  options gives each variable of vs, in name order, its
+        options (rules.options).  Ordered, they come in the order of the
+        options' product; otherwise in the order found, for a caller that
+        sorts them itself."""
+        order, names, checks, solved = self.order, self.names, self.checks, self.solved
+        n = len(order)
+        opts = [options[names.index(v)] for v in order]
+        # the prefixes of the first `settled` variables come in the wanted order
+        settled = n if not ordered else next((i for i, (u, v) in enumerate(zip(order, names)) if u != v), n)
+        out: list[tuple] = []
+
+        def extend(terms: tuple, env: tuple) -> bool:
+            """Every assignment extending the prefix; False once the search may stop."""
+            i = len(terms)
+            if i == settled and limit is not None and len(out) >= limit:
+                return False  # every assignment still to come sorts after those found
+            if not checks[i](env):
+                return True
+            if i == n:
+                out.append(terms)
+                return settled < n or len(out) != limit
+            if solved[i] is None:
+                return all(extend((*terms, t), (*env, value)) for t, value in opts[i][0])
+            solve, c, unchecked = solved[i]
+            r = solve((*env, 0))
+            if r % c:
+                return True
+            value = -r // c
+            found = opts[i][1].get(value, (int_val(value),) if unchecked else ())
+            return all(extend((*terms, t), (*env, value)) for t in found)
+
+        extend((), tuple(values))
+        perm = [order.index(v) for v in names]
+        if settled < n:
+            ranks = [opts[j][2] for j in perm]
+            out.sort(key=lambda terms: tuple(rank.get(terms[j], len(rank)) for rank, j in zip(ranks, perm)))
+            out = out[:limit]
+        return out if perm == list(range(n)) else [tuple(map(terms.__getitem__, perm)) for terms in out]
+
+
 def rename_apart(rules: list[ConstrainedRule]) -> list[ConstrainedRule]:
     """Pairwise variable-disjoint copies; the first keeps its names, later
     copies get primed where they collide."""
@@ -252,9 +379,10 @@ class Lctrs:
         return LhsIndex(rule.lhs for rule in self.rc_rules)
 
     @cached_property
-    def overlaps(self) -> list:
-        """The unified overlaps of rc_rules (analysis.single_overlaps), which
-        both critical-pair enumerations read."""
+    def overlaps(self):
+        """The unified overlaps of rc_rules and the index's retrievals
+        (analysis.single_overlaps), which both critical-pair enumerations
+        read."""
         from .analysis import single_overlaps
 
         return single_overlaps(self.rc_rules, self.lhs_index)

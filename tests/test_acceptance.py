@@ -212,6 +212,7 @@ CORPUS_NAMES = (
     "var_tracking",
     "projection",
     "pcp_101",
+    "four_parts",
 )
 
 

@@ -19,7 +19,7 @@ from lctrs.parser import parse, print_system
 from lctrs.pcp import PCPInstance, build_rp
 from lctrs.rewriting import ConstrainedTerm, plain_successors
 from lctrs.rules import ConstrainedRule, Lctrs, Signature
-from lctrs.terms import App, INT, ParallelSetCap, Var, apply_subst, int_val, variables
+from lctrs.terms import App, INT, LhsIndex, ParallelSetCap, Var, apply_subst, int_val, variables
 from lctrs.grounding import constraint_assignments
 from lctrs.rewriting import domain_terms, RewriteConfig
 
@@ -447,12 +447,22 @@ BUNDLED.update(f_of_g=F_OF_G, wide_g=wide_g(3))
 def test_cpcps_after_ccps_unifies_only_sets_of_two_positions_or_more(monkeypatch, solver, name):
     """Every one-position parallel pair is the critical pair at that
     position, so after ccps, cpcps unifies nothing on the PCP systems and
-    only the {1, 2} set of f(g(x), g(y))."""
+    only the {1, 2} set of f(g(x), g(y)); it reads the overlap sites from
+    the overlaps, retrieving none from the index again."""
     system = parse(BUNDLED[name])
     ccps(system, solver)
     calls = _unify_calls(monkeypatch)
+    retrievals = []
+    real_unifiable = LhsIndex.unifiable
+
+    def counted(index, t):
+        retrievals.append(t)
+        return real_unifiable(index, t)
+
+    monkeypatch.setattr(LhsIndex, "unifiable", counted)
     pairs = cpcps(system, solver)
     assert pairs and len(calls) == (1 if name == "f_of_g" else 0)
+    assert retrievals == []
     assert sum(len(p.pset) > 1 for p in pairs) == len(calls)
 
 

@@ -388,22 +388,12 @@ def test_a_calculation_result_outside_the_domain_is_a_peak():
     assert five in [(cp.left, cp.right) for cp in trs_cps(frag)]
 
 
-FOUR_PARTS = """(theory Ints)
-(sort U)
-(fun f (Int) U)
-(fun g (Int Int Int Int) U)
-(rule (f x) (g a b c d) :guard (and (= (+ a (+ b (+ c d))) x) (and (> a 0) (and (> b 0) (and (> c 0) (> d 0))))))
-"""
+FOUR_PARTS = (CORPUS / "four_parts.lctrs").read_text()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 10 (oracle half): plain steps give a rule with more than MAX_UNBOUND unbound "
-    "variables no redex, while ground_fragment instantiates it in full",
-)
 def test_check_finds_the_four_part_steps_on_both_sides():
-    """f(4) -> g(1, 1, 1, 1) is a fragment step; the oracle finds it too once
-    it counts only the variables no equation defines against MAX_UNBOUND."""
+    """f(4) -> g(1, 1, 1, 1) is a fragment step; the oracle finds it too, since
+    the equation defines a and only b, c and d count against MAX_UNBOUND."""
     report = check_step_equivalence(parse(FOUR_PARTS))
     assert report.ok, report
 

@@ -9,8 +9,8 @@ from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse
 from lctrs.pcp import PCPInstance
 from lctrs.rewriting import ConstrainedTerm, RewriteConfig, StepRecord, constrained_oracle, plain_oracle
-from lctrs.rules import ConstrainedRule, Signature, calc_rules
-from lctrs.terms import App, INT, Var, int_val, rename_away
+from lctrs.rules import ConstrainedRule, Signature, calc_rules, options
+from lctrs.terms import App, BOOL, INT, Var, bool_val, int_val, rename_away
 
 SIG = Signature()
 F = SIG.add_fun("f", [INT], INT)
@@ -113,11 +113,20 @@ def test_renamed_copy_equals_the_checked_rule(rule):
     assert copy.lvar_split == built.lvar_split
     assert copy.evar() == built.evar()
     assert copy.ec() == built.ec()
-    vs, holds = copy.guard_evaluator
-    built_vs, built_holds = built.guard_evaluator
-    assert vs == built_vs
-    for values in [(1,) * len(vs), (-1,) * len(vs), tuple(range(len(vs)))]:
-        assert holds(values) == built_holds(values)
+    original = rule.assignments  # the compiled solve-then-enumerate procedure
+    domains = {
+        INT: options([(int_val(v), v) for v in range(-2, 3)]),
+        BOOL: options([(bool_val(b), b) for b in (True, False)]),
+    }
+    k = len(original.inputs)
+    for solve in (copy.assignments, built.assignments):
+        assert list(solve.inputs) == [ren[v] for v in original.inputs]
+        assert solve.names == [ren[v] for v in original.names]
+        assert solve.free == original.free
+        for values in [(1,) * k, (-1,) * k, tuple(range(k))]:
+            assert solve([domains[v.sort] for v in solve.names], values) == original(
+                [domains[v.sort] for v in original.names], values
+            )
     assert copy.calc == rule.calc and not copy.variables() & rule.variables()
 
 

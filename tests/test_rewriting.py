@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lctrs import logic, rewriting, theory
+from lctrs import logic, rewriting, rules, theory
 from lctrs.analysis import analyze, ccps
 from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse
@@ -12,7 +12,6 @@ from lctrs.rules import ConstrainedRule, Lctrs, Signature, calc_rules
 from lctrs.rewriting import (
     ConstrainedTerm,
     RewriteConfig,
-    _candidate_values,
     breadth_first,
     constrained_oracle,
     constrained_redexes,
@@ -27,7 +26,7 @@ from lctrs.rewriting import (
     plain_successors,
     redexes,
 )
-from lctrs.terms import App, INT, Var, apply_subst, int_val, positions, variables
+from lctrs.terms import App, BOOL, INT, Var, apply_subst, int_val, positions, sort_of, variables
 
 from tests.conftest import CORPUS, LINEAR_ATOM, equiv, linear_atom, plain_multi_successors, plain_parallel_successors
 
@@ -133,16 +132,30 @@ def _one_rule(lhs_args, rhs_args, guard):
     return Lctrs(sig, (ConstrainedRule(App(f, tuple(lhs_args)), App(g, tuple(rhs_args)), guard),)), f, g
 
 
-@pytest.mark.parametrize("names", ["abc", "abcd"])
-def test_more_unbound_variables_than_the_cap_give_no_redex(names, solver):
-    """f(x) -> g(a, b, ..) [a = x, b = x, ..] on f(1): with three logical
-    variables to choose both plain and constrained steps find g(1, 1, 1);
-    with four, more than rewriting.MAX_UNBOUND, neither finds a redex."""
+@pytest.mark.parametrize(
+    "names, bounded",
+    [
+        pytest.param("abc", False, id="abc"),
+        pytest.param("abcd", False, id="abcd"),
+        pytest.param("abcd", True, id="abcd-bounded"),
+    ],
+)
+def test_more_unbound_variables_than_the_cap_give_no_redex(names, bounded, solver):
+    """f(x) -> g(a, b, ..) on f(1): with each variable defined by an equation
+    v = x, none is free, and both plain and constrained steps find g(1, ..),
+    with three variables or four.  Bounded by x - 1 < v < x + 1 alone, four
+    variables stay free, more than rewriting.MAX_UNBOUND, and neither step
+    finds a redex."""
     assert rewriting.MAX_UNBOUND == 3
     unbound = [Var(name, INT) for name in names]
-    system, f, g = _one_rule([x], unbound, theory.conj(*(theory.eq(v, x) for v in unbound)))
+    if bounded:
+        bounds = [(theory.gt(v, theory.sub(x, 1)), theory.lt(v, theory.add(x, 1))) for v in unbound]
+        guard = theory.conj(*(part for pair in bounds for part in pair))
+    else:
+        guard = theory.conj(*(theory.eq(v, x) for v in unbound))
+    system, f, g = _one_rule([x], unbound, guard)
     t = App(f, (int_val(1),))
-    wanted = [App(g, (int_val(1),) * len(names))] if len(names) <= rewriting.MAX_UNBOUND else []
+    wanted = [] if bounded else [App(g, (int_val(1),) * len(names))]
     assert [r for r, _ in plain_successors(t, system)] == wanted
     assert [res.term for res, _ in cstep(ConstrainedTerm(t), system, solver)] == wanted
 
@@ -216,7 +229,7 @@ def test_oracle_accepts_exactly_the_valid_instances(arity, unbound_names, phi_at
     (rule,) = system.rules
     sigma0 = dict(zip(lhs_vars, cvars))
     phi_vars = sorted(variables(phi), key=lambda v: v.name)
-    options = [_candidate_values(v, rule, sigma0, phi_vars, domain_terms(system, config)) for v in unbound]
+    options = [list(dict.fromkeys([*phi_vars, *domain_terms(system, config)[INT]]))] * len(unbound)  # the candidates
     sigmas = [{**sigma0, **dict(zip(unbound, choice))} for choice in itertools.product(*options)]
     wanted = [sigma for sigma in sigmas if solver.is_valid(theory.imp(phi, apply_subst(sigma, guard))).is_valid]
     oracle_solver = _QueryLog()
@@ -257,11 +270,12 @@ def _oracle_systems():
 def test_computed_candidates_give_the_redexes_of_the_full_list(monkeypatch):
     """Under every critical pair of the corpus and of the generated PCP
     systems, and every equivalent reformulation of one, the constrained
-    oracle finds the same redexes in the same order as it does without
-    guard definitions, trying every candidate."""
+    oracle finds the same redexes in the same order as it does when no guard
+    equation defines a variable (rules._definitions switched off), trying
+    every candidate."""
     systems = _oracle_systems()
-    assert len(systems) == 11
-    assert any(rule.guard_definitions for _, system in systems for rule in system.rules)
+    assert len(systems) == 12
+    assert any(rule.assignments.free < len(rule.lvar_split[1]) for _, system in systems for rule in system.rules)
     pairs = {
         name: [e for ccp in ccps(system, ConstraintSolver()) for e in equiv_extensions(ccp.pair())]
         for name, system in systems
@@ -275,7 +289,7 @@ def test_computed_candidates_give_the_redexes_of_the_full_list(monkeypatch):
         return out
 
     with_definitions = all_redexes()
-    monkeypatch.setattr(ConstrainedRule, "guard_definitions", property(lambda rule: {}))
+    monkeypatch.setattr(rules, "_definitions", lambda parts, vs: {})
     assert all_redexes() == with_definitions
     assert sum(len(found) for per_pair in with_definitions.values() for found in per_pair) > 20
 
@@ -283,32 +297,37 @@ def test_computed_candidates_give_the_redexes_of_the_full_list(monkeypatch):
 def test_pcp_oracle_tries_at_most_one_candidate_per_match(monkeypatch):
     """On pcp_101 each instances call of the constrained oracle evaluates
     the guard for at most one candidate choice: the guard's equation
-    3*m + k = n gives the one value of m that the constraint's model admits."""
-    tried = []  # per instances call: None, or the guard evaluations once it reads the guard
-    real_evaluator, real_oracle = ConstrainedRule.guard_evaluator, rewriting._oracle
+    3*m + k = n gives the one value of m that the constraint's model admits.
+    The guard is evaluated in the rule's assignment procedure, one compiled
+    check per level of its walk; each check runs at most once per call."""
+    tried = []  # per instances call: how often each compiled guard check ran
+    real_evaluator, real_oracle = theory.evaluator, rewriting._oracle
 
-    def counting_evaluator(rule):
-        vs, holds = real_evaluator.__get__(rule, ConstrainedRule)
-        tried[-1] = tried[-1] or 0
+    def counting_evaluator(phi, vs):
+        run = real_evaluator(phi, vs)
 
-        def counted(values):
-            tried[-1] += 1
-            return holds(values)
+        def counted(env):
+            if tried and tried[-1] is not None and sort_of(phi) == BOOL:
+                tried[-1][counted] = tried[-1].get(counted, 0) + 1
+            return run(env)
 
-        return vs, counted
+        return counted
 
     def counting_oracle(rules, index, admissible, instances):
         def counted(*args):
-            tried.append(None)
-            return instances(*args)
+            tried.append({})
+            try:
+                return instances(*args)
+            finally:
+                tried.append(None)  # evaluations outside instances calls are not counted
 
         return real_oracle(rules, index, admissible, counted)
 
-    monkeypatch.setattr(ConstrainedRule, "guard_evaluator", property(counting_evaluator))
+    monkeypatch.setattr(theory, "evaluator", counting_evaluator)
     monkeypatch.setattr(rewriting, "_oracle", counting_oracle)
     system = parse((CORPUS / "pcp_101.lctrs").read_text())
     assert analyze(system, ConstraintSolver()).result == "MAYBE"
-    constrained = [n for n in tried if n is not None]
+    constrained = [max(counts.values()) for counts in tried if counts]
     assert len(constrained) >= 40
     assert max(constrained) == 1
 

@@ -1,8 +1,8 @@
 import pytest
 
 from lctrs import theory
-from lctrs.rules import ConstrainedRule, Lctrs, RuleError, Signature, calc_rules, is_variant, rename_apart
-from lctrs.terms import App, FunSym, INT, Sort, Var
+from lctrs.rules import ConstrainedRule, Lctrs, RuleError, Signature, calc_rules, is_variant, options, rename_apart
+from lctrs.terms import App, FunSym, INT, Sort, Var, value_of
 
 U = Sort("U")
 fU = FunSym("f", (U,), U, "term")
@@ -87,26 +87,30 @@ def test_literals_are_the_int_values_of_every_rule_side():
 
 
 def test_guard_definitions_are_linear_equations_in_one_chosen_variable():
-    """f(n) -> g(m) [...]: a top-level equation defines m when it is linear
-    in m and names no other variable the match leaves to choose; the first
-    such conjunct counts, and diff gives its a - b."""
+    """f(n) -> g(m) [...] under n's value: the rule's assignment procedure
+    computes m from a top-level equation that is linear in m, the first
+    such conjunct; any other m is enumerated and checked (free counts it)."""
     fI, gI = FunSym("f", (INT,), INT, "term"), FunSym("g", (INT, INT), INT, "term")
     n, m, k = (Var(name, INT) for name in "nmk")
     lhs = App(fI, (n,))
+    domain = options([(theory.int_val(v), v) for v in range(-4, 5)])
 
-    def defs(guard, rhs=App(gI, (m, m))):
-        return ConstrainedRule(lhs, rhs, guard).guard_definitions
+    def solve(guard, n_value, rhs=App(gI, (m, m))):
+        found = ConstrainedRule(lhs, rhs, guard).assignments
+        values = [[value_of(t) for t in terms] for terms in found([domain] * len(found.names), [n_value])]
+        return found.free, values
 
-    (c, vs, diff) = defs(theory.conj(theory.gt(n, 0), theory.eq(theory.add(theory.mul(3, m), 1), n)))[m]
-    assert (c, vs, diff((0, 7)), diff((2, 7))) == (3, (n,), -6, 0)
-    (c, vs, diff) = defs(theory.eq(n, theory.sub(4, theory.mul(m, 2))))[m]
-    assert (c, vs, diff((1, 2))) == (2, (n,), 0)
-    assert defs(theory.eq(theory.mul(m, m), n)) == {}  # not linear in m
-    assert defs(theory.eq(theory.sub(m, m), n)) == {}  # m's coefficient is 0
-    assert defs(theory.eq(theory.add(m, k), n), App(gI, (m, k))) == {}  # k is chosen too
-    assert defs(theory.conj(theory.eq(theory.add(m, k), n), theory.eq(k, 2)), App(gI, (m, k)))[k][0] == 1
-    assert defs(theory.neg(theory.ne(m, n))) == {}  # only a top-level equation defines
-    assert defs(theory.conj(theory.eq(m, 1), theory.eq(m, n)))[m][1] == ()  # the first one
+    guard = theory.conj(theory.gt(n, 0), theory.eq(theory.add(theory.mul(3, m), 1), n))
+    assert solve(guard, 7) == (0, [[2]]) and solve(guard, 8) == (0, [])  # 3*m = 7 has no integer m
+    assert solve(theory.eq(n, theory.sub(4, theory.mul(m, 2))), 2) == (0, [[1]])
+    assert solve(theory.eq(theory.mul(m, m), n), 4) == (1, [[-2], [2]])  # not linear in m
+    assert solve(theory.eq(theory.sub(m, m), n), 0) == (1, [[v] for v in range(-4, 5)])  # m's coefficient is 0
+    # k comes first in name order and takes m + k = n, which also names m: m is free, then k computed
+    assert solve(theory.conj(theory.eq(theory.add(m, k), n), theory.eq(k, 2)), 5, App(gI, (m, k))) == (1, [[2, 3]])
+    assert solve(theory.neg(theory.ne(m, n)), 3) == (1, [[3]])  # only a top-level equation defines
+    first = ConstrainedRule(lhs, App(gI, (m, m)), theory.conj(theory.eq(m, 1), theory.eq(theory.mul(2, m), n)))
+    assert [c for _, c, _ in first.assignments.solved] == [1]  # m - 1, not 2*m - n
     (times,) = [r for r in calc_rules() if r.lhs.sym == theory.MUL]
-    (c, vs, diff) = times.guard_definitions[Var("y", INT)]
-    assert (c, [v.name for v in vs], diff((0, 3, 4))) == (1, ["x1", "x2"], -12)
+    found = times.assignments
+    assert ([v.name for v in found.inputs], found.free) == (["x1", "x2"], 0)
+    assert found([domain], [-1, 3]) == [(theory.int_val(-3),)] and found([domain], [3, 4]) == []  # 12 lies outside

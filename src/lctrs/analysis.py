@@ -130,10 +130,8 @@ def _unifier(rho, inners, pset):
     lvars = rho.lvar().union(*(r.lvar() for r in inners))
     if not all(is_value(sigma.get(x, x)) or isinstance(sigma.get(x, x), Var) for x in lvars):
         return None  # a logical variable bound to a proper term
-    if pset == (EPSILON,) and is_variant(inners[0], rho):
-        lhs_vars, rhs_vars, _guard_vars = rho._side_vars
-        if rhs_vars <= lhs_vars:
-            return None
+    if pset == (EPSILON,) and rho.rhs.vars <= rho.lhs.vars and is_variant(inners[0], rho):
+        return None
     return sigma
 
 
@@ -320,13 +318,9 @@ def is_trivial(pair: ConstrainedTerm, solver: ConstraintSolver) -> str:
     return "no" if res.status == "invalid" else "unknown"
 
 
-def tvar(t: Term, phi: Term, pset) -> set[Var]:
+def tvar(t: Term, phi: Term, pset) -> frozenset[Var]:
     """Non-logical variables of t below the given parallel positions."""
-    log = variables(phi)
-    out: set[Var] = set()
-    for p in pset:
-        out |= variables(subterm_at(t, p)) - log
-    return out
+    return frozenset().union(*(subterm_at(t, p).vars for p in pset)) - phi.vars
 
 
 # --- closedness ----------------------------------------------------------------

@@ -84,8 +84,12 @@ class RewriteConfig(Record):
 
 
 def domain_terms(lctrs: Lctrs, config: RewriteConfig) -> dict[Sort, tuple[Term, ...]]:
-    ints = tuple(int_val(n) for n in config.int_domain(lctrs))
-    return {INT: ints, BOOL: (bool_val(True), bool_val(False))}
+    """The value terms of each theory sort under the config, built once per
+    config and kept on lctrs (lctrs.domains)."""
+    if config not in lctrs.domains:
+        ints = tuple(int_val(n) for n in config.int_domain(lctrs))
+        lctrs.domains[config] = {INT: ints, BOOL: (bool_val(True), bool_val(False))}
+    return lctrs.domains[config]
 
 
 def _freeze(sigma: Subst) -> tuple[tuple[Var, Term], ...]:
@@ -218,12 +222,11 @@ def _constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, confi
     value, and the choices the model refutes are dropped.  A choice with
     every guard variable at a value is accepted; any other, and every
     choice under a constraint without a model, is one validity query."""
-    phi_vars = variables(phi)
-    phi_vars_by_name = sorted(phi_vars, key=lambda v: v.name)
-    domain = functools.cache(lambda: domain_terms(lctrs, config))  # read only for unbound variables
+    phi_vars_by_name = sorted(phi.vars, key=lambda v: v.name)
+    domain = domain_terms(lctrs, config)
 
     def admissible(value: Term) -> bool:
-        return is_value(value) or (isinstance(value, Var) and value in phi_vars)
+        return is_value(value) or (isinstance(value, Var) and value in phi.vars)
 
     @functools.cache
     def sat_model() -> Subst | None:
@@ -240,7 +243,7 @@ def _constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, confi
         own = [(v, None if model is None else value_of(model[v])) for v in phi_vars_by_name if v.sort == sort]
         if calc is not None:
             own.append((calc, value_of(calc)))
-        return options([*own, *(pair for pair in value_options(domain()[sort])[0] if pair[0] != calc)])
+        return options([*own, *(pair for pair in value_options(domain[sort])[0] if pair[0] != calc)])
 
     def instances(rule: ConstrainedRule, sigma0: Subst) -> list[Subst]:
         solve = rule.assignments
@@ -257,7 +260,7 @@ def _constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, confi
         out = []
         for choice in found:
             sigma = {**sigma0, **dict(zip(solve.names, choice))}
-            decided = model is not None and all(is_value(sigma.get(x, x)) for x in solve.phi_vars)  # phi => true
+            decided = model is not None and all(is_value(sigma.get(x, x)) for x in rule.guard.vars)  # phi => true
             if decided or solver.is_valid(theory.imp(phi, apply_subst(sigma, rule.guard))).is_valid:
                 out.append(sigma)
         return out
@@ -327,14 +330,13 @@ def equiv_extensions(ct: ConstrainedTerm) -> list[ConstrainedTerm]:
     extension z = f(u1..un) per theory subterm whose arguments are values or
     constraint variables.  Each output is equivalent by construction."""
     phi = ct.constraint
-    phi_vars = variables(phi)
-    taken = {v.name for v in phi_vars | variables(ct.term)}
+    taken = {v.name for v in phi.vars | ct.term.vars}
     out = [ct]
     seen: set[Term] = set()
     for _, sub in positions(ct.term):
         if sub.sym.kind != "theory" or sub in seen:
             continue
-        if not all(is_value(a) or (isinstance(a, Var) and a in phi_vars) for a in sub.args):
+        if not all(is_value(a) or (isinstance(a, Var) and a in phi.vars) for a in sub.args):
             continue
         seen.add(sub)
         z = Var(fresh_name("w", taken), sub.sym.result_sort)

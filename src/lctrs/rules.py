@@ -58,11 +58,6 @@ class ConstrainedRule(Record):
                 raise RuleError(f"extra variable {x.name} has non-theory sort {x.sort}")
 
     @cached_property
-    def _side_vars(self) -> tuple[frozenset[Var], frozenset[Var], frozenset[Var]]:
-        """Variables of lhs, rhs and guard, walked once per rule."""
-        return frozenset(variables(self.lhs)), frozenset(variables(self.rhs)), frozenset(variables(self.guard))
-
-    @cached_property
     def assignments(self) -> "Assignments":
         """The guard's solve-then-enumerate procedure for the logical
         variables an instance has to choose, given the values of those a
@@ -71,23 +66,20 @@ class ConstrainedRule(Record):
         return Assignments(self.guard, unbound, sorted(matched, key=lambda v: v.name))
 
     def variables(self) -> frozenset[Var]:
-        lhs, rhs, guard = self._side_vars
-        return lhs | rhs | guard
+        return self.lhs.vars | self.rhs.vars | self.guard.vars
 
     def lvar(self) -> frozenset[Var]:
-        lhs, rhs, guard = self._side_vars
-        return guard | (rhs - lhs)
+        return self.guard.vars | (self.rhs.vars - self.lhs.vars)
 
     @cached_property
     def lvar_split(self) -> tuple[frozenset[Var], tuple[Var, ...]]:
         """The logical variables a left-hand-side match binds, and the others
         in name order, which an instance of the rule has to choose."""
-        lhs, rhs, guard = self._side_vars
+        lhs, rhs, guard = self.lhs.vars, self.rhs.vars, self.guard.vars
         return lhs & guard, tuple(sorted((guard | rhs) - lhs, key=lambda v: v.name))
 
     def evar(self) -> frozenset[Var]:
-        lhs, rhs, guard = self._side_vars
-        return rhs - (lhs | guard)
+        return self.rhs.vars - (self.lhs.vars | self.guard.vars)
 
     def ec(self) -> Term:
         return theory.conj(*(theory.eq(x, x) for x in sorted(self.evar(), key=lambda v: v.name)))
@@ -95,21 +87,18 @@ class ConstrainedRule(Record):
     def rename(self, ren: Subst) -> "ConstrainedRule":
         """The copy under an injective, sort-preserving variable renaming
         (as rename_away gives).  Such a renaming keeps every fact the
-        constructor checks, so the copy is built without re-checking them,
-        and its side variables are the original's mapped through ren."""
+        constructor checks, so the copy is built without re-checking them;
+        a side with no renamed variable is kept as it is."""
         if not ren:
             return self
-        sides = (apply_subst(ren, self.lhs), apply_subst(ren, self.rhs), apply_subst(ren, self.guard))
-        return _unchecked(*sides, self.calc, tuple(frozenset([ren.get(v, v) for v in vs]) for vs in self._side_vars))
+        return _unchecked(*(apply_subst(ren, side) for side in (self.lhs, self.rhs, self.guard)), self.calc)
 
     def instance(self, tau: Subst) -> "ConstrainedRule":
         """The unguarded rule tau(lhs) -> tau(rhs) for an assignment tau of
         values to every logical variable.  An instance of a checked rule
         passes every check of the constructor, so it is built without
-        re-checking them; its side variables are the original's less tau's."""
-        lhs, rhs, _ = self._side_vars
-        sides = (lhs.difference(tau), rhs.difference(tau), frozenset())
-        return _unchecked(apply_subst(tau, self.lhs), apply_subst(tau, self.rhs), theory.bool_val(True), False, sides)
+        re-checking them."""
+        return _unchecked(apply_subst(tau, self.lhs), apply_subst(tau, self.rhs), theory.bool_val(True), False)
 
     def key(self) -> str:
         return alpha_key([self.lhs, self.rhs, self.guard])
@@ -119,12 +108,10 @@ class ConstrainedRule(Record):
         return f"{self.lhs!r} -> {self.rhs!r}{guard}"
 
 
-def _unchecked(lhs: Term, rhs: Term, guard: Term, calc: bool, side_vars) -> ConstrainedRule:
-    """A rule whose checks hold by construction, with its side variables
-    (those of lhs, rhs and guard) given."""
+def _unchecked(lhs: Term, rhs: Term, guard: Term, calc: bool) -> ConstrainedRule:
+    """A rule whose checks hold by construction."""
     rule = object.__new__(ConstrainedRule)
     Record.__init__(rule, lhs, rhs, guard, calc)
-    rule.__dict__["_side_vars"] = side_vars
     return rule
 
 
@@ -132,7 +119,7 @@ def value_calc_instance(lhs: App) -> ConstrainedRule:
     """The calculation instance lhs -> v of a theory symbol applied to
     values, v the value lhs denotes; it passes the constructor's checks by
     construction."""
-    return _unchecked(lhs, theory.interpret_term(lhs), theory.bool_val(True), True, (frozenset(),) * 3)
+    return _unchecked(lhs, theory.interpret_term(lhs), theory.bool_val(True), True)
 
 
 def _coefficient(t: Term, y: Var) -> int | None:
@@ -257,11 +244,6 @@ class Assignments:
             (theory.evaluator(defs[v][1], env[: start + i + 1]), defs[v][2], v in calc_results) if v in defs else None
             for i, v in enumerate(order)
         ]
-
-    @cached_property
-    def phi_vars(self) -> set[Var]:
-        """The variables of phi, read only by the redex oracle."""
-        return variables(self.phi)
 
     def __call__(self, options: list[tuple], values=(), limit: int | None = None, ordered: bool = True) -> list[tuple]:
         """The assignments of options to vs, under the values of the inputs
@@ -392,6 +374,11 @@ class Lctrs:
         """The redex oracles of rewriting over rc_rules: constrained_oracle's
         by (config, solver, constraint), and plain_oracle's, the constrained
         oracle under true with a solver of its own, by config alone."""
+        return {}
+
+    @cached_property
+    def domains(self) -> dict:
+        """The value domains of rewriting.domain_terms, by config."""
         return {}
 
     @cached_property

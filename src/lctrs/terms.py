@@ -4,9 +4,11 @@ unification, and a discrimination-tree index of left-hand sides.
 Terms live over a split signature: ordinary term symbols, interpreted theory
 symbols, and value constants (integer literals, true, false).  Sorts, symbols
 and terms are hash-consed: equal fields give the same object, so == and hash
-are identity and terms are their own keys.  term_key renders a term for
-printing and sorting; alpha_key renders it up to variable renaming.
-Substitutions are plain dicts from Var to Term.
+are identity and terms are their own keys.  Each term carries its variable
+set (vars), built with it: substitution returns a subterm outside its domain
+as it is, and replacement rebuilds only the paths to the replaced positions.
+term_key renders a term for printing and sorting; alpha_key renders it up to
+variable renaming.  Substitutions are plain dicts from Var to Term.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ class TermError(Exception):
 
 
 _TABLE: dict[tuple, "_Interned"] = {}
+_NO_VARS: frozenset = frozenset()  # the variables of every ground term
 
 
 class _Interned:
     """An immutable value, hash-consed (Filliâtre & Conchon 2006): a class
     called with the fields of an existing object returns that object, so
-    == and hash are identity and never walk a term."""
+    == and hash are identity and never walk a term.  _derive sets a new
+    object's derived fields, slots of a base class outside the key."""
 
     __slots__ = ()
 
@@ -39,8 +43,12 @@ class _Interned:
             obj = object.__new__(cls)
             for name, value in zip(cls.__slots__, fields, strict=True):
                 object.__setattr__(obj, name, value)
+            obj._derive()
             _TABLE[key] = obj
         return obj
+
+    def _derive(self):
+        pass
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -103,15 +111,27 @@ class FunSym(_Interned):
         return len(self.arg_sorts)
 
 
-class Var(_Interned):
+class _Term(_Interned):
+    __slots__ = ("vars",)  # the term's variables, set by _derive
+
+
+class Var(_Term):
     __slots__ = ("name", "sort")
 
+    def _derive(self):
+        object.__setattr__(self, "vars", frozenset((self,)))
 
-class App(_Interned):
+
+class App(_Term):
     __slots__ = ("sym", "args")
 
     def __new__(cls, sym: FunSym, args: tuple["Term", ...] = ()):
         return _Interned.__new__(cls, sym, args)
+
+    def _derive(self):
+        # a ground node shares the one empty set, a node with one non-ground argument that argument's set
+        found = [a.vars for a in self.args if a.vars] or [_NO_VARS]
+        object.__setattr__(self, "vars", found[0].union(*found[1:]) if found[1:] else found[0])
 
     def __repr__(self):
         if not self.args:
@@ -167,13 +187,8 @@ def root_sort(t: Term) -> Sort:
     return t.sort if isinstance(t, Var) else t.sym.result_sort
 
 
-def variables(t: Term) -> set[Var]:
-    if isinstance(t, Var):
-        return {t}
-    out: set[Var] = set()
-    for a in t.args:
-        out |= variables(a)
-    return out
+def variables(t: Term) -> frozenset[Var]:
+    return t.vars
 
 
 def positions(t: Term) -> list[tuple[Position, App]]:
@@ -205,12 +220,6 @@ def parallel(p: Position, q: Position) -> bool:
     return p[:k] != q[:k]
 
 
-def parallel_positions(ps: Iterable[Position]) -> bool:
-    """Pairwise prefix-incomparable?"""
-    ps = list(ps)
-    return all(parallel(p, q) for i, p in enumerate(ps) for q in ps[i + 1 :])
-
-
 PARALLEL_SET_CAP = 4096
 
 
@@ -232,33 +241,46 @@ def parallel_subsets(items: Iterable, position=lambda p: p) -> list[list]:
 
 
 def replace_at(t: Term, assignments: Mapping[Position, Term]) -> Term:
-    """Simultaneous replacement at pairwise parallel positions."""
+    """Simultaneous replacement at pairwise parallel positions.  Only the
+    nodes on the paths to them are rebuilt, and nothing here recurses."""
     if not assignments:
         return t
-    if not parallel_positions(assignments.keys()):
+    ps = sorted(assignments)
+    # in sorted order a position comes right before the first of its extensions
+    if any(q[: len(p)] == p for p, q in zip(ps, ps[1:])):
         raise TermError("replacement positions overlap")
-
     for p, s in assignments.items():
         expected = root_sort(subterm_at(t, p))
         if root_sort(s) != expected:
             raise TermError(f"replacement at {p} has sort {root_sort(s)}, expected {expected}")
+    if EPSILON in assignments:
+        return assignments[EPSILON]
+    path, here = [(t, list(t.args))], []  # the nodes down to the parent of the position at hand, with new arguments
 
-    def go(s: Term, here: Position) -> Term:
-        if here in assignments:
-            return assignments[here]
-        if isinstance(s, Var) or not any(p[: len(here)] == here for p in assignments):
-            return s
-        return App(s.sym, tuple(go(a, here + (i,)) for i, a in enumerate(s.args, start=1)))
+    def up():
+        node, args = path.pop()
+        path[-1][1][here.pop() - 1] = App(node.sym, tuple(args))
 
-    return go(t, EPSILON)
+    for p in ps:
+        while tuple(here) != p[: len(here)]:
+            up()
+        for i in p[len(here) : -1]:
+            sub = path[-1][1][i - 1]
+            path.append((sub, list(sub.args)))
+            here.append(i)
+        path[-1][1][p[-1] - 1] = assignments[p]
+    while here:
+        up()
+    return App(t.sym, tuple(path[0][1]))
 
 
 def apply_subst(sigma: Mapping[Var, Term], t: Term) -> Term:
+    """sigma applied to t; a subterm with no variable in sigma is returned as it is."""
     if isinstance(t, Var):
         return sigma.get(t, t)
-    if not sigma:
+    if t.vars.isdisjoint(sigma):
         return t
-    return App(t.sym, tuple(apply_subst(sigma, a) for a in t.args))
+    return App(t.sym, tuple([apply_subst(sigma, a) for a in t.args]))
 
 
 def match(pattern: Term, subject: Term) -> Subst | None:
@@ -284,12 +306,6 @@ def match(pattern: Term, subject: Term) -> Subst | None:
     return {x: s for x, s in sigma.items() if s != x}
 
 
-def occurs(x: Var, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t == x
-    return any(occurs(x, a) for a in t.args)
-
-
 def unify(equations: Iterable[tuple[Term, Term]]) -> Subst | None:
     """Idempotent mgu of the simultaneous system, or None.
 
@@ -302,7 +318,7 @@ def unify(equations: Iterable[tuple[Term, Term]]) -> Subst | None:
     def bind(x: Var, t: Term) -> bool:
         if x == t:
             return True
-        if x.sort != root_sort(t) or occurs(x, t):
+        if x.sort != root_sort(t) or x in t.vars:
             return False
         step = {x: t}
         nonlocal sigma, todo

@@ -45,15 +45,15 @@ FRAGMENT_SOURCES = sorted(CORPUS.glob("*.lctrs")) + sorted((REPO / "perfbench" /
 @pytest.mark.parametrize("path", FRAGMENT_SOURCES, ids=lambda p: f"{p.parent.name}/{p.stem}")
 def test_fragment_rules_equal_their_checked_construction(path):
     """The fragment's instances are built without the constructor's checks;
-    each passes them and carries the side variables the constructor's rule
-    computes.  The ground inputs run at their benchmark half-widths."""
+    each passes them and has the variables the constructor's rule has.
+    The ground inputs run at their benchmark half-widths."""
     half = GROUND_HALF_WIDTHS.get(path.stem, 4)
     fragment = ground_fragment(parse(path.read_text()), RewriteConfig(lo=-half, hi=half))
     assert fragment.rules
     for rule in fragment.rules:
         checked = ConstrainedRule(rule.lhs, rule.rhs, rule.guard, rule.calc)
         assert rule == checked
-        assert rule._side_vars == checked._side_vars
+        assert rule.variables() == checked.variables()
         assert (rule.lvar(), rule.evar(), rule.key()) == (checked.lvar(), checked.evar(), checked.key())
 
 

@@ -332,6 +332,22 @@ def test_pcp_oracle_tries_at_most_one_candidate_per_match(monkeypatch):
     assert max(constrained) == 1
 
 
+def test_pcp_analysis_builds_each_value_domain_once(monkeypatch):
+    """One analyze on pcp_101 builds the value domain once per config: the
+    constrained oracles, the ground fragment and the NO search's pair
+    instances share the one kept on the system."""
+    built = []
+    real_int_domain = RewriteConfig.int_domain
+    def counted(config, lctrs):
+        built.append(config)
+        return real_int_domain(config, lctrs)
+
+    monkeypatch.setattr(RewriteConfig, "int_domain", counted)
+    system = parse((CORPUS / "pcp_101.lctrs").read_text())
+    assert analyze(system, ConstraintSolver()).result == "MAYBE"
+    assert built and len(built) == len(set(built))
+
+
 def test_cstep_calculation_with_defined_variable(single_value, solver):
     phi = theory.conj(theory.eq(z, theory.add(x, 1)), theory.gt(x, 3))
     ct = ConstrainedTerm(theory.add(x, 1), phi)
@@ -362,7 +378,8 @@ def test_cstep_tilde_introduces_definition(single_value, solver):
 
 
 def test_cstep_tilde_projection_keeps_variables(projection, solver):
-    fxy = app(projection, "f", Var("x", variables(projection.rules[0].lhs).pop().sort), Var("y", projection.rules[0].lhs.args[1].sort))
+    lhs = projection.rules[0].lhs
+    fxy = app(projection, "f", Var("x", next(iter(variables(lhs))).sort), Var("y", lhs.args[1].sort))
     ct = ConstrainedTerm(fxy)
     results = {res.term for res, _ in cstep_tilde(ct, projection, solver)}
     assert fxy.args[0] in results

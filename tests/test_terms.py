@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lctrs.terms import (
@@ -17,10 +17,11 @@ from lctrs.terms import (
     fresh_name,
     int_val,
     match,
-    parallel_positions,
+    parallel,
     positions,
     rename_away,
     replace_at,
+    root_sort,
     sort_of,
     subterm_at,
     unify,
@@ -231,7 +232,7 @@ def test_produced_position_sets_are_parallel(t):
     assert pos == sorted(pos) == [p for p in _all_positions(t) if not isinstance(subterm_at(t, p), Var)]
     assert all(sub is subterm_at(t, p) for p, sub in walked)
     leaves = {p for p in pos if not any(q != p and q[: len(p)] == p for q in pos)}
-    assert parallel_positions(leaves)
+    assert all(parallel(p, q) for p in leaves for q in leaves if p != q)
 
 
 # --- the left-hand-side index ----------------------------------------------------
@@ -361,7 +362,8 @@ def test_variables_and_symbols_differ_by_sort():
 
 @pytest.mark.parametrize(
     "value, field",
-    [(INT, "name"), (g1, "kind"), (g1, "arg_sorts"), (x, "name"), (x, "sort"), (a, "sym"), (a, "args")],
+    [(INT, "name"), (g1, "kind"), (g1, "arg_sorts"), (x, "name"), (x, "sort"), (a, "sym"), (a, "args")]
+    + [(x, "vars"), (a, "vars")],
 )
 def test_setting_a_field_raises(value, field):
     old = getattr(value, field)
@@ -370,6 +372,93 @@ def test_setting_a_field_raises(value, field):
     with pytest.raises(AttributeError):
         delattr(value, field)
     assert getattr(value, field) is old
+
+
+# --- the variable set each term carries ------------------------------------------
+
+def walked_variables(t) -> set:
+    """The variables of t, found by walking it."""
+    if isinstance(t, Var):
+        return {t}
+    return set().union(*(walked_variables(u) for u in t.args))
+
+
+def substituted(sigma, t):
+    """sigma applied to t, rebuilding every node."""
+    if isinstance(t, Var):
+        return sigma.get(t, t)
+    return App(t.sym, tuple(substituted(sigma, u) for u in t.args))
+
+
+def replaced(t, assignments):
+    """Simultaneous replacement at parallel positions by a recursive walk
+    that visits every node with a replaced position below it."""
+
+    def go(s, here):
+        if here in assignments:
+            return assignments[here]
+        if isinstance(s, Var) or not any(p[: len(here)] == here for p in assignments):
+            return s
+        return App(s.sym, tuple(go(u, here + (i,)) for i, u in enumerate(s.args, start=1)))
+
+    return go(t, EPSILON)
+
+
+DESCRIBED_VARS = [Var(name, Sort(sort)) for name in "xy" for sort in "AB"]
+
+
+@settings(max_examples=200)
+@given(TERM_DESCRIPTIONS)
+def test_a_term_carries_the_variables_a_walk_finds(d):
+    t = build(d)
+    assert variables(t) is t.vars and t.vars == walked_variables(t)
+    assert isinstance(t.vars, frozenset)
+
+
+@settings(max_examples=200)
+@given(TERM_DESCRIPTIONS, st.dictionaries(st.sampled_from(DESCRIBED_VARS), TERM_DESCRIPTIONS.map(build), max_size=3))
+def test_substitution_returns_a_term_it_misses_as_it_is(d, sigma):
+    t = build(d)
+    got = apply_subst(sigma, t)
+    assert got == substituted(sigma, t)
+    if t.vars.isdisjoint(sigma):
+        assert got is t
+
+
+@st.composite
+def replacements(draw):
+    """A term and replacements of its own root sorts at parallel positions."""
+    t = draw(st.one_of(term_strategy(), TERM_DESCRIPTIONS.map(build)))
+    chosen: list = []
+    candidates = draw(st.permutations(_all_positions(t)))
+    if draw(st.booleans()):
+        candidates.sort(key=len, reverse=True)  # the deepest first: many parallel positions
+    for p in candidates[: draw(st.integers(0, len(candidates)))]:
+        if all(parallel(p, q) for q in chosen):
+            chosen.append(p)
+    sorts = [root_sort(subterm_at(t, p)) for p in chosen]
+    return t, {p: draw(st.sampled_from([Var("r", s), App(FunSym("k", (), s, "term"))])) for p, s in zip(chosen, sorts)}
+
+
+@settings(max_examples=200)
+@given(replacements())
+@example((App(f2, (App(g1, (a,)), App(g2, (x, App(g1, (b,)))))), {(1, 1): c, (2, 2, 1): d, (2, 1): y}))
+def test_replacement_rebuilds_what_a_full_walk_rebuilds(case):
+    t, assignments = case
+    assert replace_at(t, assignments) is replaced(t, assignments)
+
+
+def test_deep_terms_are_walked_without_recursion():
+    """variables, replacement at the deepest position and the occurs check
+    on a 3 000-deep term, built in code since the parser still recurses."""
+    t = x
+    for _ in range(3000):
+        t = App(g1, (t,))
+    assert variables(t) == {x}
+    deepest = (1,) * 3000
+    swapped = replace_at(t, {deepest: y})
+    assert subterm_at(swapped, deepest) is y and variables(swapped) == {y}
+    assert unify([(x, t)]) is None
 
 
 def test_value_symbols_are_checked_once_made():

@@ -32,6 +32,8 @@ FORMS = (
     ("cpcp",),
     ("cpcp", "--json"),
     ("ground",),
+    ("ground", "--json"),
+    ("check",),
     ("check", "--json"),
     ("analyze", "--values=-6..6"),
     ("analyze", "--values=-12..12", "--json"),

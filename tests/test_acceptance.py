@@ -213,6 +213,7 @@ CORPUS_NAMES = (
     "projection",
     "pcp_101",
     "four_parts",
+    "two_positions",
 )
 
 

@@ -7,7 +7,10 @@ were merged (the `check` files before terms were hash-consed); regenerate them
 the same way only for an intended output change.  The `four_parts` files
 were recorded once the rewrite oracle and the ground fragment shared one
 assignment procedure, so its `check` pins step equivalence on a rule whose
-equation defines a variable the oracle computes.
+equation defines a variable the oracle computes.  The `two_positions` files
+were recorded before the single, parallel and multi-steps were lifted to
+constrained terms by one function; its `cpcp` pins a parallel pair of two
+positions, the only one among the bundled inputs.
 
 The four non-left-linear systems of the benchmark's ground workload pin the
 NO path, witness pair included, at the value half-widths the benchmark runs
@@ -49,7 +52,7 @@ GEN_PCP_COMMANDS = ("analyze", "cpcp")
 
 
 def test_every_corpus_system_is_recorded():
-    assert len(SYSTEMS) == 8
+    assert len(SYSTEMS) == 9
     assert sorted(p.stem for p in GROUND.glob("*.lctrs")) == sorted(GROUND_HALF_WIDTHS)
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(
         [f"{name}.{cmd}.json" for name in SYSTEMS for cmd in COMMANDS]

@@ -376,11 +376,6 @@ def _closing(
     return Closing("unknown" if unknown else "not_closed")
 
 
-def _multi_steps(ct, lctrs, solver, config, below):
-    """multi_tilde as (result, qset) pairs; a multi-step records no positions."""
-    return [(mid, None) for mid in multi_tilde(ct, lctrs, solver, config, below=below)]
-
-
 def dev_closed_check(
     ccp: CCPRecord,
     lctrs: Lctrs,
@@ -391,7 +386,7 @@ def dev_closed_check(
     """(Almost) development closedness of one constrained critical pair:
     one multi-step below position 1, then (for overlays only) a rewrite tail
     below position 2, ending in a trivial pair."""
-    return _closing(ccp.pair(), _multi_steps, 1, lctrs, solver, config, depth if ccp.overlay else 0)
+    return _closing(ccp.pair(), multi_tilde, 1, lctrs, solver, config, depth if ccp.overlay else 0)
 
 
 def parallel_closed_1(

@@ -182,7 +182,7 @@ def cmd_check(args) -> int:
     system, solver, config = _setup(args)
     reports = {
         "correspondence": check_cp_correspondence(system, solver, config.rewrite),
-        "step-equivalence": check_step_equivalence(system, config.rewrite),
+        "step-equivalence": check_step_equivalence(system, solver, config.rewrite),
         "instance-soundness": check_instance_soundness(system, solver, config.rewrite),
     }
     if args.json:

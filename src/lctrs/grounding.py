@@ -29,13 +29,13 @@ from .analysis import (
 )
 from .logic import ConstraintSolver
 from .rewriting import (
+    ConstrainedTerm,
     RedexOracle,
     RewriteConfig,
     _oracle,
     breadth_first,
     cstep,
     domain_terms,
-    plain_successors,
     redexes,
     single_steps,
 )
@@ -291,17 +291,19 @@ def _sample_terms(lctrs: Lctrs, config: RewriteConfig, count: int, seed: int) ->
 
 def check_step_equivalence(
     lctrs: Lctrs,
+    solver: ConstraintSolver,
     config: RewriteConfig = RewriteConfig(),
     samples: int = 50,
     seed: int = 0,
 ) -> Report:
     """One-step successor sets agree between the guarded rules (with values
-    from the domain) and the instantiated fragment, on sampled terms."""
+    from the domain, rewriting under the constraint true) and the
+    instantiated fragment, on sampled terms."""
     report = Report()
     fragment = ground_fragment(lctrs, config)
     for t in _sample_terms(lctrs, config, samples, seed):
         report.checked += 1
-        via_rules = {r for r, _ in plain_successors(t, lctrs, config)}
+        via_rules = {r.term for r, _ in cstep(ConstrainedTerm(t), lctrs, solver, config)}
         via_fragment = set(frag_successors(t, fragment))
         if via_rules != via_fragment:
             only_r = {term_key(u) for u in via_rules - via_fragment}
@@ -314,7 +316,7 @@ def check_step_equivalence(
 
 def check_instance_soundness(
     lctrs: Lctrs,
-    solver,
+    solver: ConstraintSolver,
     config: RewriteConfig = RewriteConfig(),
     samples: int = 20,
 ) -> Report:
@@ -330,9 +332,7 @@ def check_instance_soundness(
                 report.checked += 1
                 before = apply_subst(sigma, ct.term)
                 after = apply_subst(sigma, res.term)
-                ground = {
-                    (r, s.position) for r, s in plain_successors(before, lctrs, config)
-                }
+                ground = {(r.term, s.position) for r, s in cstep(ConstrainedTerm(before), lctrs, solver, config)}
                 if (after, rec.position) not in ground:
                     report.violations.append(
                         f"step at {rec.position} from {ct!r} does not replay under {sigma}"

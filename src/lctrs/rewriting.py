@@ -1,18 +1,21 @@
 """Rewrite relations on terms and constrained terms.
 
 One engine serves every relation: a redex oracle finds the root redexes of a
-subterm, and single, parallel and multi-steps are built on top of it.  The
-constrained oracle keeps the constraint fixed and decides each choice for
-the rule's logical variables by evaluating the compiled guard under one
+subterm, redexes collects them under a position, and single_steps,
+parallel_steps and multi_steps contract the redexes found, each result with
+its evidence (the step's record, the redex position set, none).
+constrained_steps lifts a contraction to a constrained term: it asks once
+whether the constraint is satisfiable, takes the redexes of the constrained
+oracle under it and keeps the constraint.  That oracle decides each choice
+for the rule's logical variables by evaluating the compiled guard under one
 model of the constraint, asking for validity only what the model cannot
-decide.  Plain rewriting is its instance under the constraint true: with no
+decide.  Plain rewriting is cstep under the constraint true: with no
 constraint variable every logical variable takes a value and the guard
 decides each choice.  Over the rules of a ground fragment, which have no
-logical variables, an oracle is plain matching.  The tilde variants compose
-with the equivalence moves produced by equiv_extensions, which only ever
+logical variables, an oracle is plain matching.  The tilde variants are the
+lifting modulo the equivalence moves of equiv_extensions, which only ever
 extend a constraint by a definition z = f(u1..un) of a theory subterm.
-Parallel and multi-step relations follow their inductive definitions,
-recording redex position sets; multi-step nesting is depth-bounded.
+Multi-step nesting is depth-bounded.
 """
 
 from __future__ import annotations
@@ -141,17 +144,17 @@ def redexes(t: Term, redexes_at: RedexOracle, below: Position = EPSILON) -> list
     ]
 
 
-def single_steps(t: Term, found: list[Redex]) -> list[tuple[Term, StepRecord]]:
-    """Contract each redex on its own."""
+def single_steps(t: Term, found: list[Redex], below: Position = EPSILON) -> list[tuple[Term, StepRecord]]:
+    """Contract each redex on its own; the evidence is the step's record."""
     return [
         (replace_at(t, {p: apply_subst(sigma, rule.rhs)}), StepRecord(p, rule, _freeze(sigma)))
         for p, rule, sigma in found
     ]
 
 
-def parallel_steps(t: Term, found: list[Redex]) -> list[tuple[Term, tuple[Position, ...]]]:
+def parallel_steps(t: Term, found: list[Redex], below: Position = EPSILON) -> list[tuple[Term, tuple[Position, ...]]]:
     """Contract every subset of redexes at parallel positions at once; the
-    result carries its exact redex position set."""
+    evidence is the exact redex position set."""
     out = []
     for subset in parallel_subsets(found, lambda red: red[0]):
         repl = {p: apply_subst(sigma, rule.rhs) for p, rule, sigma in subset}
@@ -159,8 +162,15 @@ def parallel_steps(t: Term, found: list[Redex]) -> list[tuple[Term, tuple[Positi
     return out
 
 
-def multi_steps(t: Term, redexes_at: RedexOracle, depth: int) -> set[Term]:
-    """Multi-step results: nested redex contraction up to depth levels."""
+def multi_steps(t: Term, found: list[Redex], below: Position = EPSILON) -> list[tuple[Term, None]]:
+    """Multi-steps below `below`, nested up to MULTI_NESTING levels, in
+    term_key order of the replaced subterm, with no evidence.  `found` must
+    be every redex under `below`: a contracted subterm is a subterm of
+    t|below, a value or a variable, and no left-hand side is a value."""
+    by_position: dict[Position, list[tuple[ConstrainedRule, Subst]]] = {}
+    for p, rule, sigma in found:
+        by_position.setdefault(p, []).append((rule, sigma))
+    at = {sub: by_position.get(below + p, ()) for p, sub in positions(subterm_at(t, below))}
     memo: dict[tuple[Term, int], set[Term]] = {}
 
     def go(s: Term, budget: int) -> set[Term]:
@@ -175,7 +185,7 @@ def multi_steps(t: Term, redexes_at: RedexOracle, depth: int) -> set[Term]:
             for combo in itertools.product(*(go(a, budget) for a in s.args)):
                 out.add(App(s.sym, combo))
             if budget > 0:
-                for rule, sigma in redexes_at(s):
+                for rule, sigma in at.get(s, ()):
                     rvars = sorted(variables(rule.rhs), key=lambda v: v.name)
                     opts = [go(sigma[x], budget - 1) if x in sigma else {x} for x in rvars]
                     for picks in itertools.product(*opts):
@@ -183,7 +193,8 @@ def multi_steps(t: Term, redexes_at: RedexOracle, depth: int) -> set[Term]:
         memo[key] = out
         return out
 
-    return go(t, depth)
+    results = go(subterm_at(t, below), MULTI_NESTING)
+    return [(replace_at(t, {below: r}), None) for r in sorted(results, key=term_key)]
 
 
 def breadth_first(start, successors, depth: int):
@@ -209,19 +220,19 @@ def breadth_first(start, successors, depth: int):
 # --- the constrained oracle -------------------------------------------------
 
 def _constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, config: RewriteConfig) -> RedexOracle:
-    """Root redexes of the constrained-step relation under the constraint
-    phi: sigma maps logical variables into values or constraint variables,
-    and phi => guard*sigma is valid.  Unknown solver verdicts suppress the
-    candidate.  The candidates for a variable the match leaves to choose are
-    the constraint variables of its sort (in name order), the exact
-    calculation result when the arguments are values, and the domain values;
-    a rule with more than MAX_UNBOUND of them free after solving gives no
-    instance.  Under one model of a satisfiable phi, the rule's own
+    """Root redexes of the constrained-step relation under a satisfiable
+    constraint phi: sigma maps logical variables into values or constraint
+    variables, and phi => guard*sigma is valid.  Unknown solver verdicts
+    suppress the candidate.  The candidates for a variable the match leaves
+    to choose are the constraint variables of its sort (in name order), the
+    exact calculation result when the arguments are values, and the domain
+    values; a rule with more than MAX_UNBOUND of them free after solving
+    gives no instance.  Under one model of phi, the rule's own
     ConstrainedRule.assignments chooses them, every term counting as its
     model value: a defined variable takes the candidates with the computed
     value, and the choices the model refutes are dropped.  A choice with
-    every guard variable at a value is accepted; any other, and every
-    choice under a constraint without a model, is one validity query."""
+    every guard variable at a value is accepted; any other is one validity
+    query."""
     phi_vars_by_name = sorted(phi.vars, key=lambda v: v.name)
     domain = domain_terms(lctrs, config)
 
@@ -229,18 +240,16 @@ def _constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, confi
         return is_value(value) or (isinstance(value, Var) and value in phi.vars)
 
     @functools.cache
-    def sat_model() -> Subst | None:
-        """One model of phi, read once; None when phi is unsat or undecided."""
-        verdict = solver.is_satisfiable(phi)
-        return verdict.assignment if verdict.is_sat else None
+    def sat_model() -> Subst:
+        """One model of phi, read once."""
+        return solver.is_satisfiable(phi).assignment
 
     @functools.cache
     def candidates(sort: Sort, calc: Term | None) -> tuple:
         """The options of a variable of the sort: the constraint variables with
-        their model values (None without a model), the calculation result calc
-        if any, and the domain values."""
-        model = sat_model()
-        own = [(v, None if model is None else value_of(model[v])) for v in phi_vars_by_name if v.sort == sort]
+        their model values, the calculation result calc if any, and the
+        domain values."""
+        own = [(v, value_of(sat_model()[v])) for v in phi_vars_by_name if v.sort == sort]
         if calc is not None:
             own.append((calc, value_of(calc)))
         return options([*own, *(pair for pair in value_options(domain[sort])[0] if pair[0] != calc)])
@@ -253,14 +262,10 @@ def _constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, confi
         args = apply_subst(sigma0, rule.lhs) if rule.calc else None
         calc = None if args is None or variables(args) else theory.interpret_term(args)
         opts = [candidates(x.sort, calc) for x in solve.names]
-        if model is None:
-            found = itertools.product(*([t for t, _ in pairs] for pairs, _, _ in opts))
-        else:
-            found = solve(opts, [value_of(model.get(t, t)) for t in (sigma0.get(x, x) for x in solve.inputs)])
         out = []
-        for choice in found:
+        for choice in solve(opts, [value_of(model.get(t, t)) for t in (sigma0.get(x, x) for x in solve.inputs)]):
             sigma = {**sigma0, **dict(zip(solve.names, choice))}
-            decided = model is not None and all(is_value(sigma.get(x, x)) for x in rule.guard.vars)  # phi => true
+            decided = all(is_value(sigma.get(x, x)) for x in rule.guard.vars)  # phi => true
             if decided or solver.is_valid(theory.imp(phi, apply_subst(sigma, rule.guard))).is_valid:
                 out.append(sigma)
         return out
@@ -278,26 +283,7 @@ def constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, config
     return lctrs.oracles[key]
 
 
-# --- plain rewriting --------------------------------------------------------
-
-def plain_oracle(lctrs: Lctrs, config: RewriteConfig) -> RedexOracle:
-    """Root redexes of plain rewriting with the rules and calculation rules
-    of lctrs: the constrained oracle under the constraint true, whose own
-    solver is asked only whether true is satisfiable.  Its model is empty,
-    so a logical variable outside the left-hand side takes the calculation
-    result or a domain value, and the compiled guard decides every choice.
-    Built once per config and kept on lctrs (lctrs.oracles)."""
-    if config not in lctrs.oracles:
-        lctrs.oracles[config] = _constrained_oracle(theory.bool_val(True), lctrs, ConstraintSolver(), config)
-    return lctrs.oracles[config]
-
-
-def plain_successors(s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> list[tuple[Term, StepRecord]]:
-    """Single plain steps, each with its position, rule and full substitution."""
-    return single_steps(s, redexes(s, plain_oracle(lctrs, config)))
-
-
-# --- constrained steps ------------------------------------------------------
+# --- constrained steps: one lifting of the contractions -----------------------
 
 def constrained_redexes(
     ct: ConstrainedTerm,
@@ -313,6 +299,21 @@ def constrained_redexes(
     return redexes(ct.term, constrained_oracle(ct.constraint, lctrs, solver, config), below)
 
 
+def constrained_steps(
+    ct: ConstrainedTerm,
+    contract,
+    lctrs: Lctrs,
+    solver: ConstraintSolver,
+    config: RewriteConfig = RewriteConfig(),
+    below: Position = EPSILON,
+) -> list[tuple[ConstrainedTerm, object]]:
+    """The contraction `contract` (single_steps, parallel_steps or
+    multi_steps) of the redexes constrained_redexes finds under `below`,
+    each result with its evidence; the constraint is never modified."""
+    found = constrained_redexes(ct, lctrs, solver, config, below)
+    return [(ConstrainedTerm(r, ct.constraint), evidence) for r, evidence in contract(ct.term, found, below)]
+
+
 def cstep(
     ct: ConstrainedTerm,
     lctrs: Lctrs,
@@ -320,9 +321,8 @@ def cstep(
     config: RewriteConfig = RewriteConfig(),
     below: Position = EPSILON,
 ) -> list[tuple[ConstrainedTerm, StepRecord]]:
-    """One constrained step; the constraint is never modified."""
-    found = constrained_redexes(ct, lctrs, solver, config, below)
-    return [(ConstrainedTerm(r, ct.constraint), rec) for r, rec in single_steps(ct.term, found)]
+    """One constrained step; plain rewriting is cstep(ConstrainedTerm(t), ...)."""
+    return constrained_steps(ct, single_steps, lctrs, solver, config, below)
 
 
 def equiv_extensions(ct: ConstrainedTerm) -> list[ConstrainedTerm]:
@@ -344,12 +344,12 @@ def equiv_extensions(ct: ConstrainedTerm) -> list[ConstrainedTerm]:
     return out
 
 
-def _modulo_equivalence(ct: ConstrainedTerm, successors, key=lambda item: item) -> list:
-    """Successors of every equivalent reformulation of ct, keeping the first
-    result of each key."""
+def _modulo_equivalence(ct: ConstrainedTerm, contract, lctrs, solver, config, below, key=lambda item: item) -> list:
+    """The constrained steps of every equivalent reformulation of ct,
+    keeping the first result of each key."""
     out: dict = {}
     for e in equiv_extensions(ct):
-        for item in successors(e):
+        for item in constrained_steps(e, contract, lctrs, solver, config, below):
             out.setdefault(key(item), item)
     return list(out.values())
 
@@ -362,20 +362,7 @@ def cstep_tilde(
     below: Position = EPSILON,
 ) -> list[tuple[ConstrainedTerm, StepRecord]]:
     """Constrained step modulo equivalence: extension moves, then a step."""
-    return _modulo_equivalence(ct, lambda e: cstep(e, lctrs, solver, config, below), lambda item: item[0])
-
-
-def parallel_successors(
-    ct: ConstrainedTerm,
-    lctrs: Lctrs,
-    solver: ConstraintSolver,
-    config: RewriteConfig = RewriteConfig(),
-    below: Position = EPSILON,
-) -> list[tuple[ConstrainedTerm, tuple[Position, ...]]]:
-    """Constrained parallel steps with exact redex position sets."""
-    found = constrained_redexes(ct, lctrs, solver, config, below)
-    steps = parallel_steps(ct.term, found)
-    return [(ConstrainedTerm(r, ct.constraint), pset) for r, pset in steps]
+    return _modulo_equivalence(ct, single_steps, lctrs, solver, config, below, lambda item: item[0])
 
 
 def parallel_tilde(
@@ -385,23 +372,9 @@ def parallel_tilde(
     config: RewriteConfig = RewriteConfig(),
     below: Position = EPSILON,
 ) -> list[tuple[ConstrainedTerm, tuple[Position, ...]]]:
-    return _modulo_equivalence(ct, lambda e: parallel_successors(e, lctrs, solver, config, below))
-
-
-def multi_successors(
-    ct: ConstrainedTerm,
-    lctrs: Lctrs,
-    solver: ConstraintSolver,
-    config: RewriteConfig = RewriteConfig(),
-    below: Position = EPSILON,
-) -> list[ConstrainedTerm]:
-    """Constrained multi-step results (constraint unchanged)."""
-    phi = ct.constraint
-    if not solver.is_satisfiable(phi).is_sat:
-        return []
-    oracle = constrained_oracle(phi, lctrs, solver, config)
-    results = multi_steps(subterm_at(ct.term, below), oracle, MULTI_NESTING)
-    return [ConstrainedTerm(replace_at(ct.term, {below: r}), phi) for r in sorted(results, key=term_key)]
+    """Constrained parallel step modulo equivalence, with exact redex
+    position sets."""
+    return _modulo_equivalence(ct, parallel_steps, lctrs, solver, config, below)
 
 
 def multi_tilde(
@@ -410,5 +383,6 @@ def multi_tilde(
     solver: ConstraintSolver,
     config: RewriteConfig = RewriteConfig(),
     below: Position = EPSILON,
-) -> list[ConstrainedTerm]:
-    return _modulo_equivalence(ct, lambda e: multi_successors(e, lctrs, solver, config, below))
+) -> list[tuple[ConstrainedTerm, None]]:
+    """Constrained multi-step modulo equivalence."""
+    return _modulo_equivalence(ct, multi_steps, lctrs, solver, config, below)

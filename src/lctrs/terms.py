@@ -193,16 +193,18 @@ def variables(t: Term) -> frozenset[Var]:
 
 def positions(t: Term) -> list[tuple[Position, App]]:
     """The function (non-variable) positions p of t, each with its subterm
-    t|p, in preorder, which is the positions' sorted order."""
+    t|p, in preorder, which is the positions' sorted order.  An explicit
+    stack holds the function arguments still to visit, the last on top."""
     out: list[tuple[Position, App]] = []
-
-    def walk(s: Term, here: Position):
-        if isinstance(s, App):
-            out.append((here, s))
-            for i, a in enumerate(s.args, start=1):
-                walk(a, here + (i,))
-
-    walk(t, EPSILON)
+    stack = [(EPSILON, t)] if isinstance(t, App) else []
+    while stack:
+        here, s = stack.pop()
+        out.append((here, s))
+        i = len(s.args)
+        for a in reversed(s.args):
+            if isinstance(a, App):
+                stack.append((here + (i,), a))
+            i -= 1
     return out
 
 

@@ -10,13 +10,13 @@ from lctrs.grounding import GroundFragment, reachable, trs_cps, trs_pcps
 from lctrs.logic import ConstraintSolver
 from lctrs.pcp import PCPInstance, build_rp
 from lctrs.rewriting import (
-    MULTI_NESTING,
     ConstrainedTerm,
     RewriteConfig,
+    StepRecord,
+    constrained_steps,
+    cstep,
     multi_steps,
     parallel_steps,
-    plain_oracle,
-    plain_successors,
     redexes,
 )
 from lctrs.rules import ConstrainedRule, Lctrs, Signature
@@ -71,22 +71,31 @@ LINEAR_OPS = (theory.le, theory.lt, theory.eq, theory.ne, theory.ge)
 LINEAR_ATOM = st.tuples(st.lists(st.integers(-2, 2), min_size=5, max_size=5), st.sampled_from(LINEAR_OPS), st.integers(-3, 3))
 
 
-# --- test-side oracles: multi-steps and closedness of plain rewriting ---------
+# --- test-side oracles: plain rewriting, multi-steps and closedness ----------
+
+PLAIN_SOLVER = ConstraintSolver()  # plain rewriting asks it only whether true is satisfiable
+
+
+def plain_successors(s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> list[tuple[Term, StepRecord]]:
+    """Single plain steps, each with its position, rule and full
+    substitution: constrained steps under true."""
+    return [(r.term, rec) for r, rec in cstep(ConstrainedTerm(s), lctrs, PLAIN_SOLVER, config)]
+
 
 def plain_parallel_successors(
     s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()
 ) -> list[tuple[Term, tuple[Position, ...]]]:
     """All parallel-step results with their exact redex position sets."""
-    return parallel_steps(s, redexes(s, plain_oracle(lctrs, config)))
+    return [(r.term, ps) for r, ps in constrained_steps(ConstrainedTerm(s), parallel_steps, lctrs, PLAIN_SOLVER, config)]
 
 
 def plain_multi_successors(s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> set[Term]:
     """Multi-step results up to the engine's nesting bound."""
-    return multi_steps(s, plain_oracle(lctrs, config), MULTI_NESTING)
+    return {r.term for r, _ in constrained_steps(ConstrainedTerm(s), multi_steps, lctrs, PLAIN_SOLVER, config)}
 
 
 def frag_multi(t: Term, fragment: GroundFragment) -> set[Term]:
-    return multi_steps(t, fragment.oracle, MULTI_NESTING)
+    return {r for r, _ in multi_steps(t, redexes(t, fragment.oracle))}
 
 
 def trs_closedness_check(fragment: GroundFragment, depth: int = 6) -> dict:

@@ -117,7 +117,7 @@ def test_criterion_3_parity_split_asymmetry(solver):
     for rec in pairs:
         pair = rec.pair()
         ok = ok and cstep_tilde(pair, system, solver) == []
-        ok = ok and all(res.term == pair.term for res in multi_tilde(pair, system, solver, below=(1,)))
+        ok = ok and all(res.term == pair.term for res, _ in multi_tilde(pair, system, solver, below=(1,)))
         ok = ok and dev_closed_check(rec, system, solver).status == "not_closed"
     frag = ground_fragment(system, RewriteConfig(lo=-3, hi=3))
     ground_report = trs_closedness_check(frag)
@@ -224,7 +224,7 @@ def test_criterion_7_correspondence_suite(solver):
         system = load(name)
         cfg = RewriteConfig(lo=-4, hi=4)
         corr = check_cp_correspondence(system, solver, cfg, samples=200)
-        steps = check_step_equivalence(system, cfg, samples=200)
+        steps = check_step_equivalence(system, solver, cfg, samples=200)
         ok = ok and corr.ok and steps.ok
         details.append(f"{name}: correspondence {corr.checked}, steps {steps.checked}")
         if not corr.ok:

@@ -17,13 +17,13 @@ from lctrs.analysis import (
 from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse, print_system
 from lctrs.pcp import PCPInstance, build_rp
-from lctrs.rewriting import ConstrainedTerm, plain_successors
+from lctrs.rewriting import ConstrainedTerm
 from lctrs.rules import ConstrainedRule, Lctrs, Signature
 from lctrs.terms import App, INT, LhsIndex, ParallelSetCap, Var, apply_subst, int_val, variables
 from lctrs.grounding import constraint_assignments
 from lctrs.rewriting import domain_terms, RewriteConfig
 
-from tests.conftest import CORPUS
+from tests.conftest import CORPUS, plain_successors
 from tests.test_golden import GEN_PCP
 
 x, y, z = Var("x", INT), Var("y", INT), Var("z", INT)

@@ -237,7 +237,7 @@ def test_correspondence_var_tracking(var_tracking, solver):
 
 def test_step_equivalence_systems(single_value, parity, calc_chain, var_tracking, solver):
     for system in (single_value, parity, calc_chain, var_tracking):
-        report = check_step_equivalence(system, samples=40)
+        report = check_step_equivalence(system, solver, samples=40)
         assert report.ok, report
 
 
@@ -391,10 +391,10 @@ def test_a_calculation_result_outside_the_domain_is_a_peak():
 FOUR_PARTS = (CORPUS / "four_parts.lctrs").read_text()
 
 
-def test_check_finds_the_four_part_steps_on_both_sides():
+def test_check_finds_the_four_part_steps_on_both_sides(solver):
     """f(4) -> g(1, 1, 1, 1) is a fragment step; the oracle finds it too, since
     the equation defines a and only b, c and d count against MAX_UNBOUND."""
-    report = check_step_equivalence(parse(FOUR_PARTS))
+    report = check_step_equivalence(parse(FOUR_PARTS), solver)
     assert report.ok, report
 
 

@@ -16,11 +16,10 @@ from lctrs.rewriting import (
     domain_terms,
     multi_tilde,
     parallel_tilde,
-    plain_successors,
 )
 from lctrs.terms import App, INT, Var, apply_subst, int_val, match, variables
 
-from tests.conftest import equiv, plain_multi_successors, plain_parallel_successors, trs_closedness_check
+from tests.conftest import equiv, plain_multi_successors, plain_parallel_successors, plain_successors, trs_closedness_check
 
 CFG = RewriteConfig()
 
@@ -62,7 +61,7 @@ def test_pair_steps_below_two_replay_on_the_right(swap, solver):
 def test_multi_below_one_replays_as_ground_multi(swap, solver):
     for ccp in ccps(swap, solver):
         start = ccp.pair()
-        for res in multi_tilde(start, swap, solver, below=(1,))[:6]:
+        for res, _ in multi_tilde(start, swap, solver, below=(1,))[:6]:
             for delta in models_of(res.constraint, swap, limit=4):
                 gamma = restrict(delta, variables(start.constraint))
                 t_before = apply_subst(gamma, start.term.args[1])

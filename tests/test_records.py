@@ -8,7 +8,7 @@ from lctrs.analysis import CCPRecord, CPCPRecord
 from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse
 from lctrs.pcp import PCPInstance
-from lctrs.rewriting import ConstrainedTerm, RewriteConfig, StepRecord, constrained_oracle, plain_oracle
+from lctrs.rewriting import ConstrainedTerm, RewriteConfig, StepRecord, constrained_oracle
 from lctrs.rules import ConstrainedRule, Signature, calc_rules, options
 from lctrs.terms import App, BOOL, INT, Var, bool_val, int_val, rename_away
 
@@ -75,10 +75,12 @@ def test_reprs():
 
 
 def test_equal_rewrite_configs_share_one_plain_oracle():
+    """Plain rewriting's oracle is the constrained one under true."""
     system = parse("(theory Ints)\n(fun h (Int) Int)\n(rule (h x) x)\n")
-    first = plain_oracle(system, RewriteConfig(-2, 2))
-    assert plain_oracle(system, RewriteConfig(-2, 2)) is first
-    assert plain_oracle(system, RewriteConfig(-2, 3)) is not first
+    true, solver = theory.bool_val(True), ConstraintSolver()
+    first = constrained_oracle(true, system, solver, RewriteConfig(-2, 2))
+    assert constrained_oracle(true, system, solver, RewriteConfig(-2, 2)) is first
+    assert constrained_oracle(true, system, solver, RewriteConfig(-2, 3)) is not first
     assert len(system.oracles) == 2
 
 

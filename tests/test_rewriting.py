@@ -10,6 +10,7 @@ from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse
 from lctrs.rules import ConstrainedRule, Lctrs, Signature, calc_rules
 from lctrs.rewriting import (
+    MULTI_NESTING,
     ConstrainedTerm,
     RewriteConfig,
     breadth_first,
@@ -19,16 +20,36 @@ from lctrs.rewriting import (
     cstep_tilde,
     domain_terms,
     equiv_extensions,
-    multi_successors,
-    parallel_successors,
+    constrained_steps,
+    multi_steps,
+    parallel_steps,
     parallel_tilde,
-    plain_oracle,
-    plain_successors,
     redexes,
 )
-from lctrs.terms import App, BOOL, INT, Var, apply_subst, int_val, positions, sort_of, variables
+from lctrs.terms import (
+    App,
+    BOOL,
+    INT,
+    Var,
+    apply_subst,
+    int_val,
+    positions,
+    replace_at,
+    sort_of,
+    subterm_at,
+    term_key,
+    variables,
+)
 
-from tests.conftest import CORPUS, LINEAR_ATOM, equiv, linear_atom, plain_multi_successors, plain_parallel_successors
+from tests.conftest import (
+    CORPUS,
+    LINEAR_ATOM,
+    equiv,
+    linear_atom,
+    plain_multi_successors,
+    plain_parallel_successors,
+    plain_successors,
+)
 
 CFG = RewriteConfig()
 x, y, z, m, n = (Var(name, INT) for name in "xyzmn")
@@ -208,12 +229,13 @@ def test_matches_with_one_guard_share_one_model(monkeypatch):
 @example(  # a - p = 1 with a bound to the constraint's p = 1: the rule's p is 0
     1, ["p", "u"], [([1, 0, 0, 0, 0], theory.eq, 1)], [([1, -1, 0, 0, 0], theory.eq, 1), ([0, 1, 1, 0, 0], theory.ge, 0)]
 )
-@example(  # p <= -1 and p >= 1 has no model: every choice is valid, by a query each
+@example(  # p <= -1 and p >= 1 has no model: no redex, and no oracle is built
     1, ["u"], [([1, 0, 0, 0, 0], theory.le, -1), ([1, 0, 0, 0, 0], theory.ge, 1)], [([1, 1, 0, 0, 0], theory.eq, 3)]
 )
 def test_oracle_accepts_exactly_the_valid_instances(arity, unbound_names, phi_atoms, guard_atoms):
-    """f(a, b, ..) -> g(unbound) [guard] on f(p, q, ..) [phi]: the oracle's
-    instances are the candidate choices for which phi => guard*sigma is valid.
+    """f(a, b, ..) -> g(unbound) [guard] on f(p, q, ..) [phi]: under a
+    satisfiable phi the redexes are the candidate choices for which
+    phi => guard*sigma is valid, and under any other phi there are none.
     An unbound variable named p shares its name with a constraint variable.
     Every validity query the oracle asks holds in phi's model: a choice that
     the model refutes costs none."""
@@ -233,16 +255,13 @@ def test_oracle_accepts_exactly_the_valid_instances(arity, unbound_names, phi_at
     sigmas = [{**sigma0, **dict(zip(unbound, choice))} for choice in itertools.product(*options)]
     wanted = [sigma for sigma in sigmas if solver.is_valid(theory.imp(phi, apply_subst(sigma, guard))).is_valid]
     oracle_solver = _QueryLog()
-    found = constrained_oracle(phi, system, oracle_solver, config)
-    assert [sigma for _rule, sigma in found(App(f, tuple(cvars)))] == wanted
+    found = constrained_redexes(ConstrainedTerm(App(f, tuple(cvars)), phi), system, oracle_solver, config)
     sat = oracle_solver.is_satisfiable(phi)
-    if not sat.is_sat:  # no model to evaluate under: one query per choice
-        assert len(oracle_solver.valid_queries) == len(sigmas)
+    assert [sigma for _p, _rule, sigma in found] == (wanted if sat.is_sat else [])
     for query in oracle_solver.valid_queries:
         premise, conclusion = query.args
         assert premise == phi
-        if sat.is_sat:
-            assert theory.holds(apply_subst(sat.assignment, conclusion)), query
+        assert theory.holds(apply_subst(sat.assignment, conclusion)), query
 
 
 class _QueryLog(ConstraintSolver):
@@ -274,7 +293,7 @@ def test_computed_candidates_give_the_redexes_of_the_full_list(monkeypatch):
     equation defines a variable (rules._definitions switched off), trying
     every candidate."""
     systems = _oracle_systems()
-    assert len(systems) == 12
+    assert len(systems) == 13
     assert any(rule.assignments.free < len(rule.lvar_split[1]) for _, system in systems for rule in system.rules)
     pairs = {
         name: [e for ccp in ccps(system, ConstraintSolver()) for e in equiv_extensions(ccp.pair())]
@@ -445,7 +464,7 @@ def test_parallel_two_calculations(calc_chain, solver):
 def test_parallel_step_at_root(var_tracking, solver):
     yv = Var("y", var_tracking.rules[0].lhs.args[1].sort)
     ct = ConstrainedTerm(app(var_tracking, "f", app(var_tracking, "a"), yv))
-    results = parallel_successors(ct, var_tracking, solver)
+    results = constrained_steps(ct, parallel_steps, var_tracking, solver)
     assert any(res.term == yv and ps == ((),) for res, ps in results)
 
 
@@ -464,7 +483,7 @@ def test_multi_reflexive(parity, solver):
     t = app(parity, "f", x)
     assert t in plain_multi_successors(t, parity)
     ct = ConstrainedTerm(t, theory.gt(x, 0))
-    assert any(res.term == t for res in multi_successors(ct, parity, solver))
+    assert any(res.term == t for res, _ in constrained_steps(ct, multi_steps, parity, solver))
 
 
 def test_multi_nested_collapse(swap, solver):
@@ -472,8 +491,59 @@ def test_multi_nested_collapse(swap, solver):
     # arguments and calculate the product, nested three deep
     phi = theory.conj(theory.eq(x, y), theory.eq(y, 2))
     t = app(swap, "h", app(swap, "g", y, theory.mul(2, 2)))
-    results = {res.term for res in multi_successors(ConstrainedTerm(t, phi), swap, solver)}
+    results = {res.term for res, _ in constrained_steps(ConstrainedTerm(t, phi), multi_steps, swap, solver)}
     assert app(swap, "g", int_val(4), y) in results
+
+
+def _multi_asking_the_oracle(t, redexes_at, depth):
+    """Multi-step results of t, asking the oracle at every subterm reached:
+    nested redex contraction up to depth levels."""
+    memo = {}
+
+    def go(s, budget):
+        key = (s, budget)
+        if key in memo:
+            return memo[key]
+        memo[key] = {s}  # cycle guard; overwritten below
+        out = set()
+        if isinstance(s, Var):
+            out.add(s)
+        else:
+            for combo in itertools.product(*(go(a, budget) for a in s.args)):
+                out.add(App(s.sym, combo))
+            if budget > 0:
+                for rule, sigma in redexes_at(s):
+                    rvars = sorted(variables(rule.rhs), key=lambda v: v.name)
+                    opts = [go(sigma[v], budget - 1) if v in sigma else {v} for v in rvars]
+                    for picks in itertools.product(*opts):
+                        out.add(apply_subst(dict(zip(rvars, picks)), rule.rhs))
+        memo[key] = out
+        return out
+
+    return go(t, depth)
+
+
+def test_multi_steps_find_every_redex_they_contract_in_the_found_list(solver):
+    """Every subterm a multi-step contracts is a subterm of t|below, a value
+    or a variable, so the redexes found under `below` give the same
+    multi-steps as asking the oracle at every subterm reached, on both
+    sides of every corpus critical pair, under its constraint and under
+    true."""
+    contracted = {}
+    for path in sorted(CORPUS.glob("*.lctrs")):
+        system = parse(path.read_text())
+        for rec in ccps(system, solver):
+            t = rec.pair().term
+            for phi in (theory.bool_val(True), rec.constraint):
+                oracle = constrained_oracle(phi, system, solver, CFG)
+                for below in ((1,), (2,)):
+                    wanted = sorted(_multi_asking_the_oracle(subterm_at(t, below), oracle, MULTI_NESTING), key=term_key)
+                    got = multi_steps(t, redexes(t, oracle, below), below)
+                    assert got == [(replace_at(t, {below: r}), None) for r in wanted]
+                    contracted[path.stem] = contracted.get(path.stem, 0) + len(got) - 1
+    assert {name for name, count in contracted.items() if count} == {
+        "calc_chain", "guarded_swap", "two_positions", "var_tracking"
+    }
 
 
 def test_parallel_subset_of_multi(calc_chain, solver):
@@ -532,7 +602,7 @@ def test_cstep_instances_replay_on_ground_terms(swap, solver):
 def test_parallel_instances_replay(calc_chain, solver):
     inner = app(calc_chain, "g", theory.add(1, 1), theory.add(3, 1))
     ct = ConstrainedTerm(App(sym(calc_chain, "f"), (inner,)))
-    for res, pset in parallel_successors(ct, calc_chain, solver):
+    for res, pset in constrained_steps(ct, parallel_steps, calc_chain, solver):
         singles = dict()
         for r, rec in plain_successors(ct.term, calc_chain):
             singles.setdefault(rec.position, set()).add(r)
@@ -548,7 +618,8 @@ def test_redexes_below_a_position_are_the_redexes_there(path, solver):
     system = parse(path.read_text())
     for rec in ccps(system, solver):
         ct = rec.pair()
-        for oracle in (plain_oracle(system, CFG), constrained_oracle(ct.constraint, system, solver, CFG)):
+        for phi in (theory.bool_val(True), ct.constraint):
+            oracle = constrained_oracle(phi, system, solver, CFG)
             everywhere = redexes(ct.term, oracle)
             for q, _ in positions(ct.term):
                 assert redexes(ct.term, oracle, q) == [red for red in everywhere if red[0][: len(q)] == q]

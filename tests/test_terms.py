@@ -28,6 +28,7 @@ from lctrs.terms import (
     variables,
 )
 from lctrs import theory
+from lctrs.rewriting import redexes
 
 PCP = Sort("PCP")
 STRING = Sort("String")
@@ -449,12 +450,20 @@ def test_replacement_rebuilds_what_a_full_walk_rebuilds(case):
 
 
 def test_deep_terms_are_walked_without_recursion():
-    """variables, replacement at the deepest position and the occurs check
-    on a 3 000-deep term, built in code since the parser still recurses."""
+    """variables, the function positions, the redexes under them,
+    replacement at the deepest position and the occurs check on a 3 000-deep
+    term, built in code since the parser still recurses."""
     t = x
     for _ in range(3000):
         t = App(g1, (t,))
     assert variables(t) == {x}
+    walk = positions(t)
+    assert [p for p, _ in walk] == [(1,) * k for k in range(3000)] and walk[-1][1] == App(g1, (x,))
+
+    def innermost(sub):  # an oracle with one redex, at g1(x)
+        return (("rule", {}),) if sub == App(g1, (x,)) else ()
+
+    assert redexes(t, innermost, (1,) * 5) == [((1,) * 2999, "rule", {})]
     deepest = (1,) * 3000
     swapped = replace_at(t, {deepest: y})
     assert subterm_at(swapped, deepest) is y and variables(swapped) == {y}

@@ -371,9 +371,9 @@ class Lctrs:
 
     @cached_property
     def oracles(self) -> dict:
-        """The redex oracles of rewriting over rc_rules, constrained_oracle's,
-        by (config, solver, constraint); plain rewriting's is the one under
-        true."""
+        """The constrained oracles over rc_rules (constrained_oracle), by
+        (config, solver, constraint); plain rewriting steps with the one
+        under true."""
         return {}
 
     @cached_property

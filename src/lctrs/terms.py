@@ -194,7 +194,7 @@ def variables(t: Term) -> frozenset[Var]:
 def positions(t: Term) -> list[tuple[Position, App]]:
     """The function (non-variable) positions p of t, each with its subterm
     t|p, in preorder, which is the positions' sorted order.  An explicit
-    stack holds the function arguments still to visit, the last on top."""
+    stack holds the function subterms still to visit, the leftmost on top."""
     out: list[tuple[Position, App]] = []
     stack = [(EPSILON, t)] if isinstance(t, App) else []
     while stack:

@@ -86,7 +86,8 @@ def plain_parallel_successors(
     s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()
 ) -> list[tuple[Term, tuple[Position, ...]]]:
     """All parallel-step results with their exact redex position sets."""
-    return [(r.term, ps) for r, ps in constrained_steps(ConstrainedTerm(s), parallel_steps, lctrs, PLAIN_SOLVER, config)]
+    steps = constrained_steps(ConstrainedTerm(s), parallel_steps, lctrs, PLAIN_SOLVER, config)
+    return [(r.term, ps) for r, ps in steps]
 
 
 def plain_multi_successors(s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> set[Term]:

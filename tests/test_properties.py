@@ -19,7 +19,13 @@ from lctrs.rewriting import (
 )
 from lctrs.terms import App, INT, Var, apply_subst, int_val, match, variables
 
-from tests.conftest import equiv, plain_multi_successors, plain_parallel_successors, plain_successors, trs_closedness_check
+from tests.conftest import (
+    equiv,
+    plain_multi_successors,
+    plain_parallel_successors,
+    plain_successors,
+    trs_closedness_check,
+)
 
 CFG = RewriteConfig()
 

@@ -61,8 +61,12 @@ def _glue_values(argv: list[str]) -> list[str]:
 
 
 def _setup(args):
-    with open(args.file, encoding="utf-8") as handle:
-        system = parse(handle.read())
+    try:
+        with open(args.file, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:  # a missing file, a directory, a file it may not read
+        raise ValueError(exc) from exc
+    system = parse(text)
     lo, hi = _parse_values(args.values)
     if args.depth < 0:
         raise ValueError("--depth must not be negative")
@@ -242,7 +246,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())  # the flush at exit writes nowhere
         os.close(devnull)
         return 1
-    except (ParseError, FileNotFoundError, ValueError, ParallelSetCap) as exc:
+    except (ParseError, ValueError, ParallelSetCap) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the contract maps these to exit 2

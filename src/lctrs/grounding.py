@@ -77,18 +77,14 @@ def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
     return list(dict.fromkeys(s.sym for s in subterms if s.sym.kind == kind))
 
 
-def constraint_assignments(
-    phi: Term, vs, domain, limit: int | None = None, ordered: bool = True, calc_results=frozenset()
-) -> list[Subst]:
+def constraint_assignments(phi: Term, vs, domain, limit: int | None = None, calc_results=frozenset()) -> list[Subst]:
     """The assignments of domain values to the variables vs, which must
     include every variable of phi, under which phi holds; the first `limit`
-    of them, by the solve-then-enumerate procedure (rules.Assignments).  A
+    that the solve-then-enumerate procedure (rules.Assignments) finds.  A
     defined variable's computed value must lie in the domain, unless it is
-    in `calc_results`.  Ordered, they come in the order of the domain
-    product, vs in name order; otherwise in the order found."""
+    in `calc_results`."""
     solve = Assignments(phi, vs, calc_results=calc_results)
-    found = solve([value_options(domain[v.sort]) for v in solve.names], (), limit, ordered)
-    return [dict(zip(solve.names, terms)) for terms in found]
+    return solve({v: value_options(domain[v.sort]) for v in solve.order}, (), limit)
 
 
 def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> GroundFragment:
@@ -96,7 +92,7 @@ def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> Gr
     domain = domain_terms(lctrs, config)
     out: dict[str, ConstrainedRule] = {}
     for rule in lctrs.rules:
-        for tau in constraint_assignments(rule.guard, rule.lvar(), domain, ordered=False):
+        for tau in constraint_assignments(rule.guard, rule.lvar(), domain):
             inst = rule.instance(tau)
             out.setdefault(inst.key(), inst)
     for sym in _side_syms(lctrs, "theory"):
@@ -105,7 +101,7 @@ def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> Gr
             out.setdefault(inst.key(), inst)
     rules = tuple(rule for _, rule in sorted(out.items()))
     index = LhsIndex(rule.lhs for rule in rules)
-    return GroundFragment(rules, index, _oracle(rules, index, is_value, lambda rule, sigma0: (sigma0,)))
+    return GroundFragment(rules, index, _oracle(rules, index, lambda rule, sigma0: (sigma0,)))
 
 
 # --- fragment rewriting: the engine over the fragment's rules -----------------
@@ -168,9 +164,7 @@ def pair_instances(pairs: list[CCPRecord], domain) -> list[CCPRecord]:
     true = theory.bool_val(True)
     out: dict[str, CCPRecord] = {}
     for c in pairs:
-        for sigma in constraint_assignments(
-            c.constraint, variables(c.constraint), domain, ordered=False, calc_results=c.calc_results
-        ):
+        for sigma in constraint_assignments(c.constraint, variables(c.constraint), domain, calc_results=c.calc_results):
             left, right = apply_subst(sigma, c.left), apply_subst(sigma, c.right)
             if left != right:
                 rec = CCPRecord(left, right, true, c.position, apply_subst(sigma, c.peak_source))
@@ -215,7 +209,7 @@ def _instance_matches(source, pair, domain) -> bool:
         return False
     # extend over constraint variables not bound by the match
     phi = apply_subst(gamma, source.constraint)
-    return bool(constraint_assignments(phi, variables(phi), domain, limit=1, ordered=False))
+    return bool(constraint_assignments(phi, variables(phi), domain, limit=1))
 
 
 def check_cp_correspondence(
@@ -327,14 +321,12 @@ def check_instance_soundness(
     domain = domain_terms(lctrs, config)
     for ccp in ccps(lctrs, solver):
         ct = ccp.pair()
-        for res, rec in cstep(ct, lctrs, solver, config):
+        for res, (position, _, _) in cstep(ct, lctrs, solver, config):
             for sigma in constraint_assignments(ct.constraint, variables(ct.constraint), domain, limit=samples):
                 report.checked += 1
                 before = apply_subst(sigma, ct.term)
                 after = apply_subst(sigma, res.term)
-                ground = {(r.term, s.position) for r, s in cstep(ConstrainedTerm(before), lctrs, solver, config)}
-                if (after, rec.position) not in ground:
-                    report.violations.append(
-                        f"step at {rec.position} from {ct!r} does not replay under {sigma}"
-                    )
+                ground = {(r.term, red[0]) for r, red in cstep(ConstrainedTerm(before), lctrs, solver, config)}
+                if (after, position) not in ground:
+                    report.violations.append(f"step at {position} from {ct!r} does not replay under {sigma}")
     return report

@@ -3,7 +3,7 @@
 One engine serves every relation: a redex oracle finds the root redexes of a
 subterm, redexes collects them under a position, and single_steps,
 parallel_steps and multi_steps contract the redexes found, each result with
-its evidence (the step's record, the redex position set, none).
+its evidence (the redex itself, the redex position set, none).
 constrained_steps lifts a contraction to a constrained term: it asks once
 whether the constraint is satisfiable, takes the redexes of the constrained
 oracle under it and keeps the constraint.  That oracle decides each choice
@@ -64,14 +64,6 @@ class ConstrainedTerm(Record):
         return f"{self.term!r} [{self.constraint!r}]"
 
 
-class StepRecord(Record):
-    __slots__ = ("position", "rule", "bindings")  # bindings: ((Var, Term), ...) in name order
-
-    @property
-    def sigma(self) -> Subst:
-        return dict(self.bindings)
-
-
 MULTI_NESTING = 3  # levels of nested rule application in a multi-step
 MAX_UNBOUND = 3  # a rule with more free logical variables to choose gives no instances
 
@@ -95,26 +87,21 @@ def domain_terms(lctrs: Lctrs, config: RewriteConfig) -> dict[Sort, tuple[Term, 
     return lctrs.domains[config]
 
 
-def _freeze(sigma: Subst) -> tuple[tuple[Var, Term], ...]:
-    return tuple(sorted(sigma.items(), key=lambda kv: kv[0].name))
-
-
 # --- the engine: redex oracles and the layers above them ---------------------
 
 RedexOracle = Callable[[Term], tuple[tuple[ConstrainedRule, Subst], ...]]
 Redex = tuple[Position, ConstrainedRule, Subst]
 
 
-def _oracle(rules, index, admissible, instances) -> RedexOracle:
+def _oracle(rules, index, instances) -> RedexOracle:
     """Root redexes by matching the rules as they are, those that `index`
     (an LhsIndex of their left-hand sides) retrieves, in rule order.
     Matching treats the subject as rigid and the substitutions cover every
     rule variable, so rule and subject variables never need to be apart.
-    Every logical variable of a left-hand side must match an admissible term
-    (match drops the bindings x -> x), and instances(rule, sigma0) lists the
-    full substitutions that complete a match.  The redexes of each subterm are
-    found once and kept (terms are hash-consed, so the table is keyed by
-    identity); callers must not mutate the substitutions."""
+    instances(rule, sigma0) lists the full substitutions that complete a
+    match sigma0, none when the match cannot be used.  The redexes of each
+    subterm are found once and kept (terms are hash-consed, so the table is
+    keyed by identity); callers must not mutate the substitutions."""
     table: dict[Term, tuple[tuple[ConstrainedRule, Subst], ...]] = {}
 
     def redexes_at(sub: Term) -> tuple[tuple[ConstrainedRule, Subst], ...]:
@@ -123,9 +110,7 @@ def _oracle(rules, index, admissible, instances) -> RedexOracle:
             out = []
             for rule in [rules[i] for i in index.generalizations(sub)]:
                 sigma0 = match(rule.lhs, sub)
-                if sigma0 is None:
-                    continue
-                if all(admissible(sigma0.get(x, x)) for x in rule.lvar_split[0]):
+                if sigma0 is not None:
                     out.extend((rule, sigma) for sigma in instances(rule, sigma0))
             found = table[sub] = tuple(out)
         return found
@@ -144,12 +129,9 @@ def redexes(t: Term, redexes_at: RedexOracle, below: Position = EPSILON) -> list
     ]
 
 
-def single_steps(t: Term, found: list[Redex], below: Position = EPSILON) -> list[tuple[Term, StepRecord]]:
-    """Contract each redex on its own; the evidence is the step's record."""
-    return [
-        (replace_at(t, {p: apply_subst(sigma, rule.rhs)}), StepRecord(p, rule, _freeze(sigma)))
-        for p, rule, sigma in found
-    ]
+def single_steps(t: Term, found: list[Redex], below: Position = EPSILON) -> list[tuple[Term, Redex]]:
+    """Contract each redex on its own; the evidence is the redex."""
+    return [(replace_at(t, {red[0]: apply_subst(red[2], red[1].rhs)}), red) for red in found]
 
 
 def parallel_steps(t: Term, found: list[Redex], below: Position = EPSILON) -> list[tuple[Term, tuple[Position, ...]]]:
@@ -177,7 +159,6 @@ def multi_steps(t: Term, found: list[Redex], below: Position = EPSILON) -> list[
         key = (s, budget)
         if key in memo:
             return memo[key]
-        memo[key] = {s}  # cycle guard; overwritten below
         out: set[Term] = set()
         if isinstance(s, Var):
             out.add(s)
@@ -222,8 +203,10 @@ def breadth_first(start, successors, depth: int):
 def _constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, config: RewriteConfig) -> RedexOracle:
     """Root redexes of the constrained-step relation under a satisfiable
     constraint phi: sigma maps logical variables into values or constraint
-    variables, and phi => guard*sigma is valid.  Unknown solver verdicts
-    suppress the candidate.  The candidates for a variable the match leaves
+    variables, and phi => guard*sigma is valid.  A match that binds a
+    logical variable to any other term gives no instance, and the rule's
+    procedure is compiled only for a match that can use it.  Unknown solver
+    verdicts suppress the candidate.  The candidates for a variable the match leaves
     to choose are the constraint variables of its sort (in name order), the
     exact calculation result when the arguments are values, and the domain
     values; a rule with more than MAX_UNBOUND of them free after solving
@@ -235,9 +218,6 @@ def _constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, confi
     query."""
     phi_vars_by_name = sorted(phi.vars, key=lambda v: v.name)
     domain = domain_terms(lctrs, config)
-
-    def admissible(value: Term) -> bool:
-        return is_value(value) or (isinstance(value, Var) and value in phi.vars)
 
     @functools.cache
     def sat_model() -> Subst:
@@ -255,22 +235,25 @@ def _constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, confi
         return options([*own, *(pair for pair in value_options(domain[sort])[0] if pair[0] != calc)])
 
     def instances(rule: ConstrainedRule, sigma0: Subst) -> list[Subst]:
+        matched = (sigma0.get(x, x) for x in rule.lvar_split[0])  # match drops the bindings x -> x
+        if not all(is_value(u) or (isinstance(u, Var) and u in phi.vars) for u in matched):
+            return []
         solve = rule.assignments
         if solve.free > MAX_UNBOUND:
             return []
         model = sat_model()
         args = apply_subst(sigma0, rule.lhs) if rule.calc else None
         calc = None if args is None or variables(args) else theory.interpret_term(args)
-        opts = [candidates(x.sort, calc) for x in solve.names]
+        opts = {x: candidates(x.sort, calc) for x in solve.order}
         out = []
         for choice in solve(opts, [value_of(model.get(t, t)) for t in (sigma0.get(x, x) for x in solve.inputs)]):
-            sigma = {**sigma0, **dict(zip(solve.names, choice))}
+            sigma = {**sigma0, **choice}
             decided = all(is_value(sigma.get(x, x)) for x in rule.guard.vars)  # phi => true
             if decided or solver.is_valid(theory.imp(phi, apply_subst(sigma, rule.guard))).is_valid:
                 out.append(sigma)
         return out
 
-    return _oracle(lctrs.rc_rules, lctrs.lhs_index, admissible, instances)
+    return _oracle(lctrs.rc_rules, lctrs.lhs_index, instances)
 
 
 def constrained_oracle(phi: Term, lctrs: Lctrs, solver: ConstraintSolver, config: RewriteConfig) -> RedexOracle:
@@ -320,7 +303,7 @@ def cstep(
     solver: ConstraintSolver,
     config: RewriteConfig = RewriteConfig(),
     below: Position = EPSILON,
-) -> list[tuple[ConstrainedTerm, StepRecord]]:
+) -> list[tuple[ConstrainedTerm, Redex]]:
     """One constrained step; plain rewriting is cstep(ConstrainedTerm(t), ...)."""
     return constrained_steps(ct, single_steps, lctrs, solver, config, below)
 
@@ -360,7 +343,7 @@ def cstep_tilde(
     solver: ConstraintSolver,
     config: RewriteConfig = RewriteConfig(),
     below: Position = EPSILON,
-) -> list[tuple[ConstrainedTerm, StepRecord]]:
+) -> list[tuple[ConstrainedTerm, Redex]]:
     """Constrained step modulo equivalence: extension moves, then a step."""
     return _modulo_equivalence(ct, single_steps, lctrs, solver, config, below, lambda item: item[0])
 

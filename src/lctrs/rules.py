@@ -144,11 +144,11 @@ def _coefficient(t: Term, y: Var) -> int | None:
 
 def options(pairs) -> tuple:
     """A variable's options: distinct (term, value) pairs in the order they
-    are tried, the terms of each value, and each term's rank in that order."""
+    are tried, and the terms of each value."""
     by_value: dict[int | bool, tuple[Term, ...]] = {}
     for t, value in pairs:
         by_value[value] = (*by_value.get(value, ()), t)
-    return tuple(pairs), by_value, {t: i for i, (t, _) in enumerate(pairs)}
+    return tuple(pairs), by_value
 
 
 @lru_cache(maxsize=64)
@@ -216,21 +216,22 @@ class Assignments:
     nonzero integer coefficient, and placed right after the variables of vs
     that equation names; a cycle leaves one of them free, and `free` counts
     the variables no equation defines.  Every other conjunct is checked as
-    soon as the variables it names have values.  A call walks depth first:
-    a free variable takes each of its options, a defined one every option
-    with its computed value (a calculation result one of its own outside
-    them), and no prefix that fails a check is extended.  So, calculation
-    results aside, the assignments are the product of the options filtered
-    by phi.  grounding.constraint_assignments calls it over the domain; the
+    soon as the variables it names have values.  A call walks depth first,
+    the variables in `order`: a free variable takes each of its options, a
+    defined one every option with its computed value (a calculation result
+    one of its own outside them), and no prefix that fails a check is
+    extended.  So, calculation results aside, the assignments are the
+    product of the options filtered by phi, in the order the walk finds
+    them.  grounding.constraint_assignments calls it over the domain; the
     redex oracle calls each rule's own (ConstrainedRule.assignments) with
     the values of one model of its constraint."""
 
     def __init__(self, phi: Term, vs, inputs=(), calc_results=frozenset()):
-        self.names = sorted(vs, key=lambda v: v.name)
-        self.phi, self.inputs = phi, tuple(inputs)
+        names = sorted(vs, key=lambda v: v.name)
+        self.inputs = tuple(inputs)
         parts = theory.conjuncts(phi)
-        defs = _definitions(parts, [*sorted(calc_results.intersection(self.names), key=lambda v: v.name), *self.names])
-        order = self.order = _dependency_order(self.names, defs)
+        defs = _definitions(parts, [*sorted(calc_results.intersection(names), key=lambda v: v.name), *names])
+        order = self.order = _dependency_order(names, defs)
         self.free = sum(v not in defs for v in order)
         level = {v: i for i, v in enumerate(order, start=1)}
         checked = [[] for _ in range(len(order) + 1)]  # [i]: the parts whose last variable is order[i - 1]
@@ -245,30 +246,24 @@ class Assignments:
             for i, v in enumerate(order)
         ]
 
-    def __call__(self, options: list[tuple], values=(), limit: int | None = None, ordered: bool = True) -> list[tuple]:
+    def __call__(self, options: dict, values=(), limit: int | None = None) -> list[Subst]:
         """The assignments of options to vs, under the values of the inputs
-        in order, as tuples of terms for vs in name order; the first `limit`
-        of them.  options gives each variable of vs, in name order, its
-        options (rules.options).  Ordered, they come in the order of the
-        options' product; otherwise in the order found, for a caller that
-        sorts them itself."""
-        order, names, checks, solved = self.order, self.names, self.checks, self.solved
+        in order, as substitutions in the order the walk finds them; the
+        first `limit` of them.  options gives each variable of vs its
+        options (rules.options)."""
+        order, checks, solved = self.order, self.checks, self.solved
         n = len(order)
-        opts = [options[names.index(v)] for v in order]
-        # the prefixes of the first `settled` variables come in the wanted order
-        settled = n if not ordered else next((i for i, (u, v) in enumerate(zip(order, names)) if u != v), n)
-        out: list[tuple] = []
+        opts = [options[v] for v in order]
+        out: list[Subst] = []
 
         def extend(terms: tuple, env: tuple) -> bool:
             """Every assignment extending the prefix; False once the search may stop."""
             i = len(terms)
-            if i == settled and limit is not None and len(out) >= limit:
-                return False  # every assignment still to come sorts after those found
             if not checks[i](env):
                 return True
             if i == n:
-                out.append(terms)
-                return settled < n or len(out) != limit
+                out.append(dict(zip(order, terms)))
+                return len(out) != limit
             if solved[i] is None:
                 return all(extend((*terms, t), (*env, value)) for t, value in opts[i][0])
             solve, c, unchecked = solved[i]
@@ -279,13 +274,9 @@ class Assignments:
             found = opts[i][1].get(value, (int_val(value),) if unchecked else ())
             return all(extend((*terms, t), (*env, value)) for t in found)
 
-        extend((), tuple(values))
-        perm = [order.index(v) for v in names]
-        if settled < n:
-            ranks = [opts[j][2] for j in perm]
-            out.sort(key=lambda terms: tuple(rank.get(terms[j], len(rank)) for rank, j in zip(ranks, perm)))
-            out = out[:limit]
-        return out if perm == list(range(n)) else [tuple(map(terms.__getitem__, perm)) for terms in out]
+        if limit != 0:
+            extend((), tuple(values))
+        return out
 
 
 def rename_apart(rules: list[ConstrainedRule]) -> list[ConstrainedRule]:
@@ -351,6 +342,10 @@ class Lctrs:
     def __init__(self, signature: Signature, rules: tuple[ConstrainedRule, ...]):
         self.signature = signature
         self.rules = rules
+        # the constrained oracles over rc_rules (constrained_oracle), by
+        # (config, solver, constraint); plain rewriting steps with the one under true
+        self.oracles: dict = {}
+        self.domains: dict = {}  # the value domains of rewriting.domain_terms, by config
 
     @cached_property
     def rc_rules(self) -> tuple[ConstrainedRule, ...]:
@@ -368,18 +363,6 @@ class Lctrs:
         from .analysis import single_overlaps
 
         return single_overlaps(self.rc_rules, self.lhs_index)
-
-    @cached_property
-    def oracles(self) -> dict:
-        """The constrained oracles over rc_rules (constrained_oracle), by
-        (config, solver, constraint); plain rewriting steps with the one
-        under true."""
-        return {}
-
-    @cached_property
-    def domains(self) -> dict:
-        """The value domains of rewriting.domain_terms, by config."""
-        return {}
 
     @cached_property
     def literals(self) -> frozenset[int]:

@@ -11,8 +11,8 @@ from lctrs.logic import ConstraintSolver
 from lctrs.pcp import PCPInstance, build_rp
 from lctrs.rewriting import (
     ConstrainedTerm,
+    Redex,
     RewriteConfig,
-    StepRecord,
     constrained_steps,
     cstep,
     multi_steps,
@@ -76,9 +76,9 @@ LINEAR_ATOM = st.tuples(st.lists(st.integers(-2, 2), min_size=5, max_size=5), st
 PLAIN_SOLVER = ConstraintSolver()  # plain rewriting asks it only whether true is satisfiable
 
 
-def plain_successors(s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> list[tuple[Term, StepRecord]]:
-    """Single plain steps, each with its position, rule and full
-    substitution: constrained steps under true."""
+def plain_successors(s: Term, lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> list[tuple[Term, Redex]]:
+    """Single plain steps, each with its redex (position, rule, full
+    substitution): constrained steps under true."""
     return [(r.term, rec) for r, rec in cstep(ConstrainedTerm(s), lctrs, PLAIN_SOLVER, config)]
 
 

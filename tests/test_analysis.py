@@ -321,7 +321,7 @@ def test_ccp_instances_realize_peaks(swap, solver):
             src = apply_subst(sigma, ccp.peak_source)
             left = apply_subst(sigma, ccp.left)
             right = apply_subst(sigma, ccp.right)
-            succs = {(r, rec.position) for r, rec in plain_successors(src, swap)}
+            succs = {(r, red[0]) for r, red in plain_successors(src, swap)}
             assert (left, ccp.position) in succs
             assert (right, ()) in succs
 

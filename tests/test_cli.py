@@ -195,6 +195,29 @@ def test_missing_file_is_input_error(capsys):
     assert "input error" in err
 
 
+SUBCOMMANDS = ("analyze", "ccp", "cpcp", "ground", "check")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_unreadable_file_is_input_error(tmp_path, capsys, command):
+    code, out, err = run_cli(capsys, command, str(tmp_path))  # a directory, not a file
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "Is a directory" in err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 4: every subcommand exits 2 with RecursionError, the first overflow in parser.build",
+)
+def test_a_2000_deep_right_hand_side_exits_2_on_no_subcommand(tmp_path, capsys):
+    path = tmp_path / "deep.lctrs"
+    deep = "(s " * 2000 + "z" + ")" * 2000
+    path.write_text(f"(sort N)\n(fun z () N)\n(fun s (N) N)\n(fun a () N)\n(rule a {deep})\n")
+    codes = {command: run_cli(capsys, command, str(path))[0] for command in SUBCOMMANDS}
+    assert codes == dict.fromkeys(SUBCOMMANDS, 0)
+
+
 def test_bad_syntax_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.lctrs"
     bad.write_text("(rule 0 1)\n")

@@ -279,10 +279,15 @@ def test_assignments_prune_a_prefix_that_fails_a_conjunct(monkeypatch):
     assert all(theory.holds(apply_subst(sigma, phi)) for sigma in found)
 
 
+def _bindings(sigma):
+    return sorted((v.name, value.sym.name) for v, value in sigma.items())
+
+
 def test_pruned_assignments_are_the_filtered_product():
     """On random conjunctions of linear atoms (a disjunction among them now
-    and then), the assignments and their order are those of filtering the
-    whole domain product in name order by phi, with and without a limit."""
+    and then), the assignments are those of filtering the whole domain
+    product by phi, and a limit, 0 included, keeps the first that many of
+    them in the order the walk finds them."""
     rng = random.Random(20)
     pool = [Var(name, INT) for name in "uvwxy"]
     domain = {INT: tuple(int_val(n) for n in range(-2, 3))}
@@ -303,35 +308,12 @@ def test_pruned_assignments_are_the_filtered_product():
             for combo in itertools.product(range(-2, 3), repeat=len(by_name))
             if phi_holds(combo)
         ]
-        assert constraint_assignments(phi, vs, domain) == brute, phi
-        limit = rng.randint(1, 5)
-        assert constraint_assignments(phi, vs, domain, limit=limit) == brute[:limit], phi
+        found = constraint_assignments(phi, vs, domain)
+        assert sorted(map(_bindings, found)) == sorted(map(_bindings, brute)), phi
+        for limit in (0, rng.randint(1, 5), len(found), len(found) + 1):
+            assert constraint_assignments(phi, vs, domain, limit=limit) == found[:limit], phi
         nonempty += bool(brute)
     assert nonempty > 30
-
-
-def _bindings(sigma):
-    return sorted((v.name, value.sym.name) for v, value in sigma.items())
-
-
-def test_unordered_assignments_are_the_same_ones():
-    """Unordered, the assignments are those of the ordered search in the
-    order found, and a limit keeps that many of them."""
-    rng = random.Random(21)
-    pool = [Var(name, INT) for name in "uvwxy"]
-    domain = {INT: tuple(int_val(n) for n in range(-2, 3))}
-    for _ in range(100):
-        vs = rng.sample(pool, rng.randint(1, 4))
-        parts = [
-            linear_atom([rng.randint(-2, 2) for _ in vs], vs, rng.choice(LINEAR_OPS), rng.randint(-3, 3))
-            for _ in range(rng.randint(1, 3))
-        ]
-        phi = theory.conj(*parts)
-        ordered = constraint_assignments(phi, vs, domain)
-        found = constraint_assignments(phi, vs, domain, ordered=False)
-        assert sorted(map(_bindings, found)) == sorted(map(_bindings, ordered)), phi
-        limit = rng.randint(1, 3)
-        assert constraint_assignments(phi, vs, domain, limit=limit, ordered=False) == found[:limit], phi
 
 
 # --- the NO search's peaks: instances of the constrained critical pairs -------

@@ -512,10 +512,10 @@ def test_one_analysis_asks_each_oracle_question_once(monkeypatch, name):
         finally:
             building.pop()
 
-    def counting_oracle(rules, index, admissible, instances):
+    def counting_oracle(rules, index, instances):
         if building:
             index = CountingIndex(index, building[-1])
-        return real_oracle(rules, index, admissible, instances)
+        return real_oracle(rules, index, instances)
 
     monkeypatch.setattr(rewriting, "constrained_oracle", constrained)
     monkeypatch.setattr(rewriting, "_oracle", counting_oracle)

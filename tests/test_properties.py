@@ -49,8 +49,8 @@ def test_pair_steps_below_two_replay_on_the_right(swap, solver):
     pairs = ccps(swap, solver)
     for ccp in pairs:
         start = ccp.pair()
-        for res, rec in cstep_tilde(start, swap, solver, below=(2,)):
-            assert rec.position[:1] == (2,)
+        for res, (position, _, _) in cstep_tilde(start, swap, solver, below=(2,)):
+            assert position[:1] == (2,)
             for delta in models_of(res.constraint, swap, limit=8):
                 gamma = restrict(delta, variables(start.constraint))
                 s_before = apply_subst(gamma, start.term.args[0])
@@ -59,9 +59,9 @@ def test_pair_steps_below_two_replay_on_the_right(swap, solver):
                 t_before = apply_subst(gamma, start.term.args[1])
                 t_after = apply_subst(delta, res.term.args[1])
                 ground_steps = {
-                    (r, s.position) for r, s in plain_successors(t_before, swap)
+                    (r, red[0]) for r, red in plain_successors(t_before, swap)
                 }
-                assert (apply_subst(delta, res.term)[1] if False else t_after, rec.position[1:]) in ground_steps
+                assert (apply_subst(delta, res.term)[1] if False else t_after, position[1:]) in ground_steps
 
 
 def test_multi_below_one_replays_as_ground_multi(swap, solver):
@@ -124,7 +124,7 @@ def test_cpcp_instances_realize_parallel_peaks(calc_chain, solver):
             right = apply_subst(sigma, rec.right)
             par = {(r, ps) for r, ps in plain_parallel_successors(peak, calc_chain)}
             assert (left, rec.pset) in par
-            roots = {r for r, s in plain_successors(peak, calc_chain) if s.position == ()}
+            roots = {r for r, (p, _, _) in plain_successors(peak, calc_chain) if p == ()}
             assert right in roots
 
 

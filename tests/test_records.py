@@ -8,7 +8,7 @@ from lctrs.analysis import CCPRecord, CPCPRecord
 from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse
 from lctrs.pcp import PCPInstance
-from lctrs.rewriting import ConstrainedTerm, RewriteConfig, StepRecord, constrained_oracle
+from lctrs.rewriting import ConstrainedTerm, RewriteConfig, constrained_oracle
 from lctrs.rules import ConstrainedRule, Signature, calc_rules, options
 from lctrs.terms import App, BOOL, INT, Var, bool_val, int_val, rename_away
 
@@ -27,7 +27,6 @@ RECORDS = [
         (App(F, (x,)), x, theory.ge(x, 0), False),
     ),
     (ConstrainedTerm, "term constraint", (App(F, (x,)), theory.gt(x, 0)), (App(F, (y,)), theory.gt(x, 0))),
-    (StepRecord, "position rule bindings", ((0,), RULE, ((x, int_val(1)),)), ((1,), RULE, ((x, int_val(1)),))),
     (RewriteConfig, "lo hi", (-2, 2), (-2, 3)),
     (
         CCPRecord,
@@ -123,12 +122,13 @@ def test_renamed_copy_equals_the_checked_rule(rule):
     k = len(original.inputs)
     for solve in (copy.assignments, built.assignments):
         assert list(solve.inputs) == [ren[v] for v in original.inputs]
-        assert solve.names == [ren[v] for v in original.names]
+        assert solve.order == [ren[v] for v in original.order]
         assert solve.free == original.free
         for values in [(1,) * k, (-1,) * k, tuple(range(k))]:
-            assert solve([domains[v.sort] for v in solve.names], values) == original(
-                [domains[v.sort] for v in original.names], values
-            )
+            found = original({v: domains[v.sort] for v in original.order}, values)
+            assert solve({v: domains[v.sort] for v in solve.order}, values) == [
+                {ren[v]: t for v, t in sigma.items()} for sigma in found
+            ]
     assert copy.calc == rule.calc and not copy.variables() & rule.variables()
 
 

@@ -97,7 +97,8 @@ def test_guard_definitions_are_linear_equations_in_one_chosen_variable():
 
     def solve(guard, n_value, rhs=App(gI, (m, m))):
         found = ConstrainedRule(lhs, rhs, guard).assignments
-        values = [[value_of(t) for t in terms] for terms in found([domain] * len(found.names), [n_value])]
+        sigmas = found(dict.fromkeys(found.order, domain), [n_value])
+        values = [[value_of(sigma[v]) for v in sorted(sigma, key=lambda v: v.name)] for sigma in sigmas]
         return found.free, values
 
     guard = theory.conj(theory.gt(n, 0), theory.eq(theory.add(theory.mul(3, m), 1), n))
@@ -113,4 +114,5 @@ def test_guard_definitions_are_linear_equations_in_one_chosen_variable():
     (times,) = [r for r in calc_rules() if r.lhs.sym == theory.MUL]
     found = times.assignments
     assert ([v.name for v in found.inputs], found.free) == (["x1", "x2"], 0)
-    assert found([domain], [-1, 3]) == [(theory.int_val(-3),)] and found([domain], [3, 4]) == []  # 12 lies outside
+    (y,) = found.order
+    assert found({y: domain}, [-1, 3]) == [{y: theory.int_val(-3)}] and found({y: domain}, [3, 4]) == []  # 12 lies outside

@@ -283,6 +283,26 @@ def _bindings(sigma):
     return sorted((v.name, value.sym.name) for v, value in sigma.items())
 
 
+def test_unordered_assignments_are_the_same_ones():
+    """Whatever order the variables are given in, the assignments are the
+    same ones, and a limit keeps the first that many of the walk."""
+    rng = random.Random(21)
+    pool = [Var(name, INT) for name in "uvwxy"]
+    domain = {INT: tuple(int_val(n) for n in range(-2, 3))}
+    for _ in range(100):
+        vs = rng.sample(pool, rng.randint(1, 4))
+        parts = [
+            linear_atom([rng.randint(-2, 2) for _ in vs], vs, rng.choice(LINEAR_OPS), rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 3))
+        ]
+        phi = theory.conj(*parts)
+        found = constraint_assignments(phi, vs, domain)
+        shuffled = constraint_assignments(phi, rng.sample(vs, len(vs)), domain)
+        assert sorted(map(_bindings, shuffled)) == sorted(map(_bindings, found)), phi
+        limit = rng.randint(1, 3)
+        assert constraint_assignments(phi, vs, domain, limit=limit) == found[:limit], phi
+
+
 def test_pruned_assignments_are_the_filtered_product():
     """On random conjunctions of linear atoms (a disjunction among them now
     and then), the assignments are those of filtering the whole domain

@@ -473,24 +473,33 @@ def _first_failures(checks, count: int = 3) -> list[str]:
 
 def analyze(lctrs: Lctrs, solver: ConstraintSolver, config: AnalysisConfig | None = None) -> Verdict:
     """Confluence verdict: YES via a closedness criterion, NO via a ground
-    non-joinability witness, MAYBE with per-criterion failure reasons."""
+    non-joinability witness, MAYBE with per-criterion failure reasons.
+
+    For a left-linear system triviality is decided once per pair, and the
+    closing checks and the NO search's peaks take only the pairs not shown
+    trivial (a 2-parallel check likewise only a parallel pair not shown
+    trivial).  A trivial pair needs no step: every closing check closes it
+    with the empty first step, unless a parallel first step overflows the
+    subset cap, and each of its domain instances has two equal sides.  A
+    system that is not left-linear keeps every pair and asks no triviality
+    query."""
     config = config or AnalysisConfig()
     reasons: dict[str, str] = {}
     ll = is_left_linear(lctrs)
     pairs = ccps(lctrs, solver)
+    open_pairs = [c for c in pairs if is_trivial(c.pair(), solver) != "yes"] if ll else pairs
     if not ll:
         reasons["left-linearity"] = "a left-hand side repeats a non-logical variable"
 
     if ll and "wo" in config.criteria:
-        nontrivial = [c for c in pairs if is_trivial(c.pair(), solver) != "yes"]
-        if not nontrivial:
+        if not open_pairs:
             return Verdict("YES", "weak-orthogonality", ccps=pairs)
-        reasons["weak-orthogonality"] = f"{len(nontrivial)} nontrivial critical pair(s)"
+        reasons["weak-orthogonality"] = f"{len(open_pairs)} nontrivial critical pair(s)"
 
     if ll and "adc" in config.criteria:
 
         def development_checks():
-            for ccp in pairs:
+            for ccp in open_pairs:
                 got = dev_closed_check(ccp, lctrs, solver, config.rewrite, config.depth)
                 yield got, f"{ccp.left!r} ~ {ccp.right!r}: {got.status}"
 
@@ -509,10 +518,12 @@ def analyze(lctrs: Lctrs, solver: ConstraintSolver, config: AnalysisConfig | Non
     if ppairs is not None:
 
         def parallel_checks():
-            for ccp in pairs:
+            for ccp in open_pairs:
                 got = parallel_closed_1(ccp, lctrs, solver, config.rewrite, config.depth)
                 yield got, f"{ccp.left!r} ~ {ccp.right!r}: not 1-parallel closed: {got.summary()}"
             for cpcp in ppairs:
+                if is_trivial(cpcp.pair(), solver) == "yes":
+                    continue
                 got = parallel_closed_2(cpcp, lctrs, solver, config.rewrite, config.depth)
                 yield got, f"{cpcp.left!r} ~ {cpcp.right!r} P={cpcp.pset}: not 2-parallel closed: {got.summary()}"
 
@@ -524,7 +535,7 @@ def analyze(lctrs: Lctrs, solver: ConstraintSolver, config: AnalysisConfig | Non
     from .grounding import find_nonjoinable_peak, ground_fragment, pair_instances
 
     fragment = ground_fragment(lctrs, config.rewrite)
-    witness = find_nonjoinable_peak(fragment, pair_instances(pairs, domain_terms(lctrs, config.rewrite)))
+    witness = find_nonjoinable_peak(fragment, pair_instances(open_pairs, domain_terms(lctrs, config.rewrite)))
     if witness is not None:
         return Verdict(
             "NO",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from lctrs import theory
-from lctrs.analysis import _align, tvar
+from lctrs.analysis import _align, dev_closed_check, parallel_closed_1, parallel_closed_2, tvar
 from lctrs.grounding import GroundFragment, reachable, trs_cps, trs_pcps
 from lctrs.logic import ConstraintSolver
 from lctrs.pcp import PCPInstance, build_rp
@@ -134,6 +134,19 @@ def trs_closedness_check(fragment: GroundFragment, depth: int = 6) -> dict:
         "cp_count": len(cps),
         "pcp_count": len(pcps),
     }
+
+
+def run_every_closing_check(lctrs: Lctrs, verdict, solver: ConstraintSolver) -> None:
+    """Run the closing checks on every pair of an analyze verdict with the
+    solver it used, the pairs shown trivial included: each CCP through
+    dev_closed_check and parallel_closed_1, each CPCP through
+    parallel_closed_2.  A test of the search's solver and oracle traffic
+    calls it after analyze, which starts no search from a trivial pair."""
+    for ccp in verdict.ccps:
+        dev_closed_check(ccp, lctrs, solver)
+        parallel_closed_1(ccp, lctrs, solver)
+    for cpcp in verdict.cpcps or ():
+        parallel_closed_2(cpcp, lctrs, solver)
 
 
 # --- test-side oracle: equivalence of constrained terms -----------------------

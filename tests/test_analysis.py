@@ -20,7 +20,7 @@ from lctrs.pcp import PCPInstance, build_rp
 from lctrs.rewriting import ConstrainedTerm
 from lctrs.rules import ConstrainedRule, Lctrs, Signature
 from lctrs.terms import App, INT, LhsIndex, ParallelSetCap, Var, apply_subst, int_val, variables
-from lctrs.grounding import constraint_assignments
+from lctrs.grounding import constraint_assignments, pair_instances
 from lctrs.rewriting import domain_terms, RewriteConfig
 
 from tests.conftest import CORPUS, plain_successors
@@ -475,6 +475,76 @@ def test_cpcps_do_not_depend_on_an_earlier_ccps(solver, name):
     warm = parse(source)
     ccps(warm, solver)
     assert cpcps(warm, solver) == cold  # equal records: sides, constraint, pset and peak
+
+
+# --- pairs shown trivial ---------------------------------------------------------
+
+PINNED = sorted(set(BUNDLED) - {"f_of_g", "wide_g"})  # the corpus and the golden gen-pcp systems
+
+
+def test_analyze_starts_no_closing_check_from_a_trivial_pair(monkeypatch):
+    """analyze decides triviality once per pair and starts the closing
+    checks only from the pairs it did not show trivial."""
+    from lctrs import analysis
+
+    started = []
+    for name in ("dev_closed_check", "parallel_closed_1", "parallel_closed_2"):
+
+        def wrapped(pair, *args, real=getattr(analysis, name)):
+            started.append(pair)
+            return real(pair, *args)
+
+        monkeypatch.setattr(analysis, name, wrapped)
+    trivial = 0
+    for name in PINNED:
+        system, solver = parse(BUNDLED[name]), ConstraintSolver()
+        started.clear()
+        verdict = analyze(system, solver)
+        trivial += sum(is_trivial(p.pair(), solver) == "yes" for p in [*verdict.ccps, *(verdict.cpcps or ())])
+        assert [p for p in started if is_trivial(p.pair(), solver) == "yes"] == [], name
+    assert trivial > 0
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_a_trivial_pair_closes_at_once_and_has_no_nontrivial_instance(solver, name):
+    """What skipping a trivial pair rests on: each closing check closes it,
+    and none of its domain instances has two different sides."""
+    system = parse(BUNDLED[name])
+    domain = domain_terms(system, RewriteConfig())
+    for ccp in ccps(system, solver):
+        if is_trivial(ccp.pair(), solver) == "yes":
+            assert dev_closed_check(ccp, system, solver).status == "closed"
+            assert parallel_closed_1(ccp, system, solver).status == "closed"
+            assert pair_instances([ccp], domain) == []
+    for cpcp in cpcps(system, solver):
+        if is_trivial(cpcp.pair(), solver) == "yes":
+            assert parallel_closed_2(cpcp, system, solver).status == "closed"
+
+
+CAPPED_TRIVIAL = """(theory Ints)
+(sort U)
+(fun a () U)
+(fun b () U)
+(fun f (Int) U)
+(fun h (U U U U Int) U)
+(rule (f x) (h a a a a y) :guard (= y (+ x 1)))
+(rule a b)
+"""
+
+
+def test_a_trivial_pair_over_the_parallel_subset_cap_is_closed(solver, monkeypatch):
+    """The one pair, h(a,a,a,a,y) ~ h(a,a,a,a,y') under y = x + 1 and
+    y' = x + 1, is trivial, and h(a,a,a,a,y) has 16 parallel redex subsets.
+    A parallel first step from it overflows a cap of 8, but a trivial pair
+    needs no step, so the parallel criterion proves the system."""
+    system = parse(CAPPED_TRIVIAL)
+    with monkeypatch.context() as capped_at_8:
+        capped_at_8.setattr(terms, "PARALLEL_SET_CAP", 8)
+        (ccp,) = ccps(system, solver)
+        assert is_trivial(ccp.pair(), solver) == "yes"
+        assert parallel_closed_1(ccp, system, solver).reason == "parallel subset cap 8 exceeded"
+        verdict = analyze(system, solver, AnalysisConfig(criteria=("pc",)))
+    assert (verdict.result, verdict.criterion, verdict.reasons) == ("YES", "parallel-closed", {})
 
 
 # --- known wrong answers (ROADMAP items 1 and 3) --------------------------------

@@ -12,7 +12,7 @@ from lctrs.logic import ConstraintSolver, search_model
 from lctrs.parser import parse
 from lctrs.terms import App, BOOL, INT, FunSym, TermError, Var, apply_subst, bool_val, int_val, value_of, variables
 
-from tests.conftest import CORPUS, LINEAR_ATOM, disj, linear_atom
+from tests.conftest import CORPUS, LINEAR_ATOM, disj, linear_atom, run_every_closing_check
 
 x, y, z, n, m = (Var(s, INT) for s in "xyznm")
 
@@ -465,7 +465,8 @@ def _corpus_system(name):
 @pytest.mark.parametrize("name", ["calc_chain.lctrs", "guarded_swap.lctrs"])
 def test_analysis_builds_one_model_per_oracle_constraint(monkeypatch, name):
     """The constrained oracle reads one model of each constraint it runs
-    under; no counter-model of a validity query is ever built."""
+    under; no counter-model of a validity query is ever built.  The closing
+    checks of every pair, trivial ones included, run after analyze."""
     want = analyze(_corpus_system(name), ConstraintSolver())
     calls = _counting_search_model(monkeypatch)
     under = set()
@@ -477,7 +478,9 @@ def test_analysis_builds_one_model_per_oracle_constraint(monkeypatch, name):
 
     monkeypatch.setattr(rewriting, "constrained_oracle", recording_oracle)
     solver = _RecordingSolver()
-    got = analyze(_corpus_system(name), solver)
+    system = _corpus_system(name)
+    got = analyze(system, solver)
+    run_every_closing_check(system, got, solver)
     assert (got.result, got.criterion, got.reasons) == (want.result, want.criterion, want.reasons)
     assert calls and len(calls) == len(set(calls))
     assert set(calls) <= under
@@ -547,9 +550,11 @@ class _RecordingSolver(ConstraintSolver):
 @pytest.mark.parametrize("name", ["calc_chain.lctrs", "guarded_swap.lctrs"])
 def test_memoised_models_check_out(name):
     """The analyzer's own sat/invalid answers, cross-checked by their models
-    (the corpus asks no quantified queries)."""
+    (the corpus asks no quantified queries), for analyze and the closing
+    checks of every pair, trivial ones included."""
     solver = _RecordingSolver()
-    analyze(_corpus_system(name), solver)
+    system = _corpus_system(name)
+    run_every_closing_check(system, analyze(system, solver), solver)
     assert {id(res) for res in solver._memo.values()} == solver.asked.keys()
     statuses = set()
     for res, phi in solver.asked.values():

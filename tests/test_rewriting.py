@@ -49,6 +49,7 @@ from tests.conftest import (
     plain_multi_successors,
     plain_parallel_successors,
     plain_successors,
+    run_every_closing_check,
 )
 
 CFG = RewriteConfig()
@@ -321,7 +322,9 @@ def test_pcp_oracle_tries_at_most_one_candidate_per_match(monkeypatch):
     the guard for at most one candidate choice: the guard's equation
     3*m + k = n gives the one value of m that the constraint's model admits.
     The guard is evaluated in the rule's assignment procedure, one compiled
-    check per level of its walk; each check runs at most once per call."""
+    check per level of its walk; each check runs at most once per call.
+    The closing checks of every pair, trivial ones included, run after
+    analyze."""
     tried = []  # per instances call: how often each compiled guard check ran
     real_evaluator, real_oracle = theory.evaluator, rewriting._oracle
 
@@ -347,8 +350,10 @@ def test_pcp_oracle_tries_at_most_one_candidate_per_match(monkeypatch):
 
     monkeypatch.setattr(theory, "evaluator", counting_evaluator)
     monkeypatch.setattr(rewriting, "_oracle", counting_oracle)
-    system = parse((CORPUS / "pcp_101.lctrs").read_text())
-    assert analyze(system, ConstraintSolver()).result == "MAYBE"
+    system, solver = parse((CORPUS / "pcp_101.lctrs").read_text()), ConstraintSolver()
+    verdict = analyze(system, solver)
+    assert verdict.result == "MAYBE"
+    run_every_closing_check(system, verdict, solver)
     constrained = [max(counts.values()) for counts in tried if counts]
     assert len(constrained) >= 40
     assert max(constrained) == 1

@@ -329,13 +329,13 @@ class Closing:
     def __init__(
         self,
         status: str,  # "closed" | "not_closed" | "unknown"
-        sequence: list[ConstrainedTerm] | None = None,
-        qset: tuple[Position, ...] | None = None,
+        steps: list[tuple[ConstrainedTerm, object]] | None = None,
         reason: str = "",  # why the search gave up, when it did
     ):
+        """steps, of a closed check: (pair, None), (first step, its position
+        set or None), then (tail step, its redex) for each tail step."""
         self.status = status
-        self.sequence = [] if sequence is None else sequence
-        self.qset = qset
+        self.steps = [] if steps is None else steps
         self.reason = reason
 
     def summary(self) -> str:
@@ -353,26 +353,23 @@ def _closing(
     allowed: set[Var] | None = None,
 ) -> Closing:
     """The shape every closing criterion shares: one step of the relation
-    `first` (giving (mid, qset) pairs) below side `side` of the pair, then a
-    breadth-first tail of up to depth constrained steps below the other
-    side, accepting the first trivial node; given allowed, only one whose
-    TVar below qset lies in it.  A parallel first step with more redex
-    subsets than terms.PARALLEL_SET_CAP gives unknown."""
+    `first` below side `side` of the pair, then a breadth-first tail of up
+    to depth constrained steps below the other side, accepting the first
+    trivial node; given allowed, only one whose TVar below the first step's
+    position set lies in it.  A parallel first step with more redex subsets
+    than terms.PARALLEL_SET_CAP gives unknown."""
     try:
         mids = first(start, lctrs, solver, config, below=(side,))
     except ParallelSetCap as exc:
         return Closing("unknown", reason=str(exc))
-
-    def tail_steps(node):
-        return [res for res, _rec in cstep_tilde(node, lctrs, solver, config, below=(3 - side,))]
-
     unknown = False
-    for mid, qset in mids:
-        for node, path in breadth_first(mid, tail_steps, depth):
+    for mid, evidence in mids:
+        tail = breadth_first(mid, lambda node: cstep_tilde(node, lctrs, solver, config, below=(3 - side,)), depth)
+        for node, path in tail:
             trivial = is_trivial(node, solver)
             unknown = unknown or trivial == "unknown"
-            if trivial == "yes" and (allowed is None or tvar(node.term, node.constraint, qset) <= allowed):
-                return Closing("closed", path if mid == start else [start, *path], qset=qset)
+            if trivial == "yes" and (allowed is None or tvar(node.term, node.constraint, evidence) <= allowed):
+                return Closing("closed", [(start, None), (mid, evidence), *path[1:]])
     return Closing("unknown" if unknown else "not_closed")
 
 

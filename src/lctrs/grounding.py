@@ -115,11 +115,14 @@ def frag_successors(t: Term, fragment: GroundFragment) -> tuple[Term, ...]:
 
 
 def reachable(t: Term, fragment: GroundFragment, depth: int) -> tuple[set[Term], bool]:
-    """Reachable set within depth steps; the flag reports closure under ->:
-    no term depth steps away has a successor outside the set."""
-    found = list(breadth_first(t, lambda u: frag_successors(u, fragment), depth))
-    seen = {s for s, _path in found}
-    return seen, all(seen.issuperset(frag_successors(s, fragment)) for s, path in found if len(path) > depth)
+    """Reachable set within depth steps and whether it is closed under ->:
+    searching one level further, the first term beyond the bound ends it."""
+    seen: set[Term] = set()
+    for s, path in breadth_first(t, lambda u: [(r, None) for r in frag_successors(u, fragment)], depth + 1):
+        if len(path) > depth + 1:
+            return seen, False
+        seen.add(s)
+    return seen, True
 
 
 def joinable(fragment: GroundFragment, s: Term, t: Term, depth: int = 8):

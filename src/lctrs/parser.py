@@ -135,7 +135,6 @@ def parse(text: str) -> Lctrs:
     """Parse a document into a rewrite system; errors carry line/column."""
     sig = Signature()
     rules: list[ConstrainedRule] = []
-    theory_seen = False
     for form in read_sexprs(text):
         if form.items is None:
             raise ParseError(f"expected a declaration, got {form.text!r}", form.line, form.col)
@@ -146,7 +145,6 @@ def parse(text: str) -> Lctrs:
             _expect_len(form, 2)
             if form.items[1].text != "Ints":
                 raise ParseError(f"unsupported theory {form.items[1].text!r}", head.line, head.col)
-            theory_seen = True
         elif head.text == "sort":
             _expect_len(form, 2)
             name = _atom(form.items[1])

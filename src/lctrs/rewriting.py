@@ -178,23 +178,26 @@ def multi_steps(t: Term, found: list[Redex], below: Position = EPSILON) -> list[
     return [(replace_at(t, {below: r}), None) for r in sorted(results, key=term_key)]
 
 
-def breadth_first(start, successors, depth: int):
-    """Yield (node, path from start) for every node within depth steps of
-    start, level by level, each node once.  Only nodes above the depth bound
-    are expanded, each after the caller has seen it, so a caller that stops
-    early pays for nothing beyond."""
+def breadth_first(start, steps, depth: int):
+    """Yield (node, path) for every node within depth steps of start, level
+    by level in the order found, each node once.  steps(node) gives the
+    node's (successor, evidence) pairs, and the path is the (node, evidence)
+    steps from start, which comes first with None.  A node is yielded as
+    soon as it is found, and a level is expanded only when the caller asks
+    for a node below it, so a caller that stops early pays for nothing
+    beyond."""
+    path = [(start, None)]
+    yield start, path
     seen = {start}
-    frontier = [(start, [start])]
-    for level in range(depth + 1):
+    frontier = [path]
+    for _ in range(depth):
         nxt = []
-        for node, path in frontier:
-            yield node, path
-            if level == depth:
-                continue
-            for succ in successors(node):
+        for path in frontier:
+            for succ, evidence in steps(path[-1][0]):
                 if succ not in seen:
                     seen.add(succ)
-                    nxt.append((succ, path + [succ]))
+                    nxt.append([*path, (succ, evidence)])
+                    yield succ, nxt[-1]
         frontier = nxt
 
 

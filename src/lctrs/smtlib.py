@@ -12,6 +12,7 @@ import shlex
 import subprocess
 
 from . import theory
+from .cooper import is_linear
 from .parser import Node, ParseError, read_sexprs
 from .terms import BOOL, INT, Sort, Term, Var, bool_val, int_val, is_value, value_of, variables
 
@@ -52,8 +53,6 @@ def smt_script(phi: Term, logic: str = "LIA") -> str:
 
 
 def pick_logic(phi: Term) -> str:
-    from .cooper import is_linear
-
     return "LIA" if is_linear(phi) else "NIA"
 
 

@@ -8,6 +8,7 @@ from lctrs import theory
 from lctrs.analysis import _align, dev_closed_check, parallel_closed_1, parallel_closed_2, tvar
 from lctrs.grounding import GroundFragment, reachable, trs_cps, trs_pcps
 from lctrs.logic import ConstraintSolver
+from lctrs.parser import parse
 from lctrs.pcp import PCPInstance, build_rp
 from lctrs.rewriting import (
     ConstrainedTerm,
@@ -19,14 +20,12 @@ from lctrs.rewriting import (
     parallel_steps,
     redexes,
 )
-from lctrs.rules import ConstrainedRule, Lctrs, Signature
+from lctrs.rules import Lctrs
 from lctrs.terms import (
     App,
     INT,
     Position,
-    Sort,
     Term,
-    Var,
     apply_subst,
     bool_val,
     int_val,
@@ -39,8 +38,6 @@ from lctrs.terms import (
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
 REFSOLVER_CMD = f"{sys.executable} {REPO / 'scripts' / 'refsolver.py'}"
-
-U = Sort("U")
 
 
 # --- constraint builders that only tests use ----------------------------------
@@ -257,136 +254,40 @@ def solver():
     return ConstraintSolver()
 
 
-def _sig(funs):
-    sig = Signature()
-    by_name = {}
-    for name, args, res in funs:
-        for s in list(args) + [res]:
-            if s.name not in sig.sorts:
-                sig.sorts[s.name] = s
-        by_name[name] = sig.add_fun(name, list(args), res)
-    return sig, by_name
-
-
-def build_single_value():
-    """One rule a -> x [x = 0] over the integers."""
-    sig, f = _sig([("a", [], INT)])
-    x = Var("x", INT)
-    return Lctrs(sig, (ConstrainedRule(App(f["a"]), x, theory.eq(x, 0)),))
-
-
-def build_swap():
-    """Guarded overlay system with a commuting g and a calculation chain."""
-    sig, f = _sig(
-        [
-            ("f", [INT, INT], INT),
-            ("g", [INT, INT], INT),
-            ("h", [INT], INT),
-            ("c", [INT, INT], INT),
-        ]
-    )
-    x, y = Var("x", INT), Var("y", INT)
-    rules = (
-        ConstrainedRule(
-            App(f["f"], (x, y)),
-            App(f["h"], (App(f["g"], (y, theory.mul(2, 2))),)),
-            theory.conj(theory.le(x, y), theory.eq(y, 2)),
-        ),
-        ConstrainedRule(
-            App(f["f"], (x, y)), App(f["c"], (int_val(4), x)), theory.le(y, x)
-        ),
-        ConstrainedRule(App(f["g"], (x, y)), App(f["g"], (y, x))),
-        ConstrainedRule(App(f["h"], (x,)), x),
-        ConstrainedRule(
-            App(f["c"], (x, y)), App(f["g"], (int_val(4), int_val(2))), theory.ne(x, y)
-        ),
-    )
-    return Lctrs(sig, rules)
-
-
-def build_parity():
-    """f collapses to g or (on 1..2) h; g picks h(2) on evens, h(1) on odds."""
-    sig, f = _sig([("f", [INT], INT), ("g", [INT], INT), ("h", [INT], INT)])
-    x, z = Var("x", INT), Var("z", INT)
-    rules = (
-        ConstrainedRule(App(f["f"], (x,)), App(f["g"], (x,))),
-        ConstrainedRule(
-            App(f["f"], (x,)),
-            App(f["h"], (x,)),
-            theory.conj(theory.le(1, x), theory.le(x, 2)),
-        ),
-        ConstrainedRule(
-            App(f["g"], (x,)), App(f["h"], (int_val(2),)), theory.eq(x, theory.mul(2, z))
-        ),
-        ConstrainedRule(
-            App(f["g"], (x,)),
-            App(f["h"], (int_val(1),)),
-            theory.eq(x, theory.add(theory.mul(2, z), 1)),
-        ),
-    )
-    return Lctrs(sig, rules)
-
-
-def build_calc_chain():
-    """f(a) closes against a step whose alignment needs two calculations."""
-    sig, f = _sig([("f", [INT], INT), ("a", [], INT), ("g", [INT, INT], INT)])
-    x, y, z = Var("x", INT), Var("y", INT), Var("z", INT)
-    rules = (
-        ConstrainedRule(App(f["f"], (App(f["a"]),)), App(f["g"], (int_val(4), int_val(4)))),
-        ConstrainedRule(App(f["a"]), App(f["g"], (theory.add(1, 1), theory.add(3, 1)))),
-        ConstrainedRule(
-            App(f["g"], (x, y)),
-            App(f["f"], (App(f["g"], (z, y)),)),
-            theory.eq(z, theory.sub(x, 2)),
-        ),
-    )
-    return Lctrs(sig, rules)
-
-
-def build_var_tracking():
-    """Unconstrained system whose closing step moves a tracked variable."""
-    sig, f = _sig([("f", [U, U], U), ("g", [U], U), ("a", [], U), ("b", [], U)])
-    x, y = Var("x", U), Var("y", U)
-    rules = (
-        ConstrainedRule(App(f["f"], (App(f["g"], (x,)), y)), App(f["f"], (App(f["b"]), y))),
-        ConstrainedRule(App(f["g"], (x,)), App(f["a"])),
-        ConstrainedRule(App(f["f"], (App(f["a"]), x)), x),
-        ConstrainedRule(App(f["f"], (App(f["b"]), x)), x),
-    )
-    return Lctrs(sig, rules)
-
-
-def build_projection():
-    sig, f = _sig([("f", [U, U], U)])
-    x, y = Var("x", U), Var("y", U)
-    return Lctrs(sig, (ConstrainedRule(App(f["f"], (x, y)), x),))
+def _corpus_system(name: str) -> Lctrs:
+    return parse((CORPUS / f"{name}.lctrs").read_text())
 
 
 @pytest.fixture(scope="session")
 def single_value():
-    return build_single_value()
+    """One rule a -> x [x = 0] over the integers."""
+    return _corpus_system("single_value_choice")
 
 
 @pytest.fixture(scope="session")
 def swap():
-    return build_swap()
+    """Guarded overlay system with a commuting g and a calculation chain."""
+    return _corpus_system("guarded_swap")
 
 
 @pytest.fixture(scope="session")
 def parity():
-    return build_parity()
+    """f collapses to g or (on 1..2) h; g picks h(2) on evens, h(1) on odds."""
+    return _corpus_system("parity_split")
 
 
 @pytest.fixture(scope="session")
 def calc_chain():
-    return build_calc_chain()
+    """f(a) closes against a step whose alignment needs two calculations."""
+    return _corpus_system("calc_chain")
 
 
 @pytest.fixture(scope="session")
 def var_tracking():
-    return build_var_tracking()
+    """Unconstrained system whose closing step moves a tracked variable."""
+    return _corpus_system("var_tracking")
 
 
 @pytest.fixture(scope="session")
 def projection():
-    return build_projection()
+    return _corpus_system("projection")

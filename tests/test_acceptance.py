@@ -99,7 +99,7 @@ def test_criterion_2_guarded_overlay_development_closed(solver):
         ok = ok and solver.is_valid(theory.imp(want, phi)).is_valid
         closing = dev_closed_check(rec, system, solver, depth=3)
         ok = ok and closing.status == "closed"
-        seq = closing.sequence
+        seq = [node for node, _evidence in closing.steps]
         ok = ok and len(seq) >= 2 and len(seq) - 2 <= 3
         # the multi-step acts below position 1, the tail below position 2
         ok = ok and seq[1].term.args[1] == seq[0].term.args[1]
@@ -142,9 +142,10 @@ def test_criterion_4_calc_chain_parallel_closed(solver):
     ok = bool(hits)
     if ok:
         closing = parallel_closed_2(hits[0], system, solver)
-        ok = closing.status == "closed" and closing.qset == ((2,),)
-        final = closing.sequence[-1]
-        ok = ok and tvar(final.term, final.constraint, closing.qset) == set()
+        qset = closing.steps[1][1] if closing.steps else None
+        ok = closing.status == "closed" and qset == ((2,),)
+        final = closing.steps[-1][0] if closing.steps else None
+        ok = ok and tvar(final.term, final.constraint, qset) == set()
         ok = ok and tvar(hits[0].peak_source, hits[0].constraint, hits[0].pset) == set()
     verdict = analyze(system, solver)
     ok = ok and verdict.result == "YES" and verdict.criterion == "parallel-closed"

@@ -17,7 +17,7 @@ from lctrs.analysis import (
 from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse, print_system
 from lctrs.pcp import PCPInstance, build_rp
-from lctrs.rewriting import ConstrainedTerm
+from lctrs.rewriting import ConstrainedTerm, cstep_tilde, multi_tilde, parallel_tilde
 from lctrs.rules import ConstrainedRule, Lctrs, Signature
 from lctrs.terms import App, INT, LhsIndex, ParallelSetCap, Var, apply_subst, int_val, variables
 from lctrs.grounding import constraint_assignments, pair_instances
@@ -149,7 +149,7 @@ def test_swap_ccps_almost_development_closed(swap, solver):
     for ccp in ccps(swap, solver):
         got = dev_closed_check(ccp, swap, solver, depth=3)
         assert got.status == "closed", f"{ccp!r}: {got.status}"
-        assert len(got.sequence) - 1 <= 1 + 3
+        assert len(got.steps) - 1 <= 1 + 3
 
 
 def test_parity_ccp_not_closed(parity, solver):
@@ -164,7 +164,7 @@ def test_trivial_ccp_closed_immediately(single_value, solver):
     (ccp,) = ccps(single_value, solver)
     got = dev_closed_check(ccp, single_value, solver)
     assert got.status == "closed"
-    assert got.sequence == [ccp.pair()]
+    assert got.steps == [(ccp.pair(), None), (ccp.pair(), None)]  # the empty multi-step, no tail
 
 
 def test_calc_chain_ccp_parallel_closed_1(calc_chain, solver):
@@ -177,7 +177,7 @@ def test_calc_chain_cpcp_parallel_closed_2(calc_chain, solver):
     ps = [p for p in cpcps(calc_chain, solver) if p.pset == ((1,),)]
     got = parallel_closed_2(ps[0], calc_chain, solver)
     assert got.status == "closed"
-    assert got.qset == ((2,),)
+    assert got.steps[1][1] == ((2,),)
 
 
 def test_varcond_cpcp_fails_variable_condition(var_tracking, solver):
@@ -519,6 +519,45 @@ def test_a_trivial_pair_closes_at_once_and_has_no_nontrivial_instance(solver, na
     for cpcp in cpcps(system, solver):
         if is_trivial(cpcp.pair(), solver) == "yes":
             assert parallel_closed_2(cpcp, system, solver).status == "closed"
+
+
+# --- closings replay as steps ----------------------------------------------------
+
+def _replay(closing, first, side, pair, system, solver):
+    """Re-check a closed check's steps without searching: the first step is
+    a `first` step below side `side` of the pair, each tail step a
+    constrained step below the other side, and the last pair is trivial.
+    Gives the first step's evidence and the last pair."""
+    (start, none), (mid, evidence), *tail = closing.steps
+    assert start == pair and none is None
+    assert (mid, evidence) in first(pair, system, solver, below=(side,))
+    for (before, _), (after, redex) in zip(closing.steps[1:], tail):
+        assert (after, redex) in cstep_tilde(before, system, solver, below=(3 - side,))
+    last = closing.steps[-1][0]
+    assert is_trivial(last, solver) == "yes"
+    return evidence, last
+
+
+def test_every_closing_replays_as_steps(solver):
+    """Every closed check on every (parallel) critical pair of the corpus
+    and the golden gen-pcp systems keeps steps that replay one by one, and
+    a 2-parallel closing meets the variable condition on its last pair."""
+    closed = 0
+    for name in PINNED:
+        system = parse(BUNDLED[name])
+        for ccp in ccps(system, solver):
+            for check, first in ((dev_closed_check, multi_tilde), (parallel_closed_1, parallel_tilde)):
+                got = check(ccp, system, solver)
+                if got.status == "closed":
+                    closed += 1
+                    _replay(got, first, 1, ccp.pair(), system, solver)
+        for cpcp in cpcps(system, solver):
+            got = parallel_closed_2(cpcp, system, solver)
+            if got.status == "closed":
+                closed += 1
+                qset, last = _replay(got, parallel_tilde, 2, cpcp.pair(), system, solver)
+                assert tvar(last.term, last.constraint, qset) <= tvar(cpcp.peak_source, cpcp.constraint, cpcp.pset)
+    assert closed > 0
 
 
 CAPPED_TRIVIAL = """(theory Ints)

@@ -566,18 +566,28 @@ def test_parallel_subset_of_multi(calc_chain, solver):
 def test_breadth_first_levels_paths_and_laziness():
     expanded = []
 
-    def successors(n):
+    def steps(n):
         expanded.append(n)
-        return [n + 1, n + 2]
+        return [(n + 1, "+1"), (n + 2, "+2")]
 
-    got = list(breadth_first(0, successors, 2))
-    assert got == [(0, [0]), (1, [0, 1]), (2, [0, 2]), (3, [0, 1, 3]), (4, [0, 2, 4])]
+    got = list(breadth_first(0, steps, 2))
+    assert got == [
+        (0, [(0, None)]),
+        (1, [(0, None), (1, "+1")]),
+        (2, [(0, None), (2, "+2")]),
+        (3, [(0, None), (1, "+1"), (3, "+2")]),
+        (4, [(0, None), (2, "+2"), (4, "+2")]),
+    ]
     assert expanded == [0, 1, 2]  # the last level is yielded, never expanded
     expanded.clear()
-    search = breadth_first(0, successors, 2)
-    assert [next(search), next(search)] == [(0, [0]), (1, [0, 1])]
+    search = breadth_first(0, steps, 2)
+    assert [next(search), next(search)] == got[:2]
     assert expanded == [0]  # nothing past what the caller took
-    assert list(breadth_first(0, successors, 0)) == [(0, [0])]
+    assert next(search) == got[2]
+    assert expanded == [0]  # every node of level 1 taken, none of them expanded
+    assert next(search) == got[3]
+    assert expanded == [0, 1]
+    assert list(breadth_first(0, steps, 0)) == [(0, [(0, None)])]
 
 
 # --- instance soundness --------------------------------------------------------

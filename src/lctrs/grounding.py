@@ -30,6 +30,7 @@ from .analysis import (
 from .logic import ConstraintSolver
 from .rewriting import (
     ConstrainedTerm,
+    Redex,
     RedexOracle,
     RewriteConfig,
     _oracle,
@@ -62,7 +63,7 @@ class GroundFragment:
         self.rules = rules  # true guards, no logical variables
         self.lhs_index = lhs_index
         self.oracle = oracle  # matching the rules
-        self.successors: dict[Term, tuple[Term, ...]] = {}  # see frag_successors
+        self.successors: dict[Term, tuple[tuple[Term, Redex], ...]] = {}  # see frag_successors
 
     @functools.cached_property
     def overlaps(self) -> Overlaps:
@@ -106,11 +107,11 @@ def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> Gr
 
 # --- fragment rewriting: the engine over the fragment's rules -----------------
 
-def frag_successors(t: Term, fragment: GroundFragment) -> tuple[Term, ...]:
-    """The distinct one-step successors of t, each term stepped once per
-    fragment."""
+def frag_successors(t: Term, fragment: GroundFragment) -> tuple[tuple[Term, Redex], ...]:
+    """The (successor, redex) steps of t, one per distinct successor in the
+    order found, each term stepped once per fragment."""
     if t not in fragment.successors:
-        fragment.successors[t] = tuple(dict.fromkeys(r for r, _ in single_steps(t, redexes(t, fragment.oracle))))
+        fragment.successors[t] = tuple({r: (r, e) for r, e in single_steps(t, redexes(t, fragment.oracle))}.values())
     return fragment.successors[t]
 
 
@@ -118,7 +119,7 @@ def reachable(t: Term, fragment: GroundFragment, depth: int) -> tuple[set[Term],
     """Reachable set within depth steps and whether it is closed under ->:
     searching one level further, the first term beyond the bound ends it."""
     seen: set[Term] = set()
-    for s, path in breadth_first(t, lambda u: [(r, None) for r in frag_successors(u, fragment)], depth + 1):
+    for s, path in breadth_first(t, lambda u: frag_successors(u, fragment), depth + 1):
         if len(path) > depth + 1:
             return seen, False
         seen.add(s)
@@ -247,8 +248,7 @@ def check_cp_correspondence(
         rng.shuffle(models)
         for sigma in models[:samples]:
             report.checked += 1
-            inst_l = apply_subst(sigma, c.left)
-            inst_r = apply_subst(sigma, c.right)
+            inst_l, inst_r = apply_subst(sigma, c.left), apply_subst(sigma, c.right)
             if inst_l == inst_r:
                 continue
             if any(match(cp.pair().term, mk_pair(inst_l, inst_r)) is not None for cp in frag_cps):
@@ -301,7 +301,7 @@ def check_step_equivalence(
     for t in _sample_terms(lctrs, config, samples, seed):
         report.checked += 1
         via_rules = {r.term for r, _ in cstep(ConstrainedTerm(t), lctrs, solver, config)}
-        via_fragment = set(frag_successors(t, fragment))
+        via_fragment = {r for r, _ in frag_successors(t, fragment)}
         if via_rules != via_fragment:
             only_r = {term_key(u) for u in via_rules - via_fragment}
             only_f = {term_key(u) for u in via_fragment - via_rules}

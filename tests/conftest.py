@@ -254,40 +254,41 @@ def solver():
     return ConstraintSolver()
 
 
-def _corpus_system(name: str) -> Lctrs:
-    return parse((CORPUS / f"{name}.lctrs").read_text())
+def corpus_system(name: str) -> Lctrs:
+    """The corpus system name, given with or without its .lctrs suffix."""
+    return parse((CORPUS / name).with_suffix(".lctrs").read_text())
 
 
 @pytest.fixture(scope="session")
 def single_value():
     """One rule a -> x [x = 0] over the integers."""
-    return _corpus_system("single_value_choice")
+    return corpus_system("single_value_choice")
 
 
 @pytest.fixture(scope="session")
 def swap():
     """Guarded overlay system with a commuting g and a calculation chain."""
-    return _corpus_system("guarded_swap")
+    return corpus_system("guarded_swap")
 
 
 @pytest.fixture(scope="session")
 def parity():
     """f collapses to g or (on 1..2) h; g picks h(2) on evens, h(1) on odds."""
-    return _corpus_system("parity_split")
+    return corpus_system("parity_split")
 
 
 @pytest.fixture(scope="session")
 def calc_chain():
     """f(a) closes against a step whose alignment needs two calculations."""
-    return _corpus_system("calc_chain")
+    return corpus_system("calc_chain")
 
 
 @pytest.fixture(scope="session")
 def var_tracking():
     """Unconstrained system whose closing step moves a tracked variable."""
-    return _corpus_system("var_tracking")
+    return corpus_system("var_tracking")
 
 
 @pytest.fixture(scope="session")
 def projection():
-    return _corpus_system("projection")
+    return corpus_system("projection")

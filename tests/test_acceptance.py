@@ -28,7 +28,6 @@ from lctrs.grounding import (
     trs_cps,
 )
 from lctrs.logic import ConstraintSolver
-from lctrs.parser import parse
 from lctrs.pcp import PCPInstance
 from lctrs.rules import ConstrainedRule
 from lctrs.rewriting import (
@@ -40,9 +39,9 @@ from lctrs.rewriting import (
 from lctrs.terms import App, INT, Sort, Var, apply_subst, int_val, match, unify, variables
 
 from tests.conftest import (
-    CORPUS,
     REFSOLVER_CMD,
     check_candidate,
+    corpus_system,
     decode,
     encode_string,
     equiv,
@@ -61,12 +60,8 @@ def solver():
     return ConstraintSolver()
 
 
-def load(name):
-    return parse((CORPUS / f"{name}.lctrs").read_text())
-
-
 def test_criterion_1_value_choice_overlay(solver):
-    system = load("single_value_choice")
+    system = corpus_system("single_value_choice")
     pairs = ccps(system, solver)
     x, xp = Var("x", INT), Var("x'", INT)
     ok = (
@@ -86,7 +81,7 @@ def test_criterion_1_value_choice_overlay(solver):
 
 
 def test_criterion_2_guarded_overlay_development_closed(solver):
-    system = load("guarded_swap")
+    system = corpus_system("guarded_swap")
     pairs = ccps(system, solver)
     ok = len(pairs) == 2
     x, y = Var("x", INT), Var("y", INT)
@@ -111,7 +106,7 @@ def test_criterion_2_guarded_overlay_development_closed(solver):
 
 
 def test_criterion_3_parity_split_asymmetry(solver):
-    system = load("parity_split")
+    system = corpus_system("parity_split")
     pairs = [p for p in ccps(system, solver) if is_trivial(p.pair(), solver) != "yes"]
     ok = len(pairs) == 2
     for rec in pairs:
@@ -127,7 +122,7 @@ def test_criterion_3_parity_split_asymmetry(solver):
 
 
 def test_criterion_4_calc_chain_parallel_closed(solver):
-    system = load("calc_chain")
+    system = corpus_system("calc_chain")
     g44 = App(system.signature.term_syms["g"], (int_val(4), int_val(4)))
     want_left = App(
         system.signature.term_syms["f"],
@@ -153,7 +148,7 @@ def test_criterion_4_calc_chain_parallel_closed(solver):
 
 
 def test_criterion_5_variable_tracking(solver):
-    system = load("var_tracking")
+    system = corpus_system("var_tracking")
     U = system.signature.sorts["U"]
     xu, yu = Var("x", U), Var("y", U)
     ok = equiv(ConstrainedTerm(mk_pair(yu, yu)), ConstrainedTerm(mk_pair(xu, xu)), solver) == "no"
@@ -222,7 +217,7 @@ def test_criterion_7_correspondence_suite(solver):
     ok = True
     details = []
     for name in CORPUS_NAMES:
-        system = load(name)
+        system = corpus_system(name)
         cfg = RewriteConfig(lo=-4, hi=4)
         corr = check_cp_correspondence(system, solver, cfg, samples=200)
         steps = check_step_equivalence(system, solver, cfg, samples=200)

@@ -170,10 +170,10 @@ def test_the_no_search_steps_each_term_once(monkeypatch):
 
 def test_step_equivalence_examples(single_value, parity):
     frag = ground_fragment(single_value)
-    assert set(frag_successors(app(single_value, "a"), frag)) == {int_val(0)}
+    assert {r for r, _ in frag_successors(app(single_value, "a"), frag)} == {int_val(0)}
 
     frag_p = ground_fragment(parity, RewriteConfig(lo=-3, hi=3))
-    got = set(frag_successors(app(parity, "f", int_val(2)), frag_p))
+    got = {r for r, _ in frag_successors(app(parity, "f", int_val(2)), frag_p)}
     assert got == {app(parity, "g", int_val(2)), app(parity, "h", int_val(2))}
 
 

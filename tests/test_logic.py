@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from lctrs import cooper, logic, rewriting, theory
 from lctrs.analysis import analyze
 from lctrs.logic import ConstraintSolver, search_model
-from lctrs.parser import parse
 from lctrs.terms import App, BOOL, INT, FunSym, TermError, Var, apply_subst, bool_val, int_val, value_of, variables
 
-from tests.conftest import CORPUS, LINEAR_ATOM, disj, linear_atom, run_every_closing_check
+from tests.conftest import LINEAR_ATOM, corpus_system, disj, linear_atom, run_every_closing_check
 
 x, y, z, n, m = (Var(s, INT) for s in "xyznm")
 
@@ -458,16 +457,12 @@ def test_counter_model_shares_the_sat_model(monkeypatch):
     assert len(calls) == 1
 
 
-def _corpus_system(name):
-    return parse((CORPUS / name).read_text())
-
-
 @pytest.mark.parametrize("name", ["calc_chain.lctrs", "guarded_swap.lctrs"])
 def test_analysis_builds_one_model_per_oracle_constraint(monkeypatch, name):
     """The constrained oracle reads one model of each constraint it runs
     under; no counter-model of a validity query is ever built.  The closing
     checks of every pair, trivial ones included, run after analyze."""
-    want = analyze(_corpus_system(name), ConstraintSolver())
+    want = analyze(corpus_system(name), ConstraintSolver())
     calls = _counting_search_model(monkeypatch)
     under = set()
     real_oracle = rewriting.constrained_oracle
@@ -478,7 +473,7 @@ def test_analysis_builds_one_model_per_oracle_constraint(monkeypatch, name):
 
     monkeypatch.setattr(rewriting, "constrained_oracle", recording_oracle)
     solver = _RecordingSolver()
-    system = _corpus_system(name)
+    system = corpus_system(name)
     got = analyze(system, solver)
     run_every_closing_check(system, got, solver)
     assert (got.result, got.criterion, got.reasons) == (want.result, want.criterion, want.reasons)
@@ -495,7 +490,7 @@ def test_one_analysis_asks_each_oracle_question_once(monkeypatch, name):
     the redexes it found for each subterm."""
     from collections import Counter
 
-    want = analyze(_corpus_system(name), ConstraintSolver())
+    want = analyze(corpus_system(name), ConstraintSolver())
     asked = Counter()
     building = []  # the constraint whose oracle is being built
     real_oracle, real_constrained = rewriting._oracle, rewriting.constrained_oracle
@@ -522,7 +517,7 @@ def test_one_analysis_asks_each_oracle_question_once(monkeypatch, name):
 
     monkeypatch.setattr(rewriting, "constrained_oracle", constrained)
     monkeypatch.setattr(rewriting, "_oracle", counting_oracle)
-    got = analyze(_corpus_system(name), ConstraintSolver())
+    got = analyze(corpus_system(name), ConstraintSolver())
     assert (got.result, got.criterion, got.reasons) == (want.result, want.criterion, want.reasons)
     assert len(asked) > 10
     assert max(asked.values()) == 1
@@ -553,7 +548,7 @@ def test_memoised_models_check_out(name):
     (the corpus asks no quantified queries), for analyze and the closing
     checks of every pair, trivial ones included."""
     solver = _RecordingSolver()
-    system = _corpus_system(name)
+    system = corpus_system(name)
     run_every_closing_check(system, analyze(system, solver), solver)
     assert {id(res) for res in solver._memo.values()} == solver.asked.keys()
     statuses = set()

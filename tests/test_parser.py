@@ -2,7 +2,8 @@ import pytest
 
 from lctrs import theory
 from lctrs.parser import ParseError, parse, print_system
-from lctrs.terms import App, INT, Var, int_val, term_key
+from lctrs.rules import ConstrainedRule, Lctrs, Signature
+from lctrs.terms import App, INT, Sort, Var, int_val, term_key
 
 from tests.conftest import CORPUS
 
@@ -107,18 +108,60 @@ def test_corpus_roundtrip(path):
         assert term_key(a.guard) == term_key(b.guard)
 
 
-def test_corpus_matches_programmatic_builders(single_value, swap, parity, calc_chain, var_tracking, projection):
+def _build(sort, funs, rules):
+    """The system of rules(f, x, y, z), built without the parser: funs gives
+    each symbol's argument and result sorts, f(name, *args) builds a term and
+    x, y, z are variables of `sort`.  A rule without a guard is unguarded."""
+    sig = Signature()
+    for name, (args, res) in funs.items():
+        for s in (*args, res):
+            sig.sorts.setdefault(s.name, s)
+        sig.add_fun(name, list(args), res)
+
+    def f(name, *args):
+        return App(sig.term_syms[name], args)
+
+    x, y, z = (Var(n, sort) for n in "xyz")
+    return Lctrs(sig, tuple(ConstrainedRule(*rule) for rule in rules(f, x, y, z)))
+
+
+U = Sort("U")
+I1, I2 = (INT,), (INT, INT)
+BUILT = {  # corpus file -> _build's arguments for the same system
+    "single_value_choice": (INT, {"a": ((), INT)}, lambda f, x, y, z: [(f("a"), x, theory.eq(x, 0))]),
+    "guarded_swap": (INT, {"f": (I2, INT), "g": (I2, INT), "h": (I1, INT), "c": (I2, INT)}, lambda f, x, y, z: [
+        (f("f", x, y), f("h", f("g", y, theory.mul(2, 2))), theory.conj(theory.le(x, y), theory.eq(y, 2))),
+        (f("f", x, y), f("c", int_val(4), x), theory.le(y, x)),
+        (f("g", x, y), f("g", y, x)),
+        (f("h", x), x),
+        (f("c", x, y), f("g", int_val(4), int_val(2)), theory.ne(x, y)),
+    ]),
+    "parity_split": (INT, {"f": (I1, INT), "g": (I1, INT), "h": (I1, INT)}, lambda f, x, y, z: [
+        (f("f", x), f("g", x)),
+        (f("f", x), f("h", x), theory.conj(theory.le(1, x), theory.le(x, 2))),
+        (f("g", x), f("h", int_val(2)), theory.eq(x, theory.mul(2, z))),
+        (f("g", x), f("h", int_val(1)), theory.eq(x, theory.add(theory.mul(2, z), 1))),
+    ]),
+    "calc_chain": (INT, {"f": (I1, INT), "a": ((), INT), "g": (I2, INT)}, lambda f, x, y, z: [
+        (f("f", f("a")), f("g", int_val(4), int_val(4))),
+        (f("a"), f("g", theory.add(1, 1), theory.add(3, 1))),
+        (f("g", x, y), f("f", f("g", z, y)), theory.eq(z, theory.sub(x, 2))),
+    ]),
+    "var_tracking": (U, {"f": ((U, U), U), "g": ((U,), U), "a": ((), U), "b": ((), U)}, lambda f, x, y, z: [
+        (f("f", f("g", x), y), f("f", f("b"), y)),
+        (f("g", x), f("a")),
+        (f("f", f("a"), x), x),
+        (f("f", f("b"), x), x),
+    ]),
+    "projection": (U, {"f": ((U, U), U)}, lambda f, x, y, z: [(f("f", x, y), x)]),
+}
+
+
+def test_corpus_matches_programmatic_builders():
     from lctrs.terms import alpha_key
 
-    built = {
-        "single_value_choice": single_value,
-        "guarded_swap": swap,
-        "parity_split": parity,
-        "calc_chain": calc_chain,
-        "var_tracking": var_tracking,
-        "projection": projection,
-    }
-    for name, system in built.items():
+    for name, args in BUILT.items():
+        system = _build(*args)
         parsed = parse((CORPUS / f"{name}.lctrs").read_text())
         assert len(parsed.rules) == len(system.rules)
         want = {alpha_key([r.lhs, r.rhs, r.guard]) for r in system.rules}

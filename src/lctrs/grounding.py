@@ -248,7 +248,8 @@ def check_cp_correspondence(
         rng.shuffle(models)
         for sigma in models[:samples]:
             report.checked += 1
-            inst_l, inst_r = apply_subst(sigma, c.left), apply_subst(sigma, c.right)
+            inst_l = apply_subst(sigma, c.left)
+            inst_r = apply_subst(sigma, c.right)
             if inst_l == inst_r:
                 continue
             if any(match(cp.pair().term, mk_pair(inst_l, inst_r)) is not None for cp in frag_cps):

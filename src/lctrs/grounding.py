@@ -108,10 +108,9 @@ def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> Gr
 # --- fragment rewriting: the engine over the fragment's rules -----------------
 
 def frag_successors(t: Term, fragment: GroundFragment) -> tuple[tuple[Term, Redex], ...]:
-    """The (successor, redex) steps of t, one per distinct successor in the
-    order found, each term stepped once per fragment."""
+    """The (successor, redex) steps of t, each term stepped once per fragment."""
     if t not in fragment.successors:
-        fragment.successors[t] = tuple({r: (r, e) for r, e in single_steps(t, redexes(t, fragment.oracle))}.values())
+        fragment.successors[t] = tuple(single_steps(t, redexes(t, fragment.oracle)))
     return fragment.successors[t]
 
 

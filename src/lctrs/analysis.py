@@ -10,10 +10,11 @@ at one position is unified once per rule set (single_overlaps, kept as
 Lctrs.overlaps): the critical pairs are the overlaps whose guards are
 satisfiable, and a parallel critical pair at one position is the same overlap
 renamed, so the parallel enumeration unifies only sets of two or more
-positions.  The same enumerator overlaps the rules of a ground fragment
-(GroundFragment.overlaps).  For closedness searches the two sides are
-packed into a binary pair constructor so the >=1 / >=2 position filters are
-ordinary subterm filters.
+positions.  The same enumerator overlaps the instantiated rules of a
+ground fragment (GroundFragment.overlaps), which only check reads.  For
+closedness searches the two sides are packed into a binary pair
+constructor so the >=1 / >=2 position filters are ordinary subterm
+filters.
 """
 
 from __future__ import annotations

@@ -1,13 +1,20 @@
-"""Finite realization of the value-instantiated rule set, used as an oracle.
+"""The ground fragment: the value-instantiated rule set over a finite
+domain, used as an oracle.
 
-Every guarded rule is instantiated with all guard-satisfying value
-assignments drawn from a finite domain, and every theory symbol occurring in
-the rules' term sides contributes its calculation instances over that domain.
-The result is a rule set without logical variables, run by the plain
-rewrite engine and overlapped by the critical-pair enumerator of the
-constrained analysis.  On it we compute ordinary (parallel) critical pairs,
-joinability, closedness, and the correspondence reports that tie the
-fragment back to the constrained analysis.
+The paper's transformation instantiates the logical variables of every rule
+with every value, so the transformed system is infinite; the fragment is its
+restriction to the values of a finite domain, and every theory symbol
+occurring in the rules' term sides contributes its calculation instances
+over that domain.  It is stepped on demand: its oracle matches the system's
+own rules and instantiates a match only when every logical variable the
+match binds is a domain value, completing it with the guard-satisfying
+choices of domain values for the rest.  So the NO search (pair_instances,
+find_nonjoinable_peak) instantiates only where it steps.  The instantiated
+list (GroundFragment.rules) is built when `lctrs ground` prints it or the
+checks overlap it: on it we compute ordinary (parallel) critical pairs and
+the correspondence reports that tie the fragment back to the constrained
+analysis, and check_step_equivalence compares its steps with the on-demand
+ones.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from .logic import ConstraintSolver
 from .rewriting import (
     ConstrainedTerm,
     Redex,
-    RedexOracle,
     RewriteConfig,
     _oracle,
     breadth_first,
@@ -54,16 +60,63 @@ from .terms import (
     match,
     positions,
     term_key,
+    value_of,
     variables,
 )
 
 
 class GroundFragment:
-    def __init__(self, rules: tuple[ConstrainedRule, ...], lhs_index: LhsIndex, oracle: RedexOracle):
-        self.rules = rules  # true guards, no logical variables
-        self.lhs_index = lhs_index
-        self.oracle = oracle  # matching the rules
+    """The ground fragment over one config's domain.  Its oracle matches the
+    system's own rules (rc_rules) and instantiates a match only where a term
+    is stepped; the instantiated rule list, its index and its overlaps are
+    built the first time they are read."""
+
+    def __init__(self, lctrs: Lctrs, config: RewriteConfig):
+        self.lctrs = lctrs
+        self.domain = domain_terms(lctrs, config)
+        self.values = {sort: frozenset(terms) for sort, terms in self.domain.items()}
+        self.options = {sort: value_options(terms) for sort, terms in self.domain.items()}
+        self.calc_syms = frozenset(_side_syms(lctrs, "theory"))
+        self.oracle = _oracle(lctrs.rc_rules, lctrs.lhs_index, self._instances)  # the fragment's redexes
         self.successors: dict[Term, tuple[tuple[Term, Redex], ...]] = {}  # see frag_successors
+
+    def _instances(self, rule: ConstrainedRule, sigma0: Subst):
+        """The fragment instances a match sigma0 of the rule steps with: none
+        unless every logical variable the match binds is a domain value; a
+        calculation its one instance, when its symbol occurs in the rules'
+        term sides; any other rule one per choice of domain values for the
+        variables it has to choose under which the guard holds."""
+        values = self.values
+        if not all(sigma0.get(x, x) in values[x.sort] for x in rule.lvar_split[0]):
+            return ()
+        if rule.calc:
+            if rule.lhs.sym not in self.calc_syms:
+                return ()
+            return ({**sigma0, rule.rhs: theory.interpret_term(apply_subst(sigma0, rule.lhs))},)
+        solve = rule.assignments
+        opts = {x: self.options[x.sort] for x in solve.order}
+        return [{**sigma0, **choice} for choice in solve(opts, [value_of(sigma0[x]) for x in solve.inputs])]
+
+    @functools.cached_property
+    def rules(self) -> tuple[ConstrainedRule, ...]:
+        """Every rule instantiated over the domain, and every calculation
+        instance of a theory symbol in the rules' term sides: true guards,
+        no logical variables, in key order.  Only `lctrs ground` and the
+        checks read it."""
+        out: dict[str, ConstrainedRule] = {}
+        for rule in self.lctrs.rules:
+            for tau in constraint_assignments(rule.guard, rule.lvar(), self.domain):
+                inst = rule.instance(tau)
+                out.setdefault(inst.key(), inst)
+        for sym in _side_syms(self.lctrs, "theory"):
+            for combo in itertools.product(*(self.domain[s] for s in sym.arg_sorts)):
+                inst = value_calc_instance(App(sym, combo))
+                out.setdefault(inst.key(), inst)
+        return tuple(rule for _, rule in sorted(out.items()))
+
+    @functools.cached_property
+    def lhs_index(self) -> LhsIndex:
+        return LhsIndex(rule.lhs for rule in self.rules)
 
     @functools.cached_property
     def overlaps(self) -> Overlaps:
@@ -89,23 +142,11 @@ def constraint_assignments(phi: Term, vs, domain, limit: int | None = None, calc
 
 
 def ground_fragment(lctrs: Lctrs, config: RewriteConfig = RewriteConfig()) -> GroundFragment:
-    """Instantiate every rule over the finite domain; deterministic order."""
-    domain = domain_terms(lctrs, config)
-    out: dict[str, ConstrainedRule] = {}
-    for rule in lctrs.rules:
-        for tau in constraint_assignments(rule.guard, rule.lvar(), domain):
-            inst = rule.instance(tau)
-            out.setdefault(inst.key(), inst)
-    for sym in _side_syms(lctrs, "theory"):
-        for combo in itertools.product(*(domain[s] for s in sym.arg_sorts)):
-            inst = value_calc_instance(App(sym, combo))
-            out.setdefault(inst.key(), inst)
-    rules = tuple(rule for _, rule in sorted(out.items()))
-    index = LhsIndex(rule.lhs for rule in rules)
-    return GroundFragment(rules, index, _oracle(rules, index, lambda rule, sigma0: (sigma0,)))
+    """The ground fragment of lctrs over the config's domain."""
+    return GroundFragment(lctrs, config)
 
 
-# --- fragment rewriting: the engine over the fragment's rules -----------------
+# --- fragment rewriting: the engine over the fragment's oracle ----------------
 
 def frag_successors(t: Term, fragment: GroundFragment) -> tuple[tuple[Term, Redex], ...]:
     """The (successor, redex) steps of t, each term stepped once per fragment."""
@@ -294,20 +335,26 @@ def check_step_equivalence(
     seed: int = 0,
 ) -> Report:
     """One-step successor sets agree between the guarded rules (with values
-    from the domain, rewriting under the constraint true) and the
-    instantiated fragment, on sampled terms."""
+    from the domain, rewriting under the constraint true), the fragment's
+    on-demand steps and the steps of its instantiated rules, on sampled
+    terms."""
     report = Report()
     fragment = ground_fragment(lctrs, config)
+    listed = _oracle(fragment.rules, fragment.lhs_index, lambda rule, sigma0: (sigma0,))
     for t in _sample_terms(lctrs, config, samples, seed):
         report.checked += 1
         via_rules = {r.term for r, _ in cstep(ConstrainedTerm(t), lctrs, solver, config)}
-        via_fragment = {r for r, _ in frag_successors(t, fragment)}
-        if via_rules != via_fragment:
-            only_r = {term_key(u) for u in via_rules - via_fragment}
-            only_f = {term_key(u) for u in via_fragment - via_rules}
-            report.violations.append(
-                f"successors of {t!r} differ: rules-only {sorted(only_r)}, fragment-only {sorted(only_f)}"
-            )
+        for name, steps in (
+            ("fragment", frag_successors(t, fragment)),
+            ("listed", single_steps(t, redexes(t, listed))),
+        ):
+            got = {r for r, _ in steps}
+            if via_rules != got:
+                only_r = {term_key(u) for u in via_rules - got}
+                only_f = {term_key(u) for u in got - via_rules}
+                report.violations.append(
+                    f"successors of {t!r} differ: rules-only {sorted(only_r)}, {name}-only {sorted(only_f)}"
+                )
     return report
 
 

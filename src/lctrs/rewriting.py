@@ -11,11 +11,12 @@ for the rule's logical variables by evaluating the compiled guard under one
 model of the constraint, asking for validity only what the model cannot
 decide.  Plain rewriting is cstep under the constraint true: with no
 constraint variable every logical variable takes a value and the guard
-decides each choice.  Over the rules of a ground fragment, which have no
-logical variables, an oracle is plain matching.  The tilde variants are the
-lifting modulo the equivalence moves of equiv_extensions, which only ever
-extend a constraint by a definition z = f(u1..un) of a theory subterm.
-Multi-step nesting is depth-bounded.
+decides each choice.  The ground fragment's oracle (grounding) matches the
+same rules and completes a match whose logical variables are domain values
+with domain values alone.  The tilde variants are the lifting modulo the
+equivalence moves of equiv_extensions, which only ever extend a constraint
+by a definition z = f(u1..un) of a theory subterm.  Multi-step nesting is
+depth-bounded.
 """
 
 from __future__ import annotations

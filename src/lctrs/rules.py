@@ -223,8 +223,9 @@ class Assignments:
     extended.  So, calculation results aside, the assignments are the
     product of the options filtered by phi, in the order the walk finds
     them.  grounding.constraint_assignments calls it over the domain; the
-    redex oracle calls each rule's own (ConstrainedRule.assignments) with
-    the values of one model of its constraint."""
+    constrained oracle calls each rule's own (ConstrainedRule.assignments)
+    with the values of one model of its constraint, and the ground
+    fragment's oracle with the matched domain values."""
 
     def __init__(self, phi: Term, vs, inputs=(), calc_results=frozenset()):
         names = sorted(vs, key=lambda v: v.name)

@@ -6,6 +6,7 @@ import pytest
 from lctrs import theory
 from lctrs.analysis import ccps
 from lctrs.grounding import (
+    _sample_terms,
     check_cp_correspondence,
     check_step_equivalence,
     constraint_assignments,
@@ -21,12 +22,12 @@ from lctrs.grounding import (
 from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse
 from lctrs.pcp import PCPInstance, build_rp
-from lctrs.rewriting import RewriteConfig, domain_terms
+from lctrs.rewriting import RewriteConfig, _oracle, domain_terms, redexes, single_steps
 from lctrs.rules import ConstrainedRule
 from lctrs.terms import App, INT, Var, alpha_key, apply_subst, int_val, variables
 
 from tests.conftest import CORPUS, LINEAR_OPS, REPO, frag_multi, linear_atom, trs_closedness_check
-from tests.test_golden import GEN_PCP, GROUND_HALF_WIDTHS
+from tests.test_golden import GEN_PCP, GROUND, GROUND_HALF_WIDTHS
 
 x = Var("x", INT)
 
@@ -439,3 +440,63 @@ def test_check_samples_a_wide_pair_in_few_steps(monkeypatch):
     count = _count_evaluations(monkeypatch)
     check_cp_correspondence(system, ConstraintSolver())
     assert 0 < count[0] <= 792_570 // 100
+
+
+# --- the on-demand fragment: the instantiated list's steps, stepped lazily ----
+
+
+def _on_demand_cases():
+    for path in sorted(CORPUS.glob("*.lctrs")):
+        yield path.stem, parse(path.read_text()), 4
+    for name, half in sorted(GROUND_HALF_WIDTHS.items()):
+        yield f"ground/{name}", parse((GROUND / f"{name}.lctrs").read_text()), half
+    for name, pairs in sorted(GEN_PCP.items()):
+        yield name, build_rp(PCPInstance.parse(pairs)), 4
+
+
+ON_DEMAND_CASES = list(_on_demand_cases())
+
+
+@pytest.mark.parametrize("name, lctrs, width", ON_DEMAND_CASES, ids=[name for name, *_ in ON_DEMAND_CASES])
+def test_on_demand_steps_are_the_listed_rules_steps(name, lctrs, width):
+    """On every term the NO search steps, and on sampled terms, the
+    fragment's on-demand steps are the steps of its instantiated rules."""
+    config = RewriteConfig(lo=-width, hi=width)
+    fragment = ground_fragment(lctrs, config)
+    find_nonjoinable_peak(fragment, pair_instances(ccps(lctrs, ConstraintSolver()), domain_terms(lctrs, config)))
+    terms = [*fragment.successors, *_sample_terms(lctrs, config, 50, 0)]
+    listed = _oracle(fragment.rules, fragment.lhs_index, lambda rule, sigma0: (sigma0,))
+    for t in terms:
+        want = {r for r, _ in single_steps(t, redexes(t, listed))}
+        assert {r for r, _ in frag_successors(t, fragment)} == want, t
+
+
+def test_on_demand_steps_on_calc_chain(calc_chain):
+    """At -4..4 a match with a logical variable outside the domain, a
+    calculation with an argument outside it and one of a symbol no term
+    side holds give no step; a computed value outside the domain is still
+    a calculation's result."""
+    frag = ground_fragment(calc_chain)
+
+    def steps(t):
+        return {r for r, _ in frag_successors(t, frag)}
+
+    def g(x, y):
+        return app(calc_chain, "g", int_val(x), int_val(y))
+
+    assert steps(g(7, 4)) == set()
+    assert steps(theory.add(-8, 1)) == set()
+    assert steps(theory.mul(2, 3)) == set()
+    assert steps(g(2, 4)) == {app(calc_chain, "f", g(0, 4))}
+    assert steps(theory.add(-4, -4)) == {int_val(-8)}
+
+
+@pytest.mark.parametrize("name", sorted(GROUND_HALF_WIDTHS))
+def test_the_no_search_never_builds_the_rule_list(name):
+    half = GROUND_HALF_WIDTHS[name]
+    system = parse((GROUND / f"{name}.lctrs").read_text())
+    config = RewriteConfig(lo=-half, hi=half)
+    fragment = ground_fragment(system, config)
+    peaks = pair_instances(ccps(system, ConstraintSolver()), domain_terms(system, config))
+    assert find_nonjoinable_peak(fragment, peaks) is not None
+    assert "rules" not in vars(fragment)

@@ -378,6 +378,16 @@ def _substitute_equality(x: str, f: Formula, eq: Formula) -> Formula:
     return mk_and((map_atoms(f, solve), simplify(("dvd", abs(c), r))))
 
 
+def _period(x: str, f: Formula) -> int:
+    """The least common multiple of the moduli of f's divisibility atoms
+    on x, 1 if there are none."""
+    period = 1
+    for a in atoms(f):
+        if a[0] in ("dvd", "ndvd") and lcoeff(a[2], x) != 0:
+            period = lcm(period, a[1])
+    return period
+
+
 def _eliminate_core(x: str, f: Formula) -> Formula:
     """exists-x f for a conjunction of literals f in which no equality
     mentions x (eliminate_int substitutes those)."""
@@ -431,10 +441,7 @@ def _eliminate_core(x: str, f: Formula) -> Formula:
 
         f1 = map_atoms(f1, mirror)
 
-    period = 1
-    for a in atoms(f1):
-        if a[0] in ("dvd", "ndvd") and lcoeff(a[2], x) != 0:
-            period = lcm(period, a[1])
+    period = _period(x, f1)
 
     def minus_inf(a: Formula) -> Formula:
         if a[0] in ("bvar", "nbvar", "dvd", "ndvd"):
@@ -567,10 +574,7 @@ def _single_var_witness(x: str, g: Formula) -> int | None:
     Any satisfiable single-variable formula holds at a boundary point of one
     of its atoms shifted by at most one period, or anywhere one period below
     the least boundary; scanning that window is exact."""
-    period = 1
-    for a in atoms(g):
-        if a[0] in ("dvd", "ndvd") and lcoeff(a[2], x) != 0:
-            period = lcm(period, a[1])
+    period = _period(x, g)
     cands: set[int] = set()
     for a in atoms(g):
         if a[0] in ("bvar", "nbvar"):

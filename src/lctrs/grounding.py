@@ -11,10 +11,10 @@ match binds is a domain value, completing it with the guard-satisfying
 choices of domain values for the rest.  So the NO search (pair_instances,
 find_nonjoinable_peak) instantiates only where it steps.  The instantiated
 list (GroundFragment.rules) is built when `lctrs ground` prints it or the
-checks overlap it: on it we compute ordinary (parallel) critical pairs and
-the correspondence reports that tie the fragment back to the constrained
-analysis, and check_step_equivalence compares its steps with the on-demand
-ones.
+checks overlap it: on it we compute ordinary (parallel) critical pairs.
+check_cp_correspondence ties them back to the constrained analysis, the
+non-trivial ones key for key to the peaks the NO search takes, and
+check_step_equivalence compares the list's steps with the on-demand ones.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .analysis import (
     _parallel_critical_pairs,
     ccps,
     cpcps,
-    mk_pair,
     single_overlaps,
 )
 from .logic import ConstraintSolver
@@ -216,11 +215,11 @@ def pair_instances(pairs: list[CCPRecord], domain) -> list[CCPRecord]:
     return [out[key] for key in sorted(out)]
 
 
-def find_nonjoinable_peak(fragment: GroundFragment, peaks, depth: int = 8):
+def find_nonjoinable_peak(fragment: GroundFragment, peaks):
     """The first of the peaks (critical pairs of the fragment) whose two
-    sides reach disjoint normal forms within depth steps, or None."""
+    sides reach disjoint normal forms within joinable's depth, or None."""
     for cp in peaks:
-        status, _ = joinable(fragment, cp.left, cp.right, depth)
+        status, _ = joinable(fragment, cp.left, cp.right)
         if status == "disjoint_normal_forms":
             return cp.left, cp.right
     return None
@@ -260,43 +259,30 @@ def check_cp_correspondence(
     lctrs: Lctrs,
     solver: ConstraintSolver,
     config: RewriteConfig = RewriteConfig(),
-    samples: int = 50,
-    seed: int = 0,
 ) -> Report:
-    """Two directions: every fragment (parallel) critical pair instantiates a
-    constrained one, and every sampled instance of a constrained critical
-    pair is trivial or matches a fragment critical pair."""
+    """The correspondence theorem on the fragment: the non-trivial fragment
+    critical pairs are, key for key, the peaks the NO search takes
+    (pair_instances of the constrained critical pairs), and every trivial
+    fragment pair and every parallel one instantiates a constrained one.
+    Both lists are in key order, so equal key sets also mean that the NO
+    search meets the same first witness as the fragment's own pairs would."""
     report = Report()
     fragment = ground_fragment(lctrs, config)
-    domain = domain_terms(lctrs, config)
     constrained = ccps(lctrs, solver)
     frag_cps = trs_cps(fragment)
-    for kind, pairs, sources in (
-        ("pair", frag_cps, constrained),
+    pairs = {cp.key() for cp in frag_cps if cp.left != cp.right}
+    peaks = {cp.key() for cp in pair_instances(constrained, fragment.domain)}
+    report.checked = len(pairs | peaks)
+    report.violations += [f"fragment pair {key} is no peak" for key in sorted(pairs - peaks)]
+    report.violations += [f"peak {key} is no fragment pair" for key in sorted(peaks - pairs)]
+    for kind, cps, sources in (
+        ("pair", [cp for cp in frag_cps if cp.left == cp.right], constrained),
         ("parallel pair", trs_pcps(fragment), cpcps(lctrs, solver)),
     ):
-        for cp in pairs:
+        for cp in cps:
             report.checked += 1
-            if not any(_instance_matches(c, cp, domain) for c in sources):
+            if not any(_instance_matches(c, cp, fragment.domain) for c in sources):
                 report.violations.append(f"fragment {kind} has no constrained source: {cp.left!r} ~ {cp.right!r}")
-
-    import random  # only the check samples
-
-    rng = random.Random(seed)
-    for c in constrained:
-        models = constraint_assignments(c.constraint, variables(c.constraint), domain, limit=4 * samples)
-        rng.shuffle(models)
-        for sigma in models[:samples]:
-            report.checked += 1
-            inst_l = apply_subst(sigma, c.left)
-            inst_r = apply_subst(sigma, c.right)
-            if inst_l == inst_r:
-                continue
-            if any(match(cp.pair().term, mk_pair(inst_l, inst_r)) is not None for cp in frag_cps):
-                continue
-            report.violations.append(
-                f"instance {inst_l!r} ~ {inst_r!r} of {c!r} has no fragment counterpart"
-            )
     return report
 
 
@@ -332,7 +318,6 @@ def check_step_equivalence(
     solver: ConstraintSolver,
     config: RewriteConfig = RewriteConfig(),
     samples: int = 50,
-    seed: int = 0,
 ) -> Report:
     """One-step successor sets agree between the guarded rules (with values
     from the domain, rewriting under the constraint true), the fragment's
@@ -341,7 +326,7 @@ def check_step_equivalence(
     report = Report()
     fragment = ground_fragment(lctrs, config)
     listed = _oracle(fragment.rules, fragment.lhs_index, lambda rule, sigma0: (sigma0,))
-    for t in _sample_terms(lctrs, config, samples, seed):
+    for t in _sample_terms(lctrs, config, samples, 0):
         report.checked += 1
         via_rules = {r.term for r, _ in cstep(ConstrainedTerm(t), lctrs, solver, config)}
         for name, steps in (
@@ -362,17 +347,17 @@ def check_instance_soundness(
     lctrs: Lctrs,
     solver: ConstraintSolver,
     config: RewriteConfig = RewriteConfig(),
-    samples: int = 20,
 ) -> Report:
     """Constrained steps from the critical pairs replay on ground instances:
-    for every step out of a pair and every sampled model of its constraint,
-    the instantiated step is an ordinary rewrite step at the same position."""
+    for every step out of a pair and each of the first 20 models of its
+    constraint, the instantiated step is an ordinary rewrite step at the
+    same position."""
     report = Report()
     domain = domain_terms(lctrs, config)
     for ccp in ccps(lctrs, solver):
         ct = ccp.pair()
         for res, (position, _, _) in cstep(ct, lctrs, solver, config):
-            for sigma in constraint_assignments(ct.constraint, variables(ct.constraint), domain, limit=samples):
+            for sigma in constraint_assignments(ct.constraint, variables(ct.constraint), domain, limit=20):
                 report.checked += 1
                 before = apply_subst(sigma, ct.term)
                 after = apply_subst(sigma, res.term)

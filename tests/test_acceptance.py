@@ -219,7 +219,7 @@ def test_criterion_7_correspondence_suite(solver):
     for name in CORPUS_NAMES:
         system = corpus_system(name)
         cfg = RewriteConfig(lo=-4, hi=4)
-        corr = check_cp_correspondence(system, solver, cfg, samples=200)
+        corr = check_cp_correspondence(system, solver, cfg)
         steps = check_step_equivalence(system, solver, cfg, samples=200)
         ok = ok and corr.ok and steps.ok
         details.append(f"{name}: correspondence {corr.checked}, steps {steps.checked}")

@@ -4,7 +4,11 @@ The recorded files pin pair order, positions and variable names.  They were
 written by `python -m lctrs CMD corpus/NAME.lctrs --json > tests/golden/NAME.CMD.json`
 before the rewrite engine, the fragment and the critical-pair generators
 were merged (the `check` files before terms were hash-consed); regenerate them
-the same way only for an intended output change.  The `four_parts` files
+the same way only for an intended output change.  The `correspondence`
+counts of the `check` files were re-recorded when that check came to
+compare the fragment's critical pairs with the NO search's peaks, key for
+key, instead of sampling instances of the constrained pairs; nothing else
+in them changed.  The `four_parts` files
 were recorded once the rewrite oracle and the ground fragment shared one
 assignment procedure, so its `check` pins step equivalence on a rule whose
 equation defines a variable the oracle computes.  The `two_positions` files

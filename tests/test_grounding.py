@@ -4,7 +4,7 @@ import random
 import pytest
 
 from lctrs import theory
-from lctrs.analysis import ccps
+from lctrs.analysis import CCPRecord, ccps
 from lctrs.grounding import (
     _sample_terms,
     check_cp_correspondence,
@@ -236,6 +236,21 @@ def test_correspondence_var_tracking(var_tracking, solver):
     assert report.ok, report
 
 
+def test_correspondence_names_the_side_a_pair_is_missing_from(monkeypatch, solver):
+    """check compares the fragment's non-trivial critical pairs with the
+    peaks the NO search takes, so a peak lost or one too many is reported."""
+    system = parse((CORPUS / "pcp_101.lctrs").read_text())
+    assert check_cp_correspondence(system, solver).ok
+    peaks = pair_instances(ccps(system, solver), ground_fragment(system).domain)
+    monkeypatch.setattr("lctrs.grounding.pair_instances", lambda pairs, domain: peaks[1:])
+    report = check_cp_correspondence(system, solver)
+    assert report.violations == [f"fragment pair {peaks[0].key()} is no peak"]
+    bogus = CCPRecord(int_val(100), int_val(101), theory.bool_val(True), peaks[0].position, int_val(100))
+    monkeypatch.setattr("lctrs.grounding.pair_instances", lambda pairs, domain: [*peaks, bogus])
+    report = check_cp_correspondence(system, solver)
+    assert report.violations == [f"peak {bogus.key()} is no fragment pair"]
+
+
 def test_step_equivalence_systems(single_value, parity, calc_chain, var_tracking, solver):
     for system in (single_value, parity, calc_chain, var_tracking):
         report = check_step_equivalence(system, solver, samples=40)
@@ -433,9 +448,10 @@ def test_peaks_solve_the_equations_of_a_wide_pair(monkeypatch):
 
 
 def test_check_samples_a_wide_pair_in_few_steps(monkeypatch):
-    """check's correspondence sampling of the same pair, which extended
-    792 570 prefixes when each variable was enumerated in name order,
-    now evaluates at most a hundredth of that many constraints in all."""
+    """check's correspondence on the same pair, whose sampled models
+    extended 792 570 prefixes when each variable was enumerated in name
+    order, now evaluates at most a hundredth of that many constraints in
+    all, every peak included."""
     system = parse(FOUR_PARTS)
     count = _count_evaluations(monkeypatch)
     check_cp_correspondence(system, ConstraintSolver())

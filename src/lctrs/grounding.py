@@ -14,7 +14,9 @@ list (GroundFragment.rules) is built when `lctrs ground` prints it or the
 checks overlap it: on it we compute ordinary (parallel) critical pairs.
 check_cp_correspondence ties them back to the constrained analysis, the
 non-trivial ones key for key to the peaks the NO search takes, and
-check_step_equivalence compares the list's steps with the on-demand ones.
+check_step_equivalence compares the list's steps, the on-demand ones and
+the constrained ones on every term a fragment rule steps at its root and
+every term the NO search steps.
 """
 
 from __future__ import annotations
@@ -48,12 +50,9 @@ from .rewriting import (
 from .rules import Assignments, ConstrainedRule, Lctrs, value_calc_instance, value_options
 from .terms import (
     App,
-    FunSym,
     LhsIndex,
-    Sort,
     Subst,
     Term,
-    Var,
     apply_subst,
     is_value,
     match,
@@ -75,7 +74,9 @@ class GroundFragment:
         self.domain = domain_terms(lctrs, config)
         self.values = {sort: frozenset(terms) for sort, terms in self.domain.items()}
         self.options = {sort: value_options(terms) for sort, terms in self.domain.items()}
-        self.calc_syms = frozenset(_side_syms(lctrs, "theory"))
+        sides = (sub for rule in lctrs.rules for side in (rule.lhs, rule.rhs) for _, sub in positions(side))
+        # theory symbols of the rules' term sides, in order of first occurrence
+        self.calc_syms = dict.fromkeys(sub.sym for sub in sides if sub.sym.kind == "theory")
         self.oracle = _oracle(lctrs.rc_rules, lctrs.lhs_index, self._instances)  # the fragment's redexes
         self.successors: dict[Term, tuple[tuple[Term, Redex], ...]] = {}  # see frag_successors
 
@@ -107,11 +108,15 @@ class GroundFragment:
             for tau in constraint_assignments(rule.guard, rule.lvar(), self.domain):
                 inst = rule.instance(tau)
                 out.setdefault(inst.key(), inst)
-        for sym in _side_syms(self.lctrs, "theory"):
-            for combo in itertools.product(*(self.domain[s] for s in sym.arg_sorts)):
-                inst = value_calc_instance(App(sym, combo))
-                out.setdefault(inst.key(), inst)
+        for t in self.calculations():
+            inst = value_calc_instance(t)
+            out.setdefault(inst.key(), inst)
         return tuple(rule for _, rule in sorted(out.items()))
+
+    def calculations(self) -> list[App]:
+        """Each calculation symbol applied to each combination of domain values."""
+        domain = self.domain
+        return [App(f, args) for f in self.calc_syms for args in itertools.product(*(domain[s] for s in f.arg_sorts))]
 
     @functools.cached_property
     def lhs_index(self) -> LhsIndex:
@@ -121,13 +126,6 @@ class GroundFragment:
     def overlaps(self) -> Overlaps:
         """The unified overlaps of the rules, which trs_cps and trs_pcps read."""
         return single_overlaps(self.rules, self.lhs_index)
-
-
-def _side_syms(lctrs: Lctrs, kind: str) -> list[FunSym]:
-    """Symbols of the given kind in the rules' term sides, in order of first
-    occurrence."""
-    subterms = (sub for rule in lctrs.rules for side in (rule.lhs, rule.rhs) for _, sub in positions(side))
-    return list(dict.fromkeys(s.sym for s in subterms if s.sym.kind == kind))
 
 
 def constraint_assignments(phi: Term, vs, domain, limit: int | None = None, calc_results=frozenset()) -> list[Subst]:
@@ -286,47 +284,33 @@ def check_cp_correspondence(
     return report
 
 
-def _sample_terms(lctrs: Lctrs, config: RewriteConfig, count: int, seed: int) -> list[Term]:
-    """Random terms over the rules' symbols, domain values and variables."""
-    import random  # only the check samples
-
-    rng = random.Random(seed)
-    domain = domain_terms(lctrs, config)
-    term_syms = sorted(_side_syms(lctrs, "term"), key=lambda f: f.name)
-    theory_syms = _side_syms(lctrs, "theory")
-    by_sort: dict[Sort, list] = {}
-    for f in term_syms + theory_syms:
-        by_sort.setdefault(f.result_sort, []).append(f)
-
-    def gen(sort: Sort, depth: int) -> Term:
-        leaves: list[Term] = list(domain.get(sort, ()))
-        leaves.append(Var(rng.choice("uvw"), sort))
-        funs = by_sort.get(sort, [])
-        if depth <= 0 or not funs or rng.random() < 0.25:
-            return rng.choice(leaves)
-        f = rng.choice(funs)
-        return App(f, tuple(gen(s, depth - 1) for s in f.arg_sorts))
-
-    sorts = sorted({r.lhs.sym.result_sort for r in lctrs.rules}, key=lambda s: s.name)
-    if not sorts:
-        return []  # no rules, so no sort to sample a term of
-    return [gen(rng.choice(sorts), rng.randint(1, 3)) for _ in range(count)]
-
-
 def check_step_equivalence(
     lctrs: Lctrs,
     solver: ConstraintSolver,
     config: RewriteConfig = RewriteConfig(),
-    samples: int = 50,
 ) -> Report:
     """One-step successor sets agree between the guarded rules (with values
     from the domain, rewriting under the constraint true), the fragment's
-    on-demand steps and the steps of its instantiated rules, on sampled
-    terms."""
+    on-demand steps and the steps of its instantiated rules.  The subjects
+    are every term some fragment rule steps at its root (each left-hand side
+    with its matched logical variables at each combination of domain values,
+    each calculation over domain values) and every term the NO search steps.
+    All three relations are closed under contexts and decide a root step from
+    the rule and the values of those variables alone, so agreement on these
+    subjects is agreement on every term over the domain."""
     report = Report()
     fragment = ground_fragment(lctrs, config)
+    domain = fragment.domain
+    subjects: list[Term] = []
+    for rule in lctrs.rules:
+        xs = sorted(rule.lvar_split[0], key=lambda v: v.name)
+        for combo in itertools.product(*(domain[x.sort] for x in xs)):
+            subjects.append(apply_subst(dict(zip(xs, combo)), rule.lhs))
+    subjects += fragment.calculations()
+    find_nonjoinable_peak(fragment, pair_instances(ccps(lctrs, solver), domain))
+    subjects += fragment.successors
     listed = _oracle(fragment.rules, fragment.lhs_index, lambda rule, sigma0: (sigma0,))
-    for t in _sample_terms(lctrs, config, samples, 0):
+    for t in dict.fromkeys(subjects):
         report.checked += 1
         via_rules = {r.term for r, _ in cstep(ConstrainedTerm(t), lctrs, solver, config)}
         for name, steps in (

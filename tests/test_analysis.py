@@ -614,6 +614,47 @@ def test_confluent_systems_with_a_guard_value_outside_the_domain_never_answer_no
     assert analyze(parse(source), solver).result != "NO"
 
 
+# --- a solver unknown never turns into YES (ROADMAP item 17) -----------------
+
+NONLIN_HEAD = "(theory Ints)\n(sort U)\n(fun f (Int) U)\n"
+NONLIN = NONLIN_HEAD + """(fun a () U)
+(fun b () U)
+(rule (f x) a :guard (= (* x x) 4))
+(rule (f x) b :guard (= (* x x) 4))
+"""
+NONLIN_ALIGN = NONLIN_HEAD + """(fun g (Int) U)
+(rule (f x) (g y) :guard (and (>= x 0) (= y (* x x))))
+(rule (f x) (g z) :guard (and (>= x 0) (= z (+ x 2))))
+"""
+NONLIN_STEP = NONLIN_HEAD + """(fun g (Int) U)
+(fun h (Int) U)
+(rule (f x) (g x) :guard (>= x 10))
+(rule (f x) (h x) :guard (>= x 10))
+(rule (g x) (h x) :guard (<= (* x x) 100))
+"""
+
+
+@pytest.mark.parametrize("source", [NONLIN, NONLIN_ALIGN, NONLIN_STEP], ids=["nonlin", "nonlin_align", "nonlin_step"])
+def test_a_solver_unknown_never_turns_into_yes(solver, source):
+    """None of the three systems is confluent (witnesses a ~ b, g(0) ~ g(2)
+    and g(100) ~ h(100)), and on each a criterion's path meets a query the
+    solver cannot decide, since it takes a product of variables."""
+    assert analyze(parse(source), solver).result != "YES"
+
+
+def test_the_nonlinear_systems_ask_queries_the_solver_cannot_decide(solver):
+    """The premise of the test above: should the solver learn nonlinear
+    arithmetic, this fails instead of that test passing with nothing to
+    check."""
+    (nonlin, _) = ccps(parse(NONLIN), solver)
+    assert solver.is_satisfiable(nonlin.constraint).is_unknown
+    aligned = {(c.left.args[0].name, c.right.args[0].name): c for c in ccps(parse(NONLIN_ALIGN), solver)}
+    yz = aligned["y", "z"]  # g(y) ~ g(z), which aligns to y = z
+    assert solver.is_valid(theory.imp(yz.constraint, theory.eq(yz.left.args[0], yz.right.args[0]))).is_unknown
+    assert is_trivial(yz.pair(), solver) == "unknown"
+    assert solver.is_valid(theory.imp(theory.ge(x, 10), theory.le(theory.mul(x, x), 100))).is_unknown
+
+
 def test_verdict_carries_the_pairs_it_computed(calc_chain, parity, solver):
     yes = analyze(calc_chain, solver)
     assert yes.criterion == "parallel-closed"

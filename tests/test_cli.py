@@ -113,8 +113,8 @@ def test_check_survives_guard_blowup(tmp_path, capsys):
 
 
 def test_check_without_rules_checks_nothing(tmp_path, capsys):
-    """A system with no rules has no sort to sample terms of: every report
-    passes with no checks instead of exiting 2."""
+    """A system with no rules has no left-hand side, calculation or peak to
+    step: every report passes with no checks instead of exiting 2."""
     path = tmp_path / "norules.lctrs"
     path.write_text("(theory Ints)\n")
     code, out, err = run_cli(capsys, "check", str(path), "--json")
@@ -312,7 +312,7 @@ def _watched_after(argv: list[str]) -> str:
 
 def test_analyze_loads_no_external_solver_code():
     """Only --smt needs the SMT-LIB client and the subprocess module, only
-    gen-pcp needs pcp, only check samples with random, and no record is a
+    gen-pcp needs pcp, no subcommand needs random, and no record is a
     dataclass (dataclasses pulls in inspect)."""
     assert _watched_after(["analyze", "corpus/pcp_101.lctrs"]) == "0 []"
 

@@ -8,6 +8,9 @@ the same way only for an intended output change.  The `correspondence`
 counts of the `check` files were re-recorded when that check came to
 compare the fragment's critical pairs with the NO search's peaks, key for
 key, instead of sampling instances of the constrained pairs; nothing else
+in them changed.  Their `step_equivalence` counts were re-recorded when
+that check came to step every term a fragment rule steps at its root and
+every term the NO search steps, instead of 50 random terms; nothing else
 in them changed.  The `four_parts` files
 were recorded once the rewrite oracle and the ground fragment shared one
 assignment procedure, so its `check` pins step equivalence on a rule whose

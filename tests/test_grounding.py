@@ -6,7 +6,6 @@ import pytest
 from lctrs import theory
 from lctrs.analysis import CCPRecord, ccps
 from lctrs.grounding import (
-    _sample_terms,
     check_cp_correspondence,
     check_step_equivalence,
     constraint_assignments,
@@ -22,9 +21,9 @@ from lctrs.grounding import (
 from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse
 from lctrs.pcp import PCPInstance, build_rp
-from lctrs.rewriting import RewriteConfig, _oracle, domain_terms, redexes, single_steps
+from lctrs.rewriting import RewriteConfig, domain_terms
 from lctrs.rules import ConstrainedRule
-from lctrs.terms import App, INT, Var, alpha_key, apply_subst, int_val, variables
+from lctrs.terms import App, INT, Var, alpha_key, apply_subst, int_val, value_of, variables
 
 from tests.conftest import CORPUS, LINEAR_OPS, REPO, frag_multi, linear_atom, trs_closedness_check
 from tests.test_golden import GEN_PCP, GROUND, GROUND_HALF_WIDTHS
@@ -253,7 +252,7 @@ def test_correspondence_names_the_side_a_pair_is_missing_from(monkeypatch, solve
 
 def test_step_equivalence_systems(single_value, parity, calc_chain, var_tracking, solver):
     for system in (single_value, parity, calc_chain, var_tracking):
-        report = check_step_equivalence(system, solver, samples=40)
+        report = check_step_equivalence(system, solver)
         assert report.ok, report
 
 
@@ -475,16 +474,35 @@ ON_DEMAND_CASES = list(_on_demand_cases())
 
 @pytest.mark.parametrize("name, lctrs, width", ON_DEMAND_CASES, ids=[name for name, *_ in ON_DEMAND_CASES])
 def test_on_demand_steps_are_the_listed_rules_steps(name, lctrs, width):
-    """On every term the NO search steps, and on sampled terms, the
-    fragment's on-demand steps are the steps of its instantiated rules."""
+    """On every term a fragment rule steps at its root and every term the NO
+    search steps, the fragment's on-demand steps are the steps of its
+    instantiated rules and of the guarded rules."""
     config = RewriteConfig(lo=-width, hi=width)
-    fragment = ground_fragment(lctrs, config)
-    find_nonjoinable_peak(fragment, pair_instances(ccps(lctrs, ConstraintSolver()), domain_terms(lctrs, config)))
-    terms = [*fragment.successors, *_sample_terms(lctrs, config, 50, 0)]
-    listed = _oracle(fragment.rules, fragment.lhs_index, lambda rule, sigma0: (sigma0,))
-    for t in terms:
-        want = {r for r, _ in single_steps(t, redexes(t, listed))}
-        assert {r for r, _ in frag_successors(t, fragment)} == want, t
+    assert check_step_equivalence(lctrs, ConstraintSolver(), config).ok
+
+
+@pytest.mark.parametrize(
+    "name, flagged", [("pcp_101", "alpha(4)"), ("two_positions", "f(g(4), g(-4))")], ids=["pcp_101", "two_positions"]
+)
+def test_step_equivalence_flags_a_fragment_that_leaves_out_a_value(monkeypatch, solver, name, flagged):
+    """A fragment whose oracle never binds a logical variable to the largest
+    Int of the domain misses steps that the guarded and the listed rules
+    take at left-hand side instances with that value, such as alpha(4) and
+    f(g(4), g(-4))."""
+    system = parse((CORPUS / f"{name}.lctrs").read_text())
+    assert check_step_equivalence(system, solver).ok
+    from lctrs import grounding
+
+    ground = grounding.ground_fragment
+
+    def short(lctrs, config=RewriteConfig()):
+        fragment = ground(lctrs, config)
+        fragment.values = {**fragment.values, INT: fragment.values[INT] - {max(fragment.domain[INT], key=value_of)}}
+        return fragment
+
+    monkeypatch.setattr(grounding, "ground_fragment", short)
+    report = check_step_equivalence(system, solver)
+    assert any(v.startswith(f"successors of {flagged} differ") for v in report.violations), report
 
 
 def test_on_demand_steps_on_calc_chain(calc_chain):

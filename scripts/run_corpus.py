@@ -44,9 +44,9 @@ def main(argv: list[str] | None = None) -> int:
         system = parse(path.read_text())
         solver = ConstraintSolver()
         config = AnalysisConfig(depth=depth, rewrite=RewriteConfig(lo=lo, hi=hi))
-        t0 = time.time()
+        t0 = time.perf_counter()
         verdict = analyze(system, solver, config)
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         parallel = verdict.cpcps if verdict.cpcps is not None else cpcps(system, solver)
         rows.append(
             (
@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
                 verdict.criterion or "-",
                 verdict.ccp_count,
                 len(parallel),
-                f"{elapsed:.2f}s",
+                f"{elapsed * 1000:.1f} ms",
             )
         )
 

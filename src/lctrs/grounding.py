@@ -66,8 +66,9 @@ from .terms import (
 class GroundFragment:
     """The ground fragment over one config's domain.  Its oracle matches the
     system's own rules (rc_rules) and instantiates a match only where a term
-    is stepped; the instantiated rule list, its index and its overlaps are
-    built the first time they are read."""
+    is stepped; each stepped term's steps (successors) and each searched
+    side's reachable set (reached) are kept; the instantiated rule list, its
+    index and its overlaps are built the first time they are read."""
 
     def __init__(self, lctrs: Lctrs, config: RewriteConfig):
         self.lctrs = lctrs
@@ -79,6 +80,7 @@ class GroundFragment:
         self.calc_syms = dict.fromkeys(sub.sym for sub in sides if sub.sym.kind == "theory")
         self.oracle = _oracle(lctrs.rc_rules, lctrs.lhs_index, self._instances)  # the fragment's redexes
         self.successors: dict[Term, tuple[tuple[Term, Redex], ...]] = {}  # see frag_successors
+        self.reached: dict[tuple[Term, int], tuple[frozenset[Term], bool]] = {}  # see reachable
 
     def _instances(self, rule: ConstrainedRule, sigma0: Subst):
         """The fragment instances a match sigma0 of the rule steps with: none
@@ -152,15 +154,22 @@ def frag_successors(t: Term, fragment: GroundFragment) -> tuple[tuple[Term, Rede
     return fragment.successors[t]
 
 
-def reachable(t: Term, fragment: GroundFragment, depth: int) -> tuple[set[Term], bool]:
+def reachable(t: Term, fragment: GroundFragment, depth: int) -> tuple[frozenset[Term], bool]:
     """Reachable set within depth steps and whether it is closed under ->:
-    searching one level further, the first term beyond the bound ends it."""
-    seen: set[Term] = set()
-    for s, path in breadth_first(t, lambda u: frag_successors(u, fragment), depth + 1):
-        if len(path) > depth + 1:
-            return seen, False
-        seen.add(s)
-    return seen, True
+    searching one level further, the first term beyond the bound ends it.
+    Each (term, depth) is searched once per fragment and kept
+    (fragment.reached), since the peaks of the NO search share their sides."""
+    key = (t, depth)
+    if key not in fragment.reached:
+        seen: set[Term] = set()
+        closed = True
+        for s, path in breadth_first(t, lambda u: frag_successors(u, fragment), depth + 1):
+            if len(path) > depth + 1:
+                closed = False
+                break
+            seen.add(s)
+        fragment.reached[key] = frozenset(seen), closed
+    return fragment.reached[key]
 
 
 def joinable(fragment: GroundFragment, s: Term, t: Term, depth: int = 8):

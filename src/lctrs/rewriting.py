@@ -15,8 +15,11 @@ decides each choice.  The ground fragment's oracle (grounding) matches the
 same rules and completes a match whose logical variables are domain values
 with domain values alone.  The tilde variants are the lifting modulo the
 equivalence moves of equiv_extensions, which only ever extend a constraint
-by a definition z = f(u1..un) of a theory subterm.  Multi-step nesting is
-depth-bounded.
+by a definition z = f(u1..un) of a theory subterm.  A single step
+(cstep_tilde) keeps from an extension only the steps its base cannot take:
+those that use z and those that remove f(u1..un); every other one is the
+base's step, extended by the same definition one call later.  Multi-step
+nesting is depth-bounded.
 """
 
 from __future__ import annotations
@@ -331,12 +334,39 @@ def equiv_extensions(ct: ConstrainedTerm) -> list[ConstrainedTerm]:
     return out
 
 
+def _base_takes(step: tuple[ConstrainedTerm, Redex], w: Var, fu: Term) -> bool:
+    """Does the base (t, phi) of an extension (t, w = f(u) and phi) take
+    this single step of the extension, its result extending again by
+    w = f(u)?  It does when no term the redex's sigma binds contains w, and
+    f(u) is still a subterm of the result.  The result then does not contain
+    w either: w is fresh for t, and sigma binds every rule variable."""
+    res, (_, _, sigma) = step
+    return not any(w in u.vars for u in sigma.values()) and any(sub is fu for _, sub in positions(res.term))
+
+
 def _modulo_equivalence(ct: ConstrainedTerm, contract, lctrs, solver, config, below, key=lambda item: item) -> list:
     """The constrained steps of every equivalent reformulation of ct,
-    keeping the first result of each key."""
+    keeping the first result of each key.  For single steps (keyed by their
+    result), an extension (t, w = f(u) and phi) keeps only the steps its
+    base (t, phi) cannot take (_base_takes).  A dropped step is exact to
+    drop: the base takes the same redex, since sigma's terms are among the
+    base oracle's candidates and, w being fresh and defined,
+    phi and w = f(u) => G*sigma holds exactly when phi => G*sigma does
+    (both decided, the extension being satisfiable).  The base's result
+    (t', phi) is a node at the same depth, and its own cstep_tilde extends
+    it by the same f(u) to the dropped node (up to the name of w) and takes
+    that node's steps.  A trivial dropped node has a trivial base node,
+    which a breadth-first search finds first, since the base's steps come
+    first.  What is given up is a step that needs two definitions at once,
+    the dropped node extended again.  Parallel and multi-steps carry no
+    sigma and keep every step."""
     out: dict = {}
     for e in equiv_extensions(ct):
-        for item in constrained_steps(e, contract, lctrs, solver, config, below):
+        found = constrained_steps(e, contract, lctrs, solver, config, below)
+        if contract is single_steps and e is not ct:
+            w, fu = theory.conjuncts(e.constraint)[0].args
+            found = [step for step in found if not _base_takes(step, w, fu)]
+        for item in found:
             out.setdefault(key(item), item)
     return list(out.values())
 
@@ -348,7 +378,14 @@ def cstep_tilde(
     config: RewriteConfig = RewriteConfig(),
     below: Position = EPSILON,
 ) -> list[tuple[ConstrainedTerm, Redex]]:
-    """Constrained step modulo equivalence: extension moves, then a step."""
+    """Constrained step modulo equivalence: extension moves, then a step.
+    An extension by w = f(u) contributes only the steps its base cannot
+    take: those whose sigma binds a term containing w (the guard needs the
+    definition) and those that remove f(u) (the result cannot be extended
+    by it again).  Any other step of the extension is the base's step,
+    whose result the next cstep_tilde extends by w = f(u) again, so the
+    search still takes every step from it at the same depth
+    (see _modulo_equivalence)."""
     return _modulo_equivalence(ct, single_steps, lctrs, solver, config, below, lambda item: item[0])
 
 

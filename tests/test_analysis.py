@@ -23,7 +23,7 @@ from lctrs.terms import App, INT, LhsIndex, ParallelSetCap, Var, apply_subst, in
 from lctrs.grounding import constraint_assignments, pair_instances
 from lctrs.rewriting import domain_terms, RewriteConfig
 
-from tests.conftest import CORPUS, plain_successors
+from tests.conftest import CORPUS, REPO, plain_successors
 from tests.test_golden import GEN_PCP
 
 x, y, z = Var("x", INT), Var("y", INT), Var("z", INT)
@@ -653,6 +653,33 @@ def test_the_nonlinear_systems_ask_queries_the_solver_cannot_decide(solver):
     assert solver.is_valid(theory.imp(yz.constraint, theory.eq(yz.left.args[0], yz.right.args[0]))).is_unknown
     assert is_trivial(yz.pair(), solver) == "unknown"
     assert solver.is_valid(theory.imp(theory.ge(x, 10), theory.le(theory.mul(x, x), 100))).is_unknown
+
+
+def test_an_overlay_not_development_closed_is_not_1_parallel_closed(monkeypatch, solver):
+    """For an overlay, dev_closed_check and parallel_closed_1 differ only in
+    the first step below side 1 (a multi-step, a parallel step; every
+    parallel step is a multi-step) and run the same cstep_tilde tail below
+    side 2.  So on every left-linear overlay of the corpus, the bench inputs
+    and the bench's pcp draws of seeds 1-3 where the first gives not_closed,
+    the second does not give closed."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up by name
+    spec.loader.exec_module(workloads)
+    paths = sorted(CORPUS.glob("*.lctrs")) + sorted((REPO / "perfbench" / "inputs").glob("*/*.lctrs"))
+    systems = [parse(path.read_text()) for path in paths]
+    systems += [build_rp(PCPInstance(i.pairs)) for seed in (1, 2, 3) for i in workloads.make_inputs("pcp", seed)]
+    assert len(systems) == 76
+    not_closed = 0
+    for system in filter(is_left_linear, systems):
+        for ccp in ccps(system, solver):
+            if ccp.overlay and dev_closed_check(ccp, system, solver).status == "not_closed":
+                not_closed += 1
+                assert parallel_closed_1(ccp, system, solver).status != "closed", ccp
+    assert not_closed == 63
 
 
 def test_verdict_carries_the_pairs_it_computed(calc_chain, parity, solver):

@@ -23,7 +23,7 @@ from lctrs.parser import parse
 from lctrs.pcp import PCPInstance, build_rp
 from lctrs.rewriting import RewriteConfig, domain_terms
 from lctrs.rules import ConstrainedRule
-from lctrs.terms import App, INT, Var, alpha_key, apply_subst, int_val, value_of, variables
+from lctrs.terms import App, INT, Var, alpha_key, apply_subst, int_val, term_key, value_of, variables
 
 from tests.conftest import CORPUS, LINEAR_OPS, REPO, frag_multi, linear_atom, trs_closedness_check
 from tests.test_golden import GEN_PCP, GROUND, GROUND_HALF_WIDTHS
@@ -166,6 +166,26 @@ def test_the_no_search_steps_each_term_once(monkeypatch):
     assert find_nonjoinable_peak(frag, trs_cps(frag)) is None
     assert len(trs_cps(frag)) == 10 and len(stepped) > 1000
     assert max(stepped.values()) == 1
+
+
+def test_a_side_shared_by_several_peaks_is_searched_once(monkeypatch):
+    """pcp_101's 12 peaks have 24 sides but only 4 distinct terms: the NO
+    search keeps each side's reachable set on the fragment, so it searches
+    from each of the 4 once, and a second search from the same peaks
+    searches nothing."""
+    from lctrs import grounding
+
+    system, solver = parse((CORPUS / "pcp_101.lctrs").read_text()), ConstraintSolver()
+    fragment = ground_fragment(system)
+    peaks = pair_instances(ccps(system, solver), fragment.domain)
+    sides = [side for cp in peaks for side in (cp.left, cp.right)]
+    assert (len(peaks), len(sides), len(set(sides))) == (12, 24, 4)
+    searched = []
+    breadth_first = grounding.breadth_first
+    monkeypatch.setattr(grounding, "breadth_first", lambda start, *rest: searched.append(start) or breadth_first(start, *rest))
+    assert find_nonjoinable_peak(fragment, peaks) is None
+    assert find_nonjoinable_peak(fragment, peaks) is None
+    assert sorted(searched, key=term_key) == sorted(set(sides), key=term_key)
 
 
 def test_step_equivalence_examples(single_value, parity):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lctrs import logic, rewriting, rules, theory
+from lctrs import analysis, logic, rewriting, rules, theory
 from lctrs.analysis import analyze, ccps
 from lctrs.logic import ConstraintSolver
 from lctrs.parser import parse
@@ -25,6 +25,7 @@ from lctrs.rewriting import (
     parallel_steps,
     parallel_tilde,
     redexes,
+    single_steps,
 )
 from lctrs.terms import (
     App,
@@ -451,6 +452,82 @@ def test_equiv_extensions_cover_paper_shapes(solver, swap):
     )
     for res in exts:
         assert equiv(ConstrainedTerm(gy, theory.eq(y, 2)), res, solver) == "yes"
+
+
+# --- which steps an extension keeps --------------------------------------------
+
+def test_an_extension_keeps_a_step_whose_sigma_binds_its_variable(solver):
+    """Condition (b) of _base_takes: the step a -> b needs y = 2000, which
+    only w (defined as 1000 + 1000) witnesses; 2000 lies outside the domain
+    -4..4 and the literal 1000.  The result keeps f(u) and lacks w, but the
+    base cannot take the step, so cstep_tilde keeps it."""
+    system = parse(
+        "(theory Ints)\n(sort U)\n(fun h (Int U) U)\n(fun a () U)\n(fun b () U)\n"
+        "(rule a b :guard (= y (+ 1000 1000)))\n"
+    )
+    big = theory.add(1000, 1000)
+    results = {res.term for res, _ in cstep_tilde(ConstrainedTerm(app(system, "h", big, app(system, "a"))), system, solver)}
+    assert app(system, "h", big, app(system, "b")) in results
+
+
+def test_an_extension_keeps_a_step_that_removes_its_definition(solver):
+    """Condition (c) of _base_takes: p(1000 + 1000) -> g removes the defined
+    subterm, so the base's g cannot be extended by w = 1000 + 1000 again,
+    and g -> h needs y = 2000, which only w witnesses.  The extension's g is
+    kept, and h lies two steps away."""
+    system = parse(
+        "(theory Ints)\n(sort U)\n(fun p (Int) U)\n(fun g () U)\n(fun h () U)\n"
+        "(rule (p x) g)\n(rule g h :guard (= y (+ 1000 1000)))\n"
+    )
+    start = ConstrainedTerm(app(system, "p", theory.add(1000, 1000)))
+    found = {node.term for node, _ in breadth_first(start, lambda ct: cstep_tilde(ct, system, solver), 2)}
+    assert app(system, "h") in found
+
+
+def test_the_steps_an_extension_drops_are_base_steps_extended_again(monkeypatch):
+    """On every node that the corpus closing searches visit, each step that
+    cstep_tilde drops from an extension (t, w = f(u) and phi) is a step of
+    the base (t, phi) with the same redex, and the dropped node is an
+    extension of the base's result by the same f(u), up to the name of w."""
+    visited = {}
+    real = analysis.cstep_tilde
+
+    def recording(ct, lctrs, solver, config, below):
+        visited.setdefault((ct, below, id(lctrs)), (ct, lctrs, solver, config, below))
+        return real(ct, lctrs, solver, config, below)
+
+    monkeypatch.setattr(analysis, "cstep_tilde", recording)
+    for path in sorted(CORPUS.glob("*.lctrs")):
+        system, solver = parse(path.read_text()), ConstraintSolver()
+        run_every_closing_check(system, analyze(system, solver), solver)
+    dropped = 0
+    for ct, lctrs, solver, config, below in visited.values():
+        base = constrained_steps(ct, single_steps, lctrs, solver, config, below)
+        for e in equiv_extensions(ct)[1:]:
+            w, fu = theory.conjuncts(e.constraint)[0].args
+            for res, redex in constrained_steps(e, single_steps, lctrs, solver, config, below):
+                if not rewriting._base_takes((res, redex), w, fu):
+                    continue
+                dropped += 1
+                assert any(b.term == res.term and b_redex == redex for b, b_redex in base)
+                again = []
+                for ext in equiv_extensions(ConstrainedTerm(res.term, ct.constraint))[1:]:
+                    w2, fu2 = theory.conjuncts(ext.constraint)[0].args
+                    if fu2 is fu:
+                        again.append(ext.constraint == apply_subst({w: w2}, res.constraint))
+                assert again == [True]
+    assert dropped > 50
+
+
+def test_calc_chain_takes_53_tail_steps(monkeypatch):
+    """analyze on calc_chain expands 53 tail nodes: an extension's steps
+    that its base takes are not expanded a second time (110 before)."""
+    calls = []
+    real = analysis.cstep_tilde
+    monkeypatch.setattr(analysis, "cstep_tilde", lambda *args, **kw: calls.append(args[0]) or real(*args, **kw))
+    system = parse((CORPUS / "calc_chain.lctrs").read_text())
+    assert analyze(system, ConstraintSolver()).result == "YES"
+    assert len(calls) == 53
 
 
 # --- parallel steps ----------------------------------------------------------
